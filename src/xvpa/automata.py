@@ -88,11 +88,11 @@ class Dxvpa:
             if mod.entry not in mod.states:
                 raise AutomatonStructureError(f"module {key!r} lacks its entry state")
             # single-exit: all exits carry identical return behavior
-            signatures = {
-                x: frozenset((c, p, t) for (q, c, p), t in mod.returns.items() if q == x)
-                for x in mod.exits
-            }
-            if len(set(signatures.values())) > 1:
+            signatures = {x: set() for x in mod.exits}
+            for (q, c, p), t in mod.returns.items():
+                if q in signatures:
+                    signatures[q].add((c, p, t))
+            if len({frozenset(sig) for sig in signatures.values()}) > 1:
                 raise AutomatonStructureError(f"module {key!r} breaks the single-exit property")
             internal_targets.update(dst for dst, _ in mod.internals.values())
         # mixed content: the unique datatype-choice successor is structural
@@ -102,9 +102,6 @@ class Dxvpa:
                 if target in internal_targets:
                     raise AutomatonStructureError(
                         "return transition targets a datatype-choice successor")
-
-    def module_of(self, state: StateName):
-        return self.modules[state[0]]
 
     def stats(self):
         return {
@@ -139,10 +136,6 @@ class Cxvpa:
             for key, target in mod.returns.items():
                 self.ret_map[key] = target
 
-    def predicate_for(self, state: StateName) -> Dfa | None:
-        hit = self.int_map.get(state)
-        return self.predicates[hit[1]] if hit else None
-
 
 # ---------------------------------------------------------------------------
 # generation from a snapshot
@@ -154,7 +147,8 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     the one called from the start state; each module's entry is the state
     with empty siblings; exits are states with outgoing returns; the
     single-exit property is established by copying every return of a
-    module to all of its exits.
+    module to all of its exits.  Each transition map is read once, so the
+    cost is linear in the snapshot plus the returns the closure copies.
     """
     root_calls = {key: dst for key, dst in snapshot.call_to.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:
@@ -165,12 +159,16 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             f"snapshot has multiple root elements {root_elements}; one start module required")
     root_element = root_elements[0]
 
+    # modules follow this set's order, which compiled DOT output numbers
+    # predicates by
     contexts = {q[0] for q in snapshot.states if q[0] != ()}
+    states_of: dict[tuple, set] = {}
+    for q in snapshot.states:
+        states_of.setdefault(q[0], set()).add(q)
     modules: dict[tuple, Module] = {}
     for ctx in contexts:
         entry = (ctx, ())
-        mod = Module(context=ctx, element="", entry=entry)
-        mod.states = {q for q in snapshot.states if q[0] == ctx}
+        mod = Module(context=ctx, element="", entry=entry, states=states_of[ctx])
         if entry not in mod.states:
             raise AutomatonStructureError(f"module {ctx!r} lacks entry state")
         modules[ctx] = mod
@@ -182,10 +180,13 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         if q == START_STATE:
             continue
         modules[q[0]].calls[(q, c)] = dst[0]
+    datatypes_of: dict[StateName, set[str]] = {}
+    for (src, dt), w in snapshot.w_int.items():
+        if w > 0:
+            datatypes_of.setdefault(src, set()).add(dt)
     for src, dst in snapshot.int_to.items():
-        dtset = snapshot.internal_datatypes(src)
-        if dtset:
-            modules[src[0]].internals[src] = (dst, dtset)
+        if src in datatypes_of:
+            modules[src[0]].internals[src] = (dst, frozenset(datatypes_of[src]))
     for (q, c, popped), dst in snapshot.ret_to.items():
         mod = modules[q[0]]
         mod.exits.add(q)
@@ -227,31 +228,48 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
 
     Congruence is bisimilarity of the module graphs where internal edges
     compare by exact datatype choice and call edges by (element, callee
-    module); the pairing must be a bijection.  After each fold the scan
-    restarts until no pair folds.  The input is not mutated.
+    module); the pairing must be a bijection.  One coarsest-partition
+    refinement over all module states picks the candidates: modules of one
+    element whose entries share a block.  Only the pairwise test folds a
+    candidate into the repr-smallest bisimilar member of its class; a fold
+    can make its callers' pairs bisimilar, so their classes are tested
+    again.  A fold never separates a bisimilar pair, and bisimilar modules
+    always share a block, so this reaches the automaton of a pairwise scan
+    over all modules.  Calls are indexed by state and returns by (popped
+    state, element), so testing a pair costs the edges of the states it
+    visits, and refinement costs its rounds times the states and edges.
+    The input is not mutated.
     """
     modules = {k: _copy_module(m) for k, m in dxvpa.modules.items()}
     m0 = dxvpa.m0
+    graph = _ModuleGraph(modules)
 
-    changed = True
-    while changed:
-        changed = False
-        keys = sorted(modules, key=repr)
-        for i, key_m in enumerate(keys):
-            for key_n in keys[i + 1:]:
-                m, n = modules[key_m], modules[key_n]
-                if m.element != n.element:
-                    continue
-                pairing = _bisimulation(modules, m, n)
+    classes = _candidate_classes(graph)
+    class_of = {key: i for i, members in enumerate(classes) for key in members}
+    pending = list(range(len(classes)))
+    queued = set(pending)
+    while pending:
+        i = pending.pop()
+        queued.discard(i)
+        survivors = []
+        for key_n in classes[i]:
+            n = modules[key_n]
+            for key_m in survivors:
+                pairing = _bisimulation(graph, modules[key_m], n)
                 if pairing is None:
                     continue
-                _fold(modules, key_m, key_n, pairing)
+                for key_c in graph.callers[key_n] - {key_n}:
+                    j = class_of.get(key_c)
+                    if j is not None and j not in queued:
+                        queued.add(j)
+                        pending.append(j)
+                graph.fold(key_m, key_n, pairing)
                 if m0 == key_n:
                     m0 = key_m
-                changed = True
                 break
-            if changed:
-                break
+            else:
+                survivors.append(key_n)
+        classes[i] = survivors
     return Dxvpa(modules, m0, dxvpa.root_element, dxvpa.dts)
 
 
@@ -261,28 +279,133 @@ def _copy_module(m: Module) -> Module:
                   internals=dict(m.internals), returns=dict(m.returns))
 
 
-def _module_edges(modules: dict, mod: Module, state: StateName):
-    """Outgoing edges of a state in the module-graph view.
+class _ModuleGraph:
+    """The module-graph view of a set of modules, folded in place.
 
-    A call edge is labeled (element, callee module) and leads to the state
-    this module resumes in after the callee returns popping ``state``;
-    root-module calls that never resume map to None."""
-    edges = {}
-    hit = mod.internals.get(state)
-    if hit:
-        dst, dtset = hit
-        edges[("text", dtset)] = dst
-    for (q, c), callee_key in mod.calls.items():
-        if q != state:
-            continue
-        callee = modules[callee_key]
-        resume = {t for (_x, _c, popped), t in callee.returns.items()
-                  if popped == state and _c == c}
-        edges[("call", c, callee_key)] = resume.pop() if resume else None
-    return edges
+    ``labels`` maps a state to the elements it calls (fixed by the
+    snapshot), ``resume`` maps a module to its returns keyed by (popped
+    state, element), and ``callers`` maps a module to the modules that
+    call it.  A fold updates only the entries of the modules it touches.
+    """
+
+    def __init__(self, modules: dict):
+        self.modules = modules
+        self.labels: dict[StateName, list[str]] = {}
+        self.callers: dict[tuple, set] = {key: set() for key in modules}
+        self.resume: dict[tuple, dict] = {}
+        for key, mod in modules.items():
+            for (q, c), callee in mod.calls.items():
+                self.labels.setdefault(q, []).append(c)
+                self.callers[callee].add(key)
+            # single-exit closure: every exit resumes the same target
+            self.resume[key] = {(popped, c): t for (_x, c, popped), t in mod.returns.items()}
+
+    def edges(self, mod: Module, state: StateName):
+        """Outgoing edges of a state in the module-graph view.
+
+        A call edge is labeled (element, callee module) and leads to the
+        state this module resumes in after the callee returns popping
+        ``state``; root-module calls that never resume map to None."""
+        edges = {}
+        hit = mod.internals.get(state)
+        if hit:
+            dst, dtset = hit
+            edges[("text", dtset)] = dst
+        for c in self.labels.get(state, ()):
+            callee_key = mod.calls.get((state, c))
+            if callee_key is not None:
+                edges[("call", c, callee_key)] = self.resume[callee_key].get((state, c))
+        return edges
+
+    def fold(self, key_m: tuple, key_n: tuple, pairing: dict):
+        """Fold module n into m, rewriting calls and returns of its neighbors."""
+        modules = self.modules
+        m, n = modules[key_m], modules[key_n]
+
+        # callers of n now call m; n's returns migrate to all of m's exits
+        # (their targets live in the callers and stay valid)
+        callers = self.callers.pop(key_n)
+        callers.discard(key_n)
+        for key_i in callers:
+            mod_i = modules[key_i]
+            for (q, c), callee in list(mod_i.calls.items()):
+                if callee == key_n:
+                    mod_i.calls[(q, c)] = key_m
+        self.callers[key_m] |= callers
+        resume_m = self.resume[key_m]
+        for (_q, c, popped), target in list(n.returns.items()):
+            for x in m.exits:
+                m.returns[(x, c, popped)] = target
+                resume_m[(popped, c)] = target
+
+        # callees of n: returns popping n-states are rewritten through the pairing
+        callees = {callee for (_q, _c), callee in n.calls.items()}
+        for callee_key in callees:
+            if callee_key == key_n:
+                continue
+            self.callers[callee_key].discard(key_n)
+            callee = modules[callee_key]
+            resume = self.resume[callee_key]
+            for (q, c, popped), target in list(callee.returns.items()):
+                if popped in n.states:
+                    del callee.returns[(q, c, popped)]
+                    resume.pop((popped, c), None)
+                    callee.returns[(q, c, pairing[popped])] = pairing[target]
+                    resume[(pairing[popped], c)] = pairing[target]
+
+        del modules[key_n]
+        del self.resume[key_n]
 
 
-def _bisimulation(modules: dict, m: Module, n: Module):
+def _candidate_classes(graph: _ModuleGraph) -> list[list]:
+    """Modules that may fold together, by coarsest partition refinement.
+
+    A state's signature is its exit flag, its text edge (datatype choice,
+    target block) and its call edges (element, callee entry block, resume
+    block), taken in the module-graph view of its own module, where a
+    target outside the module has no edges.  Blocks start as one and split
+    until stable (Moore refinement, as in ``Dfa.minimized``).  Bisimilar
+    modules have entries in one block, so each class lists the modules of
+    one element whose entries share a block, in repr order.
+    """
+    modules = graph.modules
+    empty = (False, None, ())
+    rows = []
+    for mod in modules.values():
+        for q in mod.states:
+            hit = mod.internals.get(q)
+            calls = []
+            for c in sorted(graph.labels.get(q, ())):
+                callee_key = mod.calls[(q, c)]
+                calls.append((c, modules[callee_key].entry,
+                              graph.resume[callee_key].get((q, c))))
+            rows.append((q, mod.states, q in mod.exits, hit, calls))
+    block: dict[StateName, int] = {}
+    count = 0
+    while True:
+        ids = {empty: 0}
+        new_block = {}
+        for q, states, is_exit, hit, calls in rows:
+            text = None
+            if hit:
+                dst, dtset = hit
+                text = (dtset, block.get(dst, 0) if dst in states else 0)
+            sig = (is_exit, text, tuple(
+                (c, block.get(entry, 0),
+                 None if resume is None else (block.get(resume, 0) if resume in states else 0))
+                for c, entry, resume in calls))
+            new_block[q] = ids.setdefault(sig, len(ids))
+        block = new_block
+        if len(ids) == count:
+            break
+        count = len(ids)
+    by_key: dict[tuple, list] = {}
+    for key in sorted(modules, key=repr):
+        by_key.setdefault((modules[key].element, block[modules[key].entry]), []).append(key)
+    return [members for members in by_key.values() if len(members) > 1]
+
+
+def _bisimulation(graph: _ModuleGraph, m: Module, n: Module):
     """Entry-rooted pairing of two module graphs, or None.
 
     Requires identical edge labels at every paired state, identical
@@ -301,8 +424,8 @@ def _bisimulation(modules: dict, m: Module, n: Module):
             return None
         if (qn in n.exits) != (qm in m.exits):
             return None
-        edges_n = _module_edges(modules, n, qn)
-        edges_m = _module_edges(modules, m, qm)
+        edges_n = graph.edges(n, qn)
+        edges_m = graph.edges(m, qm)
         if set(edges_n) != set(edges_m):
             return None
         pairing[qn] = qm
@@ -314,36 +437,6 @@ def _bisimulation(modules: dict, m: Module, n: Module):
             if target_n is not None:
                 work.append((target_n, target_m))
     return pairing
-
-
-def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
-    """Fold module n into m, rewriting calls and returns of its neighbors."""
-    m, n = modules[key_m], modules[key_n]
-
-    # callers of n now call m; n's returns migrate to all of m's exits
-    # (their targets live in the callers and stay valid)
-    for key_i, mod_i in modules.items():
-        if key_i == key_n:
-            continue
-        for (q, c), callee in list(mod_i.calls.items()):
-            if callee == key_n:
-                mod_i.calls[(q, c)] = key_m
-    for (_q, c, popped), target in list(n.returns.items()):
-        for x in m.exits:
-            m.returns[(x, c, popped)] = target
-
-    # callees of n: returns popping n-states are rewritten through the pairing
-    callees = {callee for (_q, _c), callee in n.calls.items()}
-    for callee_key in callees:
-        if callee_key == key_n:
-            continue
-        callee = modules[callee_key]
-        for (q, c, popped), target in list(callee.returns.items()):
-            if popped in n.states:
-                del callee.returns[(q, c, popped)]
-                callee.returns[(q, c, pairing[popped])] = pairing[target]
-
-    del modules[key_n]
 
 
 # ---------------------------------------------------------------------------

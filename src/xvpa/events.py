@@ -134,9 +134,6 @@ class DocumentEventStream:
                 out.append("C " + escaped)
         return out
 
-    def debug_text(self) -> str:
-        return "\n".join(self.debug_lines())
-
 
 def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
     """Build a stream from raw events, checking every stream invariant.
@@ -306,6 +303,10 @@ def parse_document(data: bytes) -> DocumentEventStream:
         raise MalformedXmlError(
             xml.parsers.expat.errors.messages[exc.code] if hasattr(exc, "code") else str(exc),
             exc.lineno, exc.offset) from None
+    finally:
+        # the handlers hold the parser and the parser holds the handlers:
+        # without this, the events live until the cyclic collector runs
+        parser = None
     return DocumentEventStream(tuple(out))
 
 

@@ -21,7 +21,7 @@ import os
 import tempfile
 from urllib.parse import quote, unquote
 
-from .learner import ANCESTOR, ANCESTOR_SIBLING, Learner, NamingScheme
+from .learner import ANCESTOR, Learner, NamingScheme
 from .weighted import START_STATE
 
 FORMAT_NAME = "xvpa-state"
@@ -42,12 +42,16 @@ def _encode_context(ctx, mode: str) -> str:
     return "#".join(",".join(_encode_token(t) for t in seg) for seg in ctx)
 
 
+def _decode_token(token: str) -> str:
+    return unquote(token) if "%" in token else token
+
+
 def _decode_context(text: str, mode: str):
     if not text:
         return ()
     if mode == ANCESTOR:
-        return tuple(unquote(t) for t in text.split(","))
-    return tuple(tuple(unquote(t) for t in seg.split(",")) for seg in text.split("#"))
+        return tuple(_decode_token(t) for t in text.split(","))
+    return tuple(tuple(_decode_token(t) for t in seg.split(",")) for seg in text.split("#"))
 
 
 def encode_state(state, mode: str) -> str:
@@ -57,7 +61,7 @@ def encode_state(state, mode: str) -> str:
 
 def decode_state(text: str, mode: str):
     ctx_text, _, sib_text = text.partition("|")
-    sibs = tuple(unquote(t) for t in sib_text.split(",")) if sib_text else ()
+    sibs = tuple(_decode_token(t) for t in sib_text.split(",")) if sib_text else ()
     return (_decode_context(ctx_text, mode), sibs)
 
 
@@ -95,8 +99,9 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(FORMAT_NAME + " "):
         raise StateFileError("not a state file")
-    if lines[0].split()[1] != FORMAT_VERSION:
-        raise StateFileError(f"unsupported state format {lines[0].split()[1]!r}")
+    version = lines[0].split()[1:2]
+    if version != [FORMAT_VERSION]:
+        raise StateFileError(f"unsupported state format {lines[0]!r}")
 
     header: dict[str, str] = {}
     body_at = len(lines)
@@ -110,25 +115,35 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     try:
         mode = header["mode"]
         scheme = NamingScheme(mode, int(header["k"]), int(header["l"]))
-    except (KeyError, ValueError) as exc:
+        dts_hash = header["datatypes"]
+        documents = int(header.get("documents", "0"))
+        mc = header.get("mindchanges", "-")
+        mind_changes = [] if mc == "-" else [int(x) for x in mc.split(",")]
+    except KeyError as exc:
+        raise StateFileError(f"bad state header: no {exc} line") from None
+    except ValueError as exc:
         raise StateFileError(f"bad state header: {exc}") from None
-    if mode not in (ANCESTOR, ANCESTOR_SIBLING):
-        raise StateFileError(f"unknown naming mode {mode!r}")
-    if header["datatypes"] != dts.content_hash:
+    if dts_hash != dts.content_hash:
         if require_hash:
             raise StateFileError(
                 "state was created with a different datatype definition file "
-                f"({header['datatypes'][:12]}... vs {dts.content_hash[:12]}...)")
+                f"({dts_hash[:12]}... vs {dts.content_hash[:12]}...)")
 
     learner = Learner(dts, scheme)
-    learner.dts_hash = header["datatypes"]
+    learner.dts_hash = dts_hash
     learner.sanitized = header.get("sanitized", "0") == "1"
-    learner.documents_learned = int(header.get("documents", "0"))
-    mc = header.get("mindchanges", "-")
-    learner.mind_changes = [] if mc == "-" else [int(x) for x in mc.split(",")]
+    learner.documents_learned = documents
+    learner.mind_changes = mind_changes
 
     v = learner.vpa
-    dec = lambda t: decode_state(t, mode)
+    decoded: dict[str, tuple] = {}
+
+    def dec(token):
+        q = decoded.get(token)
+        if q is None:
+            q = decoded[token] = decode_state(token, mode)
+        return q
+
     try:
         for line in lines[body_at:]:
             if not line:
@@ -144,7 +159,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
                 v.finals.add(q)
                 v.w_final[q] = w
             elif tag == "call":
-                src, label, dst, w = dec(fields[1]), unquote(fields[2]), dec(fields[3]), int(fields[4])
+                src, label, dst, w = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), int(fields[4])
                 key = (src, label)
                 if v.call_to.get(key, dst) != dst:
                     raise StateFileError(f"conflicting call transition {line!r}")
@@ -159,7 +174,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
                 v.int_to[src] = dst
                 v.w_int[(src, dt)] = w
             elif tag == "ret":
-                src, label, popped, dst = dec(fields[1]), unquote(fields[2]), dec(fields[3]), dec(fields[4])
+                src, label, popped, dst = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), dec(fields[4])
                 w = int(fields[5])
                 key = (src, label, popped)
                 if v.ret_to.get(key, dst) != dst:

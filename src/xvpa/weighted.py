@@ -76,20 +76,6 @@ class WeightedVpa:
                  + sum(self.w_ret.values()))
         return SnapshotStats(states, transitions, finals, total)
 
-    def copy(self) -> "WeightedVpa":
-        new = WeightedVpa()
-        new.states = set(self.states)
-        new.finals = set(self.finals)
-        new.call_to = dict(self.call_to)
-        new.int_to = dict(self.int_to)
-        new.ret_to = dict(self.ret_to)
-        new.w_state = dict(self.w_state)
-        new.w_final = dict(self.w_final)
-        new.w_call = dict(self.w_call)
-        new.w_int = dict(self.w_int)
-        new.w_ret = dict(self.w_ret)
-        return new
-
     # -- trim ----------------------------------------------------------------
 
     def trimmed(self, dts) -> "WeightedVpa":

@@ -2,14 +2,16 @@
 
 These deliberately avoid the production code paths they check: minimality
 is recomputed by brute force over all datatypes, cardealer conformance is
-a hand-written recursive descent with stdlib regexes, and the small-stream
-enumerator produces every well-nested stream within depth/width bounds.
+a hand-written recursive descent with stdlib regexes, the small-stream
+enumerator produces every well-nested stream within depth/width bounds,
+and module minimization is the pairwise scan that restarts after each fold.
 """
 
 import re
 from random import Random
 
 from xvpa import events as ev
+from xvpa.automata import Dxvpa, Module
 
 
 def brute_force_minimal(dts, text: str) -> frozenset:
@@ -213,3 +215,130 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
             dst, key = a, b
             events.append(ev.text(dfa_sample(model.predicates[key], rng)))
             state = dst
+
+
+# ---------------------------------------------------------------------------
+# pairwise module minimization
+
+def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
+    """Fold congruent modules mapped to the same element.
+
+    Congruence is bisimilarity of the module graphs where internal edges
+    compare by exact datatype choice and call edges by (element, callee
+    module); the pairing must be a bijection.  After each fold the scan
+    restarts until no pair folds.  The input is not mutated.
+    """
+    modules = {k: _copy_module(m) for k, m in dxvpa.modules.items()}
+    m0 = dxvpa.m0
+
+    changed = True
+    while changed:
+        changed = False
+        keys = sorted(modules, key=repr)
+        for i, key_m in enumerate(keys):
+            for key_n in keys[i + 1:]:
+                m, n = modules[key_m], modules[key_n]
+                if m.element != n.element:
+                    continue
+                pairing = _bisimulation(modules, m, n)
+                if pairing is None:
+                    continue
+                _fold(modules, key_m, key_n, pairing)
+                if m0 == key_n:
+                    m0 = key_m
+                changed = True
+                break
+            if changed:
+                break
+    return Dxvpa(modules, m0, dxvpa.root_element, dxvpa.dts)
+
+
+def _copy_module(m: Module) -> Module:
+    return Module(context=m.context, element=m.element, states=set(m.states),
+                  entry=m.entry, exits=set(m.exits), calls=dict(m.calls),
+                  internals=dict(m.internals), returns=dict(m.returns))
+
+
+def _module_edges(modules: dict, mod: Module, state):
+    """Outgoing edges of a state in the module-graph view.
+
+    A call edge is labeled (element, callee module) and leads to the state
+    this module resumes in after the callee returns popping ``state``;
+    root-module calls that never resume map to None."""
+    edges = {}
+    hit = mod.internals.get(state)
+    if hit:
+        dst, dtset = hit
+        edges[("text", dtset)] = dst
+    for (q, c), callee_key in mod.calls.items():
+        if q != state:
+            continue
+        callee = modules[callee_key]
+        resume = {t for (_x, _c, popped), t in callee.returns.items()
+                  if popped == state and _c == c}
+        edges[("call", c, callee_key)] = resume.pop() if resume else None
+    return edges
+
+
+def _bisimulation(modules: dict, m: Module, n: Module):
+    """Entry-rooted pairing of two module graphs, or None.
+
+    Requires identical edge labels at every paired state, identical
+    exit status, and a bijective pairing.
+    """
+    pairing = {}
+    reverse = {}
+    work = [(n.entry, m.entry)]
+    while work:
+        qn, qm = work.pop()
+        if qn in pairing:
+            if pairing[qn] != qm:
+                return None
+            continue
+        if qm in reverse and reverse[qm] != qn:
+            return None
+        if (qn in n.exits) != (qm in m.exits):
+            return None
+        edges_n = _module_edges(modules, n, qn)
+        edges_m = _module_edges(modules, m, qm)
+        if set(edges_n) != set(edges_m):
+            return None
+        pairing[qn] = qm
+        reverse[qm] = qn
+        for label, target_n in edges_n.items():
+            target_m = edges_m[label]
+            if (target_n is None) != (target_m is None):
+                return None
+            if target_n is not None:
+                work.append((target_n, target_m))
+    return pairing
+
+
+def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
+    """Fold module n into m, rewriting calls and returns of its neighbors."""
+    m, n = modules[key_m], modules[key_n]
+
+    # callers of n now call m; n's returns migrate to all of m's exits
+    # (their targets live in the callers and stay valid)
+    for key_i, mod_i in modules.items():
+        if key_i == key_n:
+            continue
+        for (q, c), callee in list(mod_i.calls.items()):
+            if callee == key_n:
+                mod_i.calls[(q, c)] = key_m
+    for (_q, c, popped), target in list(n.returns.items()):
+        for x in m.exits:
+            m.returns[(x, c, popped)] = target
+
+    # callees of n: returns popping n-states are rewritten through the pairing
+    callees = {callee for (_q, _c), callee in n.calls.items()}
+    for callee_key in callees:
+        if callee_key == key_n:
+            continue
+        callee = modules[callee_key]
+        for (q, c, popped), target in list(callee.returns.items()):
+            if popped in n.states:
+                del callee.returns[(q, c, popped)]
+                callee.returns[(q, c, pairing[popped])] = pairing[target]
+
+    del modules[key_n]

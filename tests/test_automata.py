@@ -1,23 +1,30 @@
 """dXVPA generation, module folding, predicate compilation, validation."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xvpa import events as ev
 from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
-                           build_xvpa, compile_cxvpa, to_dot, validate,
+                           build_xvpa, compile_cxvpa, minimize, to_dot, validate,
                            validate_dxvpa)
 from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 
-from .oracles import enumerate_streams
+from .oracles import enumerate_streams, minimize_pairwise
 from .samplers import sample
 
 A11 = NamingScheme("ancestor", 1, 1)
 A12 = NamingScheme("ancestor", 1, 2)
+A13 = NamingScheme("ancestor", 1, 3)
+AS12 = NamingScheme("ancestor-sibling", 1, 2)
+AS22 = NamingScheme("ancestor-sibling", 2, 2)
 
 
 def learn_corpus(dts, scheme, docs):
@@ -176,6 +183,86 @@ def test_minimize_preserves_language(dts, master_seed):
     ]
     for stream in probes:
         assert validate(cx_raw, stream).accepted == validate(cx_folded, stream).accepted
+
+
+def assert_same_automaton(got, want):
+    assert list(got.modules) == list(want.modules)
+    assert got.m0 == want.m0
+    for key, mod in want.modules.items():
+        assert got.modules[key] == mod, key
+    assert to_dot(got) == to_dot(want)
+    assert to_dot(got, compiled=True) == to_dot(want, compiled=True)
+
+
+def assert_minimize_matches_pairwise(dts, scheme, docs):
+    raw = build_xvpa(learn_corpus(dts, scheme, docs).snapshot(), dts, minimize_modules=False)
+    assert_same_automaton(minimize(raw), minimize_pairwise(raw))
+
+
+def _load_benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SCHEME_CORPORA = {
+    "a11-small": (A11, [b"<a><b>5</b></a>", b"<a><b>false</b><b>7</b>tail x</a>", b"<a/>"]),
+    "a12-shared-callee": (A12, [b"<root><p><a><b>5</b></a></p><q><a><b>7</b></a></q></root>"]),
+    "a12-triples": (A12, [b"<root><x><leaf>5</leaf></x><y><leaf>7</leaf></y>"
+                          b"<z><leaf>9</leaf></z></root>"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_CORPORA))
+def test_minimize_matches_pairwise_on_small_corpora(dts, name):
+    scheme, raws = SCHEME_CORPORA[name]
+    assert_minimize_matches_pairwise(dts, scheme, [ev.parse_document(r) for r in raws])
+
+
+@pytest.mark.parametrize("scheme, count, offset", [(A12, 50, 0), (A13, 40, 7), (AS12, 40, 8),
+                                                   (A13, 30, 9)])
+def test_minimize_matches_pairwise_on_cardealer(dts, master_seed, scheme, count, offset):
+    assert_minimize_matches_pairwise(
+        dts, scheme, generate(cardealer_grammar(), count, master_seed + offset))
+
+
+@pytest.mark.parametrize("scheme", [A12, AS22], ids=["ancestor", "ancestor-sibling-k2"])
+@pytest.mark.parametrize("depth, width, count", [(3, 2, 30), (4, 2, 60), (4, 3, 80), (5, 3, 200)])
+def test_minimize_matches_pairwise_on_recursive_grammar(dts, scheme, depth, width, count):
+    workloads = _load_benchmark_workloads()
+    train, _mutants = workloads.recursive(1, depth, width, count, wrapped=0)
+    assert_minimize_matches_pairwise(dts, scheme, [ev.parse_document(r) for r in train])
+
+
+def _tree_events(tree):
+    label, body = tree
+    out = [ev.start(label)]
+    if isinstance(body, str):
+        if body:
+            out.append(ev.text(body))
+    else:
+        for kid in body:
+            out.extend(_tree_events(kid))
+    out.append(ev.end(label))
+    return out
+
+
+_TREES = st.recursive(
+    st.tuples(st.sampled_from("abc"), st.sampled_from(["", "5", "true", "x y"])),
+    lambda kids: st.tuples(st.sampled_from("abc"), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=10)
+
+
+@given(st.lists(st.lists(_TREES, max_size=4), min_size=1, max_size=5),
+       st.sampled_from([A11, A12, AS12, AS22]))
+@settings(max_examples=150, deadline=None)
+def test_minimize_matches_pairwise_on_random_corpora(dts, bodies, scheme):
+    docs = [ev.stream_from_events(
+        [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
+        reindex=True) for body in bodies]
+    assert_minimize_matches_pairwise(dts, scheme, docs)
 
 
 # -- compilation ----------------------------------------------------------------

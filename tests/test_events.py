@@ -1,5 +1,8 @@
 """Document event stream parsing, invariants, and serialization."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +89,24 @@ def test_non_utf8_rejected():
         parse_document('<?xml version="1.0" encoding="ISO-8859-1"?><a/>'.encode("latin-1"))
     with pytest.raises(EncodingError):
         parse_document("<a/>".encode("utf-16"))
+
+
+def test_parsing_leaves_no_reference_cycle():
+    """A dropped stream frees its events at once, and a failed parse leaves
+    nothing for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        stream = parse_document(b"<a>" + b"<b>1</b>" * 1000 + b"</a>")
+        event = weakref.ref(stream.events[5])
+        del stream
+        assert event() is None
+        for bad in (b"<a><b>1</b><b></a>", b"<!DOCTYPE a><a/>"):
+            with pytest.raises(MalformedXmlError):
+                parse_document(bad)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_determinism():

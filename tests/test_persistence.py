@@ -3,6 +3,8 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xvpa import events as ev
 from xvpa.harness import cardealer_grammar, generate
@@ -94,11 +96,51 @@ def test_hash_mismatch_blocks_load(dts):
     lambda t: t + "wat is this\n",
     lambda t: t.replace("mode ancestor", "mode sideways"),
     lambda t: t.replace(" 1\n", " x\n", 1),
+    lambda t: "\n".join(l for l in t.split("\n") if not l.startswith("datatypes ")),
+    lambda t: "\n".join("documents x" if l.startswith("documents ") else l
+                        for l in t.split("\n")),
+    lambda t: "\n".join("mindchanges x,1" if l.startswith("mindchanges ") else l
+                        for l in t.split("\n")),
+    lambda t: t.replace("xvpa-state 1", "xvpa-state "),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))
     with pytest.raises(StateFileError):
         parse_state(mutate(text), dts)
+
+
+_EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "alter"]),
+                   st.integers(min_value=0), st.text(max_size=12))
+
+
+@pytest.fixture(scope="module")
+def sibling_state(dts):
+    return dump_state(trained_learner(dts, NamingScheme(ANCESTOR_SIBLING, 2, 2), n=2))
+
+
+@given(st.lists(_EDITS, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_edited_state_files_load_or_raise_state_errors(dts, sibling_state, edits):
+    """Deleting, duplicating or altering lines of a valid state file gives
+    either a learner that saves again or a StateFileError, never another
+    exception."""
+    lines = sibling_state.split("\n")
+    for kind, at, text in edits:
+        i = at % len(lines)
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            cut = at % (len(lines[i]) + 1)
+            lines[i] = lines[i][:cut] + text + lines[i][cut + len(text):]
+        if not lines:
+            lines = [""]
+    try:
+        learner = parse_state("\n".join(lines), dts)
+    except StateFileError:
+        return
+    dump_state(learner)
 
 
 def test_unknown_datatype_in_state_rejected(dts):
