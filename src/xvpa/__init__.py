@@ -9,7 +9,7 @@ shapes, including content smuggled behind wrapper elements, is rejected.
 __version__ = "0.1.0"
 
 from .automata import (Cxvpa, Dxvpa, EmptyLanguageError, Verdict, build_xvpa,
-                       compile_cxvpa, minimize, to_dot, validate, validate_dxvpa)
+                       compile_cxvpa, minimize, to_dot, validate)
 from .datatypes import (LexicalDatatypeSystem, default_system, load_datatype_system)
 from .events import (DocumentEventStream, Event, InvariantViolation,
                      MalformedXmlError, QName, parse_document, serialize_xml,
@@ -27,5 +27,5 @@ __all__ = [
     "call_name", "compile_cxvpa", "default_system", "dump_state", "int_name",
     "load_datatype_system", "load_state", "minimize", "parse_document",
     "parse_state", "ret_name", "save_state", "serialize_xml",
-    "stream_from_events", "to_dot", "validate", "validate_dxvpa",
+    "stream_from_events", "to_dot", "validate",
 ]

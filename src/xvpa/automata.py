@@ -159,39 +159,49 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             f"snapshot has multiple root elements {root_elements}; one start module required")
     root_element = root_elements[0]
 
-    # modules follow this set's order, which compiled DOT output numbers
-    # predicates by
-    contexts = {q[0] for q in snapshot.states if q[0] != ()}
     states_of: dict[tuple, set] = {}
     for q in snapshot.states:
         states_of.setdefault(q[0], set()).add(q)
+    states_of.pop((), None)  # the start state and the states after the root
     modules: dict[tuple, Module] = {}
-    for ctx in contexts:
+    for ctx, states in states_of.items():
         entry = (ctx, ())
-        mod = Module(context=ctx, element="", entry=entry, states=states_of[ctx])
-        if entry not in mod.states:
+        if entry not in states:
             raise AutomatonStructureError(f"module {ctx!r} lacks entry state")
-        modules[ctx] = mod
+        modules[ctx] = Module(context=ctx, element="", entry=entry, states=states)
 
     m0 = next(iter(root_calls.values()))[0]
+    if m0 not in modules:
+        raise _outside_modules(next(iter(root_calls.items())))
 
-    # transitions, partitioned by source module
+    # transitions, partitioned by source module; a text target lies in the
+    # source's module, a return target in the popped state's
     for (q, c), dst in snapshot.call_to.items():
         if q == START_STATE:
             continue
-        modules[q[0]].calls[(q, c)] = dst[0]
+        mod = modules.get(q[0])
+        if mod is None or dst[0] not in modules:
+            raise _outside_modules((q, c, dst))
+        mod.calls[(q, c)] = dst[0]
     datatypes_of: dict[StateName, set[str]] = {}
     for (src, dt), w in snapshot.w_int.items():
         if w > 0:
             datatypes_of.setdefault(src, set()).add(dt)
     for src, dst in snapshot.int_to.items():
         if src in datatypes_of:
-            modules[src[0]].internals[src] = (dst, frozenset(datatypes_of[src]))
+            mod = modules.get(src[0])
+            if mod is None or dst[0] != src[0]:
+                raise _outside_modules((src, dst))
+            mod.internals[src] = (dst, frozenset(datatypes_of[src]))
     for (q, c, popped), dst in snapshot.ret_to.items():
-        mod = modules[q[0]]
+        mod = modules.get(q[0])
+        if mod is None:
+            raise _outside_modules((q, c, popped, dst))
         mod.exits.add(q)
         if popped == START_STATE:
             continue  # root return: represented by finals
+        if popped[0] not in modules or dst[0] != popped[0]:
+            raise _outside_modules((q, c, popped, dst))
         mod.returns[(q, c, popped)] = dst
 
     # element assignment: the element whose calls enter the module
@@ -218,6 +228,10 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     if minimize_modules:
         dxvpa = minimize(dxvpa)
     return dxvpa
+
+
+def _outside_modules(transition) -> AutomatonStructureError:
+    return AutomatonStructureError(f"transition {transition!r} leaves its modules")
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +360,15 @@ class _ModuleGraph:
             self.callers[callee_key].discard(key_n)
             callee = modules[callee_key]
             resume = self.resume[callee_key]
+            # the folded module never takes a return whose popped state or
+            # target the pairing does not cover, so such a return is dropped
             for (q, c, popped), target in list(callee.returns.items()):
                 if popped in n.states:
                     del callee.returns[(q, c, popped)]
                     resume.pop((popped, c), None)
-                    callee.returns[(q, c, pairing[popped])] = pairing[target]
-                    resume[(pairing[popped], c)] = pairing[target]
+                    if popped in pairing and target in pairing:
+                        callee.returns[(q, c, pairing[popped])] = pairing[target]
+                        resume[(pairing[popped], c)] = pairing[target]
 
         del modules[key_n]
         del self.resume[key_n]
@@ -483,33 +500,6 @@ def _step_predicate(model: Cxvpa, q, text_):
     return dst if model.predicates[key].accepts(text_) else None
 
 
-def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:
-    """Datatype-set semantics: a text moves along the internal transition
-    when some member datatype accepts it.  Equivalent to the compiled
-    form; exists as the slow reference route."""
-    call_map = {}
-    ret_map = {}
-    int_map = {}
-    for mod in dxvpa.modules.values():
-        for (q, c), callee in mod.calls.items():
-            call_map[(q, c)] = dxvpa.modules[callee].entry
-        ret_map.update(mod.returns)
-        int_map.update(mod.internals)
-
-    def step_text(q, text_):
-        hit = int_map.get(q)
-        if hit is None:
-            return None
-        dst, dtset = hit
-        if any(dxvpa.dts.accepts(name, text_) for name in dtset):
-            return dst
-        return None
-
-    entry0 = dxvpa.modules[dxvpa.m0].entry
-    return _run(stream, dxvpa.root_element, entry0, dxvpa.finals,
-                call_map.get, ret_map.get, step_text)
-
-
 def _run(stream, root_element, entry0, finals, get_call, get_ret, step_text) -> Verdict:
     q = _BEFORE_ROOT
     stack = []
@@ -587,14 +577,7 @@ def to_dot(automaton, compiled: bool = False) -> str:
     dxvpa = automaton
     ids = {}
     lines = ["digraph xvpa {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
-    predicates = {}
-    if compiled:
-        for mod in dxvpa.modules.values():
-            for _src, (_dst, dtset) in mod.internals.items():
-                key = frozenset(dtset)
-                if key not in predicates:
-                    predicates[key] = f"p{len(predicates)}"
-
+    predicates = {}  # numbered in the order the sorted edges first use them
     for mi, key in enumerate(sorted(dxvpa.modules, key=repr)):
         mod = dxvpa.modules[key]
         lines.append(f"  subgraph cluster_{mi} {{")
@@ -613,7 +596,7 @@ def to_dot(automaton, compiled: bool = False) -> str:
         for src in sorted(mod.internals, key=repr):
             dst, dtset = mod.internals[src]
             if compiled:
-                label = predicates[frozenset(dtset)]
+                label = predicates.setdefault(frozenset(dtset), f"p{len(predicates)}")
             else:
                 label = ", ".join(sorted(dtset))
             lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')

@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 
 from .dfa import Dfa
-from . import events as _events
 
 ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
@@ -173,13 +172,6 @@ class LexicalDatatypeSystem:
         antichain, and is commutative/associative/idempotent.
         """
         return self.maxima(set(left) | set(right))
-
-    def dtyped(self, event):
-        """Map a characters event to its inferred datatype set; other
-        events pass through unchanged."""
-        if event.kind == _events.CHARS:
-            return _events.Event(_events.CHARS, self.infer(event.label), event.index)
-        return event
 
 
 # ---------------------------------------------------------------------------

@@ -73,17 +73,6 @@ class QName:
         return "@" + base if self.is_attr else base
 
 
-def parse_rendered_name(text: str) -> QName:
-    """Inverse of :meth:`QName.render`."""
-    is_attr = text.startswith("@")
-    if is_attr:
-        text = text[1:]
-    if text.startswith("{"):
-        ns, _, local = text[1:].partition("}")
-        return QName(ns, local, is_attr)
-    return QName("", text, is_attr)
-
-
 @dataclass(frozen=True)
 class Event:
     """One stream event.  ``label`` is a QName for start/end events, the

@@ -2,14 +2,17 @@
 
 States are named from stream prefixes so that equally named states merge;
 the naming schemes bound the left-sibling memory by ``k`` and the typing
-context by ``l``, which fixes the hypothesis space.  Learning a document
-is one pass that increments counters along the run, creating states and
-transitions on first contact.  Mind changes (counters flipping from zero
-to one) are recorded per document as a convergence heuristic.
+context by ``l``, which fixes the hypothesis space.  One walk names the
+states of a document's run and counts the keys it takes in each counter
+table.  Learning adds those counts, creating states and transitions on
+first contact.  Mind changes (counters flipping from zero to one) are
+recorded per document as a convergence heuristic.
 
-Unlearning replays a previously learned document and decrements exactly
-what learning incremented; sanitization uniformly decrements all
-transition counters to shake out rare, possibly poisoned structure.
+Unlearning takes the same run as learning: it checks and then subtracts
+exactly those counts, deleting only the touched keys that reach zero, so
+its cost follows the document, not the size of the model.  Sanitization
+uniformly decrements all transition counters to shake out rare, possibly
+poisoned structure.
 
 A learner instance admits one mutator at a time.  Snapshots taken between
 mutations are immutable; validators built from them never block learning.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import END, START, DocumentEventStream
+from .events import CHARS, START, DocumentEventStream
 from .weighted import START_STATE, TEXT_PLACEHOLDER, StateName, WeightedVpa
 
 ANCESTOR = "ancestor"
@@ -112,48 +115,21 @@ class Learner:
         """
         self._check_input(stream)
         v = self.vpa
-        scheme = self.scheme
         changes = 0
-
-        def bump(weights, key) -> None:
-            nonlocal changes
-            old = weights.get(key, 0)
-            weights[key] = old + 1
-            if old == 0:
-                changes += 1
-
-        stack: list[StateName] = []
-        q = START_STATE
-        for event in stream:
-            if event.kind == START:
-                element = event.label.render()
-                q2 = call_name(scheme, q, element)
-                v.states.add(q2)
-                bump(v.w_state, q2)
-                v.call_to[(q, element)] = q2
-                bump(v.w_call, (q, element))
-                stack.append(q)
-                q = q2
-            elif event.kind == END:
-                element = event.label.render()
-                popped = stack.pop()
-                q2 = ret_name(scheme, q, popped, element)
-                v.states.add(q2)
-                bump(v.w_state, q2)
-                v.ret_to[(q, element, popped)] = q2
-                bump(v.w_ret, (q, element, popped))
-                q = q2
-            else:
-                inferred = self.dts.infer(event.label)
-                q2 = int_name(scheme, q)
-                v.states.add(q2)
-                bump(v.w_state, q2)
-                v.int_to[q] = q2
-                for dt in sorted(inferred):
-                    bump(v.w_int, (q, dt))
-                q = q2
-        v.finals.add(q)
-        bump(v.w_final, q)
+        new = ([], [], [], [], [])
+        for weights, taken, fresh in zip(self._weights(), self._run(stream), new):
+            for key, entry in taken.items():
+                old = weights.get(key, 0)
+                weights[key] = old + entry[0]
+                if old == 0:
+                    fresh.append((key, entry[1]))
+                    changes += 1
+        calls, ints, rets, states, finals = new
+        v.call_to.update(calls)
+        v.int_to.update((q, target) for (q, _dt), target in ints)
+        v.ret_to.update(rets)
+        v.states.update(q for q, _ in states)
+        v.finals.update(q for q, _ in finals)
 
         self.documents_learned += 1
         self.mind_changes.append(changes)
@@ -164,95 +140,101 @@ class Learner:
     def unlearn(self, stream: DocumentEventStream) -> None:
         """Exactly reverse one previously learned document.
 
-        The whole run is simulated first; only when every transition exists
-        and no counter would underflow are the decrements applied, so a
-        failed unlearn leaves the state untouched.
+        The document's run is the one learning takes.  Only when every
+        transition it takes exists and no counter would underflow are the
+        decrements applied, so a failed unlearn leaves the state untouched;
+        only the keys the run takes are visited, so the cost follows the
+        document, not the size of the automaton.
         """
         if self.sanitized:
             raise SanitizedStateError("unlearn is unsound after sanitize")
         self._check_input(stream)
         v = self.vpa
-        dec_state: dict[StateName, int] = {}
-        dec_final: dict[StateName, int] = {}
-        dec_call: dict[tuple, int] = {}
-        dec_int: dict[tuple, int] = {}
-        dec_ret: dict[tuple, int] = {}
+        missing = []
+        underflow = None
+        remaining = []
+        for kind, weights, taken in zip(("call", "text transition", "return", None, None),
+                                        self._weights(), self._run(stream)):
+            left = []
+            for key, entry in taken.items():
+                have = weights.get(key, 0)
+                if kind and have <= 0:
+                    missing.append((entry[2], f"no {kind} on {key[1]}"))
+                elif have < entry[0]:
+                    underflow = key
+                left.append((key, have - entry[0]))
+            remaining.append(left)
+        if missing:
+            raise MissingTransitionError(*min(missing))
+        if underflow is not None:
+            raise CounterUnderflowError(f"counter for {underflow!r} would underflow")
 
-        def note(table, key):
-            table[key] = table.get(key, 0) + 1
-
-        stack: list[StateName] = []
-        q = START_STATE
-        for event in stream:
-            if event.kind == START:
-                element = event.label.render()
-                key = (q, element)
-                if v.w_call.get(key, 0) <= 0:
-                    raise MissingTransitionError(event.index, f"no call on {element}")
-                q2 = v.call_to[key]
-                note(dec_call, key)
-                note(dec_state, q2)
-                stack.append(q)
-                q = q2
-            elif event.kind == END:
-                element = event.label.render()
-                popped = stack.pop()
-                key = (q, element, popped)
-                if v.w_ret.get(key, 0) <= 0:
-                    raise MissingTransitionError(event.index, f"no return on {element}")
-                q2 = v.ret_to[key]
-                note(dec_ret, key)
-                note(dec_state, q2)
-                q = q2
-            else:
-                inferred = self.dts.infer(event.label)
-                q2 = v.int_to.get(q)
-                if q2 is None:
-                    raise MissingTransitionError(event.index, "no text transition")
-                for dt in sorted(inferred):
-                    if v.w_int.get((q, dt), 0) <= 0:
-                        raise MissingTransitionError(event.index, f"no text transition on {dt}")
-                    note(dec_int, (q, dt))
-                note(dec_state, q2)
-                q = q2
-        note(dec_final, q)
-
-        for table, decs in ((v.w_state, dec_state), (v.w_final, dec_final),
-                            (v.w_call, dec_call), (v.w_int, dec_int), (v.w_ret, dec_ret)):
-            for key, count in decs.items():
-                if table.get(key, 0) - count < 0:
-                    raise CounterUnderflowError(f"counter for {key!r} would underflow")
-
-        # commit
-        for table, decs in ((v.w_state, dec_state), (v.w_final, dec_final),
-                            (v.w_call, dec_call), (v.w_int, dec_int), (v.w_ret, dec_ret)):
-            for key, count in decs.items():
-                table[key] -= count
-        self._prune_zeros()
+        # commit; keys that reach zero are deleted with their targets
+        calls, ints, rets, states, finals = dropped = ([], [], [], [], [])
+        for weights, left, gone in zip(self._weights(), remaining, dropped):
+            for key, count in left:
+                if count:
+                    weights[key] = count
+                else:
+                    del weights[key]
+                    gone.append(key)
+        for key in calls:
+            del v.call_to[key]
+        for key in rets:
+            del v.ret_to[key]
+        for q in {q for q, _dt in ints}:
+            if not any((q, dt) in v.w_int for dt in self.dts.datatypes):
+                del v.int_to[q]
+        v.states.difference_update(states)
+        v.finals.difference_update(finals)
         self.documents_learned -= 1
         if self.mind_changes:
             self.mind_changes.pop()
 
-    def _prune_zeros(self):
+    def _run(self, stream: DocumentEventStream):
+        """The keys a document's run takes in each counter table.
+
+        Returns the call, text, return, state and final tables, in the
+        order of ``_weights``; each maps a key to ``[count, target state,
+        index of the first event that takes it]``.  Text keys are
+        ``(source, datatype)``.  Targets are named, never looked up, so the
+        run does not depend on what the automaton holds.
+        """
+        scheme = self.scheme
+        infer = self.dts.infer
+        calls: dict = {}
+        ints: dict = {}
+        rets: dict = {}
+        states: dict = {}
+        stack: list[StateName] = []
+        q = START_STATE
+        index = -1
+        # one setdefault per key: a state name is a nested tuple, and its
+        # hash is computed again on every lookup
+        for event in stream:
+            index = event.index
+            kind = event.kind
+            if kind == CHARS:
+                q2 = int_name(scheme, q)
+                for dt in sorted(infer(event.label)):
+                    ints.setdefault((q, dt), [0, q2, index])[0] += 1
+            else:
+                element = event.label.render()
+                if kind == START:
+                    q2 = call_name(scheme, q, element)
+                    calls.setdefault((q, element), [0, q2, index])[0] += 1
+                    stack.append(q)
+                else:
+                    popped = stack.pop()
+                    q2 = ret_name(scheme, q, popped, element)
+                    rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
+            states.setdefault(q2, [0, q2, index])[0] += 1
+            q = q2
+        return calls, ints, rets, states, {q: [1, q, index]}
+
+    def _weights(self):
         v = self.vpa
-        for key in [k for k, w in v.w_call.items() if w <= 0]:
-            del v.w_call[key]
-            del v.call_to[key]
-        for key in [k for k, w in v.w_ret.items() if w <= 0]:
-            del v.w_ret[key]
-            del v.ret_to[key]
-        for key in [k for k, w in v.w_int.items() if w <= 0]:
-            del v.w_int[key]
-        live_int_sources = {src for (src, _dt) in v.w_int}
-        for src in [s for s in v.int_to if s not in live_int_sources]:
-            del v.int_to[src]
-        for q in [q for q, w in v.w_final.items() if w <= 0]:
-            del v.w_final[q]
-            v.finals.discard(q)
-        for q in [q for q, w in v.w_state.items() if w <= 0]:
-            del v.w_state[q]
-            if q != START_STATE:
-                v.states.discard(q)
+        return v.w_call, v.w_int, v.w_ret, v.w_state, v.w_final
 
     # -- sanitization -----------------------------------------------------------
 
@@ -274,70 +256,32 @@ class Learner:
         w_ret = {k: max(0, w - 1) for k, w in v.w_ret.items()}
         w_int = {k: max(0, w - 1) for k, w in v.w_int.items()}
 
+        edges = [(key[0], v.call_to[key], w) for key, w in w_call.items() if w > 0]
+        edges += [(key[0], v.ret_to[key], w) for key, w in w_ret.items() if w > 0]
+        edges += [(src, v.int_to[src], w) for (src, _dt), w in w_int.items() if w > 0]
         incoming: dict[StateName, int] = {}
-        for key, w in w_call.items():
-            dst = v.call_to[key]
+        adj: dict[StateName, list[StateName]] = {}
+        for src, dst, w in edges:
             incoming[dst] = incoming.get(dst, 0) + w
-        for key, w in w_ret.items():
-            dst = v.ret_to[key]
-            incoming[dst] = incoming.get(dst, 0) + w
-        for (src, _dt), w in w_int.items():
-            dst = v.int_to[src]
-            incoming[dst] = incoming.get(dst, 0) + w
-        w_state = {q: incoming.get(q, 0) for q in v.states if q != START_STATE}
-        w_final = {q: w_state.get(q, 0) for q in v.finals}
+            adj.setdefault(src, []).append(dst)
+        live = {START_STATE}
+        work = [START_STATE]
+        while work:
+            for t in adj.get(work.pop(), ()):
+                if t not in live:
+                    live.add(t)
+                    work.append(t)
 
-        def reachable() -> set[StateName]:
-            adj: dict[StateName, set[StateName]] = {}
-            for key, w in w_call.items():
-                if w > 0 and w_state.get(v.call_to[key], 0) > 0:
-                    adj.setdefault(key[0], set()).add(v.call_to[key])
-            for key, w in w_ret.items():
-                if w > 0 and w_state.get(v.ret_to[key], 0) > 0:
-                    adj.setdefault(key[0], set()).add(v.ret_to[key])
-            for (src, _dt), w in w_int.items():
-                if w > 0 and w_state.get(v.int_to[src], 0) > 0:
-                    adj.setdefault(src, set()).add(v.int_to[src])
-            seen = {START_STATE}
-            work = [START_STATE]
-            while work:
-                s = work.pop()
-                for t in adj.get(s, ()):
-                    if t not in seen:
-                        seen.add(t)
-                        work.append(t)
-            return seen
-
-        live = reachable()
-        unreachable = {q for q in v.states if q != START_STATE and q not in live}
-        surviving_finals = {q for q, w in w_final.items() if w > 0 and q not in unreachable}
-        if not surviving_finals:
+        # unreachable states get weight zero, so trimming drops every
+        # transition that touches them
+        w_state = {q: incoming[q] for q in live if incoming.get(q, 0) > 0}
+        w_final = {q: w_state[q] for q in v.finals if q in w_state}
+        if not w_final:
             return False  # revert: nothing was mutated
 
-        if unreachable:
-            for key in w_call:
-                if v.call_to[key] in unreachable or key[0] in unreachable:
-                    w_call[key] = 0
-            for key in w_ret:
-                if v.ret_to[key] in unreachable or key[0] in unreachable:
-                    w_ret[key] = 0
-            for key in list(w_int):
-                src = key[0]
-                if v.int_to[src] in unreachable or src in unreachable:
-                    w_int[key] = 0
-            for q in unreachable:
-                w_state[q] = 0
-                w_final.pop(q, None)
-
-        v.w_call, v.w_ret, v.w_int = w_call, w_ret, w_int
-        v.w_state = {q: w for q, w in w_state.items() if w > 0}
-        v.w_final = {q: w for q, w in w_final.items() if w > 0}
-        v.finals = set(v.w_final)
-        v.states = set(v.w_state) | {START_STATE}
-        self._prune_zeros()
+        v.w_call, v.w_ret, v.w_int, v.w_state, v.w_final = w_call, w_ret, w_int, w_state, w_final
         # full trim semantics: drop datatype transitions subsumed by a kept one
-        snap = v.trimmed(self.dts)
-        self.vpa = snap
+        self.vpa = v.trimmed(self.dts)
         self.sanitized = True
         return True
 

@@ -119,9 +119,6 @@ class WeightedVpa:
                 snap.w_int[(src, dt)] = self.w_int[(src, dt)]
         return snap
 
-    def internal_datatypes(self, src: StateName) -> frozenset[str]:
-        return frozenset(dt for (s, dt), w in self.w_int.items() if s == src and w > 0)
-
     # -- comparisons (tests, set-drivenness) ----------------------------------
 
     def structure(self):

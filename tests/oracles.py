@@ -4,14 +4,16 @@ These deliberately avoid the production code paths they check: minimality
 is recomputed by brute force over all datatypes, cardealer conformance is
 a hand-written recursive descent with stdlib regexes, the small-stream
 enumerator produces every well-nested stream within depth/width bounds,
-and module minimization is the pairwise scan that restarts after each fold.
+module minimization is the pairwise scan that restarts after each fold,
+and the datatype-set validator checks each text against every member
+datatype instead of the compiled predicate.
 """
 
 import re
 from random import Random
 
 from xvpa import events as ev
-from xvpa.automata import Dxvpa, Module
+from xvpa.automata import Dxvpa, Module, Verdict, _run
 
 
 def brute_force_minimal(dts, text: str) -> frozenset:
@@ -215,6 +217,36 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
             dst, key = a, b
             events.append(ev.text(dfa_sample(model.predicates[key], rng)))
             state = dst
+
+
+# ---------------------------------------------------------------------------
+# validation by datatype sets
+
+def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:
+    """Datatype-set semantics: a text moves along the internal transition
+    when some member datatype accepts it.  Equivalent to the compiled
+    form; exists as the slow reference route."""
+    call_map = {}
+    ret_map = {}
+    int_map = {}
+    for mod in dxvpa.modules.values():
+        for (q, c), callee in mod.calls.items():
+            call_map[(q, c)] = dxvpa.modules[callee].entry
+        ret_map.update(mod.returns)
+        int_map.update(mod.internals)
+
+    def step_text(q, text_):
+        hit = int_map.get(q)
+        if hit is None:
+            return None
+        dst, dtset = hit
+        if any(dxvpa.dts.accepts(name, text_) for name in dtset):
+            return dst
+        return None
+
+    entry0 = dxvpa.modules[dxvpa.m0].entry
+    return _run(stream, dxvpa.root_element, entry0, dxvpa.finals,
+                call_map.get, ret_map.get, step_text)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from xvpa import events as ev
-from xvpa.automata import build_xvpa, compile_cxvpa, validate, validate_dxvpa
+from xvpa.automata import build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
 from xvpa.dfa import sample_string
 from xvpa.harness import (CDATA_SCRIPT_INJECTION, HIGH_NODE_COUNT,
@@ -21,7 +21,7 @@ from xvpa.persistence import dump_state
 
 from .conftest import MASTER_SEED
 from .oracles import (brute_force_minimal, enumerate_streams, is_antichain,
-                      sample_accepted_stream)
+                      sample_accepted_stream, validate_dxvpa)
 from .samplers import mixed_corpus
 
 A11 = NamingScheme("ancestor", 1, 1)

@@ -1,7 +1,10 @@
 """dXVPA generation, module folding, predicate compilation, validation."""
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,12 +15,12 @@ from xvpa import events as ev
 from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
-                           build_xvpa, compile_cxvpa, minimize, to_dot, validate,
-                           validate_dxvpa)
+                           build_xvpa, compile_cxvpa, minimize, to_dot, validate)
 from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
+from xvpa.persistence import dump_state, parse_state
 
-from .oracles import enumerate_streams, minimize_pairwise
+from .oracles import enumerate_streams, minimize_pairwise, validate_dxvpa
 from .samplers import sample
 
 A11 = NamingScheme("ancestor", 1, 1)
@@ -86,6 +89,37 @@ def test_multiple_roots_rejected(dts):
     learner = learn_corpus(dts, A11, [ev.parse_document(b"<a/>"), ev.parse_document(b"<b/>")])
     with pytest.raises(AutomatonStructureError):
         build_xvpa(learner.snapshot(), dts)
+
+
+def test_transition_outside_every_module_rejected(dts):
+    """An edited state file whose call leaves from the state after the root
+    (a state of no module) is a structure error, not a bare KeyError."""
+    learner = learn_corpus(dts, A11, [ev.parse_document(b"<r><x>5</x></r>")])
+    edited = parse_state(dump_state(learner) + "call |r x x| 1\n", dts)
+    with pytest.raises(AutomatonStructureError):
+        build_xvpa(edited.snapshot(), dts)
+
+
+def test_sanitized_model_folds_like_unminimized(dts):
+    """Sanitize keeps a return whose call it trimmed.  The folded module
+    never takes it, so folding drops it, and the minimized model's verdicts
+    equal the unminimized model's."""
+    learner = Learner(dts, A12)
+    for raw in (b"<r><c><a>x y</a><a>5</a></c><c><a><c><a>x y</a></c><c><a/></c></a></c></r>",
+                b"<r><c><a/><a>5</a></c><c><a><c/></a></c></r>"):
+        learner.learn(ev.parse_document(raw))
+    assert learner.sanitize() is True
+    folded_dx = build_xvpa(learner.snapshot(), dts)
+    full_dx = build_xvpa(learner.snapshot(), dts, minimize_modules=False)
+    assert len(folded_dx.modules) < len(full_dx.modules)
+    folded, full = compile_cxvpa(folded_dx), compile_cxvpa(full_dx)
+    bodies = list(enumerate_streams(["c", "a"], ["x y", "5"], depth=4, width=1))
+    bodies += enumerate_streams(["c", "a"], ["x y", "5"], depth=3, width=2)
+    for body in bodies:
+        stream = ev.stream_from_events([ev.start("r"), *body, ev.end("r")], reindex=True)
+        left, right = validate(folded, stream), validate(full, stream)
+        assert (left.accepted, left.reason, left.event_index) == \
+            (right.accepted, right.reason, right.event_index), stream.debug_lines()
 
 
 def test_structural_invariants_hold(cardealer, dts):
@@ -432,6 +466,29 @@ def test_dot_export_structure(cardealer):
     assert to_dot(dx) == dot  # deterministic
     compiled = to_dot(dx, compiled=True)
     assert 'label="p0"' in compiled
+
+
+def test_compiled_dot_independent_of_hash_seed(dts, tmp_path):
+    """Predicate numbers follow the sorted edges, not the order of a set of
+    state names, so two string hash seeds render the same text."""
+    train, _mutants = _load_benchmark_workloads().recursive(1, 4, 3, 80, wrapped=0)
+    learner = learn_corpus(dts, AS22, [ev.parse_document(r) for r in train])
+    state = tmp_path / "state.txt"
+    state.write_text(dump_state(learner), encoding="utf-8")
+    script = ("import sys\n"
+              "from xvpa import build_xvpa, default_system, parse_state, to_dot\n"
+              "dts = default_system()\n"
+              "learner = parse_state(open(sys.argv[1], encoding='utf-8').read(), dts)\n"
+              "sys.stdout.write(to_dot(build_xvpa(learner.snapshot(), dts), compiled=True))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    renderings = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(state)], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        renderings.append(done.stdout)
+    assert 'label="p1"' in renderings[0]
+    assert renderings[0] == renderings[1]
 
 
 def test_dot_golden_small(dts):

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa import events as ev
 from xvpa.dfa import distinguishing_string, sample_string, subset_counterexample
 
 from .oracles import brute_force_minimal, is_antichain
@@ -88,15 +87,6 @@ def test_aggregate_point_values(dts):
     assert dts.merge({"byte"}, {"short"}) == {"short"}
     some = dts.infer("x y z")
     assert dts.merge(some, some) == some
-
-
-def test_dtyped_mapping(dts):
-    passthrough = ev.start("a")
-    assert dts.dtyped(passthrough) is passthrough
-    typed = dts.dtyped(ev.text("false"))
-    assert typed.kind == ev.CHARS and typed.label == {"boolean"}
-    empty = dts.dtyped(ev.text(""))
-    assert empty.label == dts.infer("")
 
 
 # -- order soundness and distinctness ---------------------------------------

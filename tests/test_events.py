@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xvpa import events as ev
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, EncodingError,
                          InvariantViolation, MalformedXmlError, QName,
-                         parse_document, parse_rendered_name, serialize_xml,
+                         parse_document, serialize_xml,
                          stream_from_events)
 
 
@@ -198,12 +198,6 @@ def test_serialize_parse_round_trip(events):
     stream = stream_from_events(events)
     xml_text = serialize_xml(stream)
     assert parse_document(xml_text.encode("utf-8")) == stream
-
-
-def test_rendered_name_round_trip():
-    for qn in (QName("", "a"), QName("urn:x", "b"), QName("", "c", True),
-               QName("urn:y", "d", True)):
-        assert parse_rendered_name(qn.render()) == qn
 
 
 def test_parser_total_over_garbage(master_seed):

@@ -143,8 +143,9 @@ def test_unlearn_never_learned_fails_without_mutation(dts):
     learner = Learner(dts, A11)
     learner.learn(doc(b"<r><x>5</x></r>"))
     before = dump_state(learner)
-    with pytest.raises(MissingTransitionError):
+    with pytest.raises(MissingTransitionError) as failure:
         learner.unlearn(doc(b"<r><zzz/></r>"))
+    assert failure.value.index == 1  # the start of zzz
     assert dump_state(learner) == before
 
 
@@ -169,8 +170,9 @@ def test_unlearn_counts_repeated_traversals(dts):
 def test_unlearn_datatype_sets_must_match(dts):
     learner = Learner(dts, A11)
     learner.learn(doc(b"<r><x>cc</x></r>"))  # hexBinary-free text: NCName/language
-    with pytest.raises(MissingTransitionError):
+    with pytest.raises(MissingTransitionError) as failure:
         learner.unlearn(doc(b"<r><x>12</x></r>"))  # infers unsigned chain
+    assert failure.value.index == 2  # the text
 
 
 def test_unlearn_refused_after_sanitize(dts):
@@ -309,6 +311,12 @@ def test_learn_unlearn_inverse_randomized(dts, master_seed):
         learner.learn(extra)
         learner.unlearn(extra)
         assert dump_state(learner) == serialized
+        # neither the state file nor == reads the target maps and state sets
+        never = Learner(dts, scheme)
+        for d in docs:
+            never.learn(d)
+        for name in ("call_to", "int_to", "ret_to", "states", "finals"):
+            assert getattr(learner.vpa, name) == getattr(never.vpa, name), name
 
 
 def _random_doc(rng):

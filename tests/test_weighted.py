@@ -5,6 +5,11 @@ from xvpa.learner import Learner, NamingScheme
 from xvpa.weighted import START_STATE, WeightedVpa
 
 
+def internal_datatypes(vpa, src):
+    """Datatypes with positive weight on the text transition from ``src``."""
+    return frozenset(dt for (s, dt), w in vpa.w_int.items() if s == src and w > 0)
+
+
 def test_fresh_stats():
     vpa = WeightedVpa()
     stats = vpa.stats()
@@ -46,12 +51,12 @@ def test_trim_keeps_only_lexically_maximal_datatypes(dts):
     vpa.w_int[(src, "byte")] = 3
     vpa.w_int[(src, "short")] = 1
     snap = vpa.trimmed(dts)
-    assert snap.internal_datatypes(src) == {"short"}
+    assert internal_datatypes(snap, src) == {"short"}
     assert snap.w_int == {(src, "short"): 1}
     # incomparable datatypes both survive
     vpa.w_int[(src, "boolean")] = 2
     snap2 = vpa.trimmed(dts)
-    assert snap2.internal_datatypes(src) == {"short", "boolean"}
+    assert internal_datatypes(snap2, src) == {"short", "boolean"}
     # the raw automaton is untouched
     assert vpa.w_int[(src, "byte")] == 3
 
@@ -98,5 +103,5 @@ def test_datatype_cover_monotonicity(dts):
             continue
         if (src, dt) in snap.w_int:
             continue
-        kept = snap.internal_datatypes(src)
+        kept = internal_datatypes(snap, src)
         assert any(dts.lex_lt(dt, other) for other in kept), (dt, kept)
