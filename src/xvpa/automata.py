@@ -1,9 +1,10 @@
 """Modular typed automata and one-pass stream validation.
 
 A trimmed learner snapshot becomes a dXVPA: states partition into modules
-by typing context, each module has a single entry, exit states share their
-return transitions (single-exit property), and internal transitions carry
-datatype choices.  Congruent modules for the same element are folded.
+by typing context, each module has a single entry, its exit states share
+one return table (the single-exit property is the data shape), and
+internal transitions carry datatype choices.  Congruent modules for the
+same element are folded.
 Compilation replaces each state's datatype choice by a single predicate
 acceptor (the determinized, minimized union of the members' lexical
 acceptors) so validation checks every text exactly once.
@@ -56,9 +57,10 @@ class Module:
 
     ``calls`` map (state, element) to the callee module; ``internals`` map
     a state to its unique successor and datatype choice; ``returns`` map
-    (state, element, popped state) to a state of the calling module.
-    Returns that pop the start state close the root element and are kept
-    out of ``returns``: they are represented by module exits + finals.
+    (popped state, element) to a state of the calling module, and every
+    state in ``exits`` takes every return (single-exit property).  Returns
+    that pop the start state close the root element and are kept out of
+    ``returns``: they are represented by module exits + finals.
     """
 
     context: tuple
@@ -87,18 +89,11 @@ class Dxvpa:
         for key, mod in self.modules.items():
             if mod.entry not in mod.states:
                 raise AutomatonStructureError(f"module {key!r} lacks its entry state")
-            # single-exit: all exits carry identical return behavior
-            signatures = {x: set() for x in mod.exits}
-            for (q, c, p), t in mod.returns.items():
-                if q in signatures:
-                    signatures[q].add((c, p, t))
-            if len({frozenset(sig) for sig in signatures.values()}) > 1:
-                raise AutomatonStructureError(f"module {key!r} breaks the single-exit property")
             internal_targets.update(dst for dst, _ in mod.internals.values())
         # mixed content: the unique datatype-choice successor is structural
         # (internals is a map); no return may target such a successor
         for mod in self.modules.values():
-            for (_q, _c, _p), target in mod.returns.items():
+            for target in mod.returns.values():
                 if target in internal_targets:
                     raise AutomatonStructureError(
                         "return transition targets a datatype-choice successor")
@@ -118,7 +113,8 @@ class Cxvpa:
 
     Structure mirrors the dXVPA it was compiled from; every datatype
     choice is fused into one deterministic acceptor, at most one internal
-    transition per state.
+    transition per state.  ``ret_map`` maps (popped state, element) to the
+    target and the exits of the one module that takes that return.
     """
 
     def __init__(self, dxvpa: Dxvpa, predicates, int_map):
@@ -128,13 +124,14 @@ class Cxvpa:
         self.finals = dxvpa.finals
         self.predicates: dict[frozenset, Dfa] = predicates
         self.call_map: dict[tuple, StateName] = {}
-        self.ret_map: dict[tuple, StateName] = {}
+        self.ret_map: dict[tuple, tuple[StateName, frozenset]] = {}
         self.int_map: dict[StateName, tuple[StateName, frozenset]] = int_map
         for mod in dxvpa.modules.values():
             for (q, c), callee in mod.calls.items():
                 self.call_map[(q, c)] = dxvpa.modules[callee].entry
+            exits = frozenset(mod.exits)
             for key, target in mod.returns.items():
-                self.ret_map[key] = target
+                self.ret_map[key] = (target, exits)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +142,13 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
 
     Modules are the distinct nonempty typing contexts; the start module is
     the one called from the start state; each module's entry is the state
-    with empty siblings; exits are states with outgoing returns; the
-    single-exit property is established by copying every return of a
-    module to all of its exits.  Each transition map is read once, so the
-    cost is linear in the snapshot plus the returns the closure copies.
+    with empty siblings; exits are states with outgoing returns, and the
+    module's one return table, keyed by (popped state, element), holds the
+    returns of all its exits, so each exit takes each of them.  A return
+    key that two modules take is a structure error: a learner never makes
+    one, since the callee is a function of the popped state and element.
+    Each transition map is read once, so the cost is linear in the
+    snapshot.
     """
     root_calls = {key: dst for key, dst in snapshot.call_to.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:
@@ -193,6 +193,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             if mod is None or dst[0] != src[0]:
                 raise _outside_modules((src, dst))
             mod.internals[src] = (dst, frozenset(datatypes_of[src]))
+    owner: dict[tuple, tuple] = {}
     for (q, c, popped), dst in snapshot.ret_to.items():
         mod = modules.get(q[0])
         if mod is None:
@@ -202,7 +203,10 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             continue  # root return: represented by finals
         if popped[0] not in modules or dst[0] != popped[0]:
             raise _outside_modules((q, c, popped, dst))
-        mod.returns[(q, c, popped)] = dst
+        if owner.setdefault((popped, c), q[0]) != q[0]:
+            raise AutomatonStructureError(
+                f"return on {c!r} popping {popped!r} lies in two modules")
+        mod.returns[(popped, c)] = dst
 
     # element assignment: the element whose calls enter the module
     entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
@@ -216,13 +220,6 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             raise AutomatonStructureError(
                 f"module {ctx!r} entered by elements {sorted(elements)}; expected exactly one")
         mod.element = elements.pop()
-
-    # single-exit closure: every exit carries every return of its module
-    for mod in modules.values():
-        rows = list(mod.returns.items())
-        for x in mod.exits:
-            for (q, c, popped), dst in rows:
-                mod.returns[(x, c, popped)] = dst
 
     dxvpa = Dxvpa(modules, m0, root_element, dts)
     if minimize_modules:
@@ -297,22 +294,19 @@ class _ModuleGraph:
     """The module-graph view of a set of modules, folded in place.
 
     ``labels`` maps a state to the elements it calls (fixed by the
-    snapshot), ``resume`` maps a module to its returns keyed by (popped
-    state, element), and ``callers`` maps a module to the modules that
-    call it.  A fold updates only the entries of the modules it touches.
+    snapshot) and ``callers`` maps a module to the modules that call it.
+    A call from state q on element c resumes in the callee's return for
+    (q, c).  A fold updates only the entries of the modules it touches.
     """
 
     def __init__(self, modules: dict):
         self.modules = modules
         self.labels: dict[StateName, list[str]] = {}
         self.callers: dict[tuple, set] = {key: set() for key in modules}
-        self.resume: dict[tuple, dict] = {}
         for key, mod in modules.items():
             for (q, c), callee in mod.calls.items():
                 self.labels.setdefault(q, []).append(c)
                 self.callers[callee].add(key)
-            # single-exit closure: every exit resumes the same target
-            self.resume[key] = {(popped, c): t for (_x, c, popped), t in mod.returns.items()}
 
     def edges(self, mod: Module, state: StateName):
         """Outgoing edges of a state in the module-graph view.
@@ -328,7 +322,7 @@ class _ModuleGraph:
         for c in self.labels.get(state, ()):
             callee_key = mod.calls.get((state, c))
             if callee_key is not None:
-                edges[("call", c, callee_key)] = self.resume[callee_key].get((state, c))
+                edges[("call", c, callee_key)] = self.modules[callee_key].returns.get((state, c))
         return edges
 
     def fold(self, key_m: tuple, key_n: tuple, pairing: dict):
@@ -336,8 +330,8 @@ class _ModuleGraph:
         modules = self.modules
         m, n = modules[key_m], modules[key_n]
 
-        # callers of n now call m; n's returns migrate to all of m's exits
-        # (their targets live in the callers and stay valid)
+        # callers of n now call m; n's returns move to m's table (their
+        # targets live in the callers and stay valid)
         callers = self.callers.pop(key_n)
         callers.discard(key_n)
         for key_i in callers:
@@ -346,11 +340,7 @@ class _ModuleGraph:
                 if callee == key_n:
                     mod_i.calls[(q, c)] = key_m
         self.callers[key_m] |= callers
-        resume_m = self.resume[key_m]
-        for (_q, c, popped), target in list(n.returns.items()):
-            for x in m.exits:
-                m.returns[(x, c, popped)] = target
-                resume_m[(popped, c)] = target
+        m.returns.update(n.returns)
 
         # callees of n: returns popping n-states are rewritten through the pairing
         callees = {callee for (_q, _c), callee in n.calls.items()}
@@ -358,20 +348,16 @@ class _ModuleGraph:
             if callee_key == key_n:
                 continue
             self.callers[callee_key].discard(key_n)
-            callee = modules[callee_key]
-            resume = self.resume[callee_key]
+            returns = modules[callee_key].returns
             # the folded module never takes a return whose popped state or
             # target the pairing does not cover, so such a return is dropped
-            for (q, c, popped), target in list(callee.returns.items()):
+            for (popped, c), target in list(returns.items()):
                 if popped in n.states:
-                    del callee.returns[(q, c, popped)]
-                    resume.pop((popped, c), None)
+                    del returns[(popped, c)]
                     if popped in pairing and target in pairing:
-                        callee.returns[(q, c, pairing[popped])] = pairing[target]
-                        resume[(pairing[popped], c)] = pairing[target]
+                        returns[(pairing[popped], c)] = pairing[target]
 
         del modules[key_n]
-        del self.resume[key_n]
 
 
 def _candidate_classes(graph: _ModuleGraph) -> list[list]:
@@ -394,8 +380,8 @@ def _candidate_classes(graph: _ModuleGraph) -> list[list]:
             calls = []
             for c in sorted(graph.labels.get(q, ())):
                 callee_key = mod.calls[(q, c)]
-                calls.append((c, modules[callee_key].entry,
-                              graph.resume[callee_key].get((q, c))))
+                callee = modules[callee_key]
+                calls.append((c, callee.entry, callee.returns.get((q, c))))
             rows.append((q, mod.states, q in mod.exits, hit, calls))
     block: dict[StateName, int] = {}
     count = 0
@@ -487,20 +473,9 @@ def validate(model: Cxvpa, stream) -> Verdict:
     Failures become verdicts, never exceptions; cost is linear in event
     count plus total text length.
     """
-    return _run(stream, model.root_element, model.entry0, model.finals,
-                model.call_map.get, model.ret_map.get,
-                lambda q, text_: _step_predicate(model, q, text_))
-
-
-def _step_predicate(model: Cxvpa, q, text_):
-    hit = model.int_map.get(q)
-    if hit is None:
-        return None
-    dst, key = hit
-    return dst if model.predicates[key].accepts(text_) else None
-
-
-def _run(stream, root_element, entry0, finals, get_call, get_ret, step_text) -> Verdict:
+    root_element, finals = model.root_element, model.finals
+    call_map, ret_map, int_map = model.call_map, model.ret_map, model.int_map
+    predicates = model.predicates
     q = _BEFORE_ROOT
     stack = []
     index = -1
@@ -515,9 +490,9 @@ def _run(stream, root_element, entry0, finals, get_call, get_ret, step_text) -> 
                 if label != root_element:
                     return Verdict(False, UNEXPECTED_ELEMENT, index, "(start)")
                 stack.append(_ROOT_MARK)
-                q = entry0
+                q = model.entry0
             else:
-                target = get_call((q, label))
+                target = call_map.get((q, label))
                 if target is None:
                     return Verdict(False, UNEXPECTED_ELEMENT, index, _show(q))
                 stack.append(q)
@@ -532,17 +507,17 @@ def _run(stream, root_element, entry0, finals, get_call, get_ret, step_text) -> 
                     return Verdict(False, UNEXPECTED_END, index, _show(q))
                 q = _DONE
             else:
-                target = get_ret((q, label, top))
-                if target is None:
+                hit = ret_map.get((top, label))
+                if hit is None or q not in hit[1]:
                     return Verdict(False, UNEXPECTED_END, index, _show(q))
-                q = target
+                q = hit[0]
         elif kind == CHARS:
             if q is _BEFORE_ROOT:
                 return Verdict(False, DATATYPE_MISMATCH, index, "(before root)")
-            target = step_text(q, str(event.label))
-            if target is None:
+            hit = int_map.get(q)
+            if hit is None or not predicates[hit[1]].accepts(str(event.label)):
                 return Verdict(False, DATATYPE_MISMATCH, index, _show(q))
-            q = target
+            q = hit[0]
         else:
             return Verdict(False, UNEXPECTED_ELEMENT, index, _show(q))
     if q is _DONE and not stack:
@@ -603,8 +578,9 @@ def to_dot(automaton, compiled: bool = False) -> str:
         for (q, c) in sorted(mod.calls, key=repr):
             callee = dxvpa.modules[mod.calls[(q, c)]]
             lines.append(f'  {ids[q]} -> {ids[callee.entry]} [label="{c}" style=dashed];')
-        for (q, c, popped) in sorted(mod.returns, key=repr):
-            dst = mod.returns[(q, c, popped)]
-            lines.append(f'  {ids[q]} -> {ids[dst]} [label="/{c}" style=dotted];')
+        rows = [((x, c, popped), dst) for (popped, c), dst in mod.returns.items()
+                for x in mod.exits]
+        for (x, c, _popped), dst in sorted(rows, key=lambda row: repr(row[0])):
+            lines.append(f'  {ids[x]} -> {ids[dst]} [label="/{c}" style=dotted];')
     lines.append("}")
     return "\n".join(lines) + "\n"

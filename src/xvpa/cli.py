@@ -165,10 +165,13 @@ def cmd_validate(args, dts) -> int:
         print("warning: datatype definitions differ from learning time", file=sys.stderr)
     try:
         model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
-    except (EmptyLanguageError, AutomatonStructureError):
+    except EmptyLanguageError:
         for path in args.inputs:
             print(f"{path}\tREJECT\t{EMPTY_LANGUAGE}\t-")
         return EXIT_REJECT
+    except AutomatonStructureError as exc:
+        print(f"state error: {exc}", file=sys.stderr)
+        return EXIT_STATE
     rejected = False
     had_parse_error = False
     for path, stream in _load_inputs(args.inputs):

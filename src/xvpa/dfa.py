@@ -4,8 +4,7 @@ Lexical spaces of datatypes and the text predicates of compiled validators
 are plain regular languages.  This module supplies everything needed to
 treat them as first-class objects: a small pattern dialect, Thompson NFA
 construction, subset-construction determinization, DFA minimization,
-unions, membership, exact inclusion/equality decisions with witness
-strings, and random sampling of members.
+unions and membership.
 
 Character sets are kept as sorted, disjoint, inclusive codepoint intervals
 so that full Unicode classes (e.g. XML NameChar) stay tiny.
@@ -65,15 +64,6 @@ def cs_negate(cs) -> tuple[Interval, ...]:
     if prev <= MAX_CP:
         out.append((prev, MAX_CP))
     return tuple(out)
-
-
-def cs_contains(cs, cp: int) -> bool:
-    for lo, hi in cs:
-        if lo <= cp <= hi:
-            return True
-        if lo > cp:
-            return False
-    return False
 
 
 ANY_CS = ((0, MAX_CP),)
@@ -601,18 +591,18 @@ class Dfa:
         while True:
             signatures = {}
             for s in live:
-                sig = [block[s]]
+                rows = []
                 prev = 0
                 for lo, hi, dst in self.edges(s):
                     if dst not in live:
                         continue
                     if lo > prev:
-                        sig.append((prev, lo - 1, -1))
-                    sig.append((lo, hi, block[dst]))
+                        rows.append((prev, lo - 1, -1))
+                    rows.append((lo, hi, block[dst]))
                     prev = hi + 1
                 if prev <= MAX_CP:
-                    sig.append((prev, MAX_CP, -1))
-                signatures[s] = tuple(_merge_sig(sig))
+                    rows.append((prev, MAX_CP, -1))
+                signatures[s] = (block[s], *_merge_rows(rows))
             new_ids = {}
             new_block = {}
             for s in sorted(live):
@@ -690,17 +680,6 @@ def _merge_rows(rows):
     return merged
 
 
-def _merge_sig(sig):
-    head, rows = sig[0], sig[1:]
-    merged = [head]
-    for lo, hi, b in rows:
-        if len(merged) > 1 and merged[-1][2] == b and merged[-1][1] + 1 == lo:
-            merged[-1] = (merged[-1][0], hi, b)
-        else:
-            merged.append((lo, hi, b))
-    return merged
-
-
 def _atomic_intervals(edges):
     points = set()
     for cs, _ in edges:
@@ -727,104 +706,3 @@ def union_dfas(dfas) -> Dfa:
             if s in d.accepting:
                 accepts.add(offset + s)
     return Dfa.from_nfa(nfa, start, accepts).minimized()
-
-
-# ---------------------------------------------------------------------------
-# language queries on DFA pairs
-
-def _product_witness(a: Dfa, b: Dfa, want) -> str | None:
-    """BFS the product automaton; return the first string whose pair of
-    acceptance flags satisfies ``want(acc_a, acc_b)``.  Missing transitions
-    are modelled as a dead (non-accepting, absorbing) state ``None``."""
-
-    def acc(d: Dfa, s):
-        return s is not None and s in d.accepting
-
-    start = (a.start, b.start)
-    if want(acc(a, start[0]), acc(b, start[1])):
-        return ""
-    seen = {start}
-    queue = deque([(start, "")])
-    while queue:
-        (sa, sb), prefix = queue.popleft()
-        edges = []
-        if sa is not None:
-            edges.extend((lo, hi) for lo, hi, _ in a.edges(sa))
-        if sb is not None:
-            edges.extend((lo, hi) for lo, hi, _ in b.edges(sb))
-        if not edges:
-            continue
-        for lo, hi in _atomic_intervals([(((l, h),), 0) for l, h in edges]):
-            ta = a.step(sa, lo) if sa is not None else None
-            tb = b.step(sb, lo) if sb is not None else None
-            if (ta, tb) in seen:
-                continue
-            seen.add((ta, tb))
-            cp = _readable_cp(lo, hi)
-            if want(acc(a, ta), acc(b, tb)):
-                return prefix + chr(cp)
-            queue.append(((ta, tb), prefix + chr(cp)))
-    return None
-
-
-def _readable_cp(lo: int, hi: int) -> int:
-    for probe in (0x61, 0x30, 0x20):  # 'a', '0', space
-        if lo <= probe <= hi:
-            return probe
-    return lo
-
-
-def subset_counterexample(a: Dfa, b: Dfa) -> str | None:
-    """A string in L(a) but not L(b), or None if L(a) is a subset of L(b)."""
-    return _product_witness(a, b, lambda x, y: x and not y)
-
-
-def distinguishing_string(a: Dfa, b: Dfa) -> str | None:
-    """A string in exactly one of the two languages, or None if equal."""
-    return _product_witness(a, b, lambda x, y: x != y)
-
-
-def sample_string(dfa: Dfa, rng, max_len: int = 40) -> str:
-    """Draw a random member of L(dfa).  Raises ValueError on the empty
-    language.  The walk stops at accepting states with growing probability
-    and falls back to a shortest path to acceptance near max_len."""
-    if dfa.is_empty:
-        raise ValueError("cannot sample from an empty language")
-    dist = _distance_to_accept(dfa)
-    out = []
-    state = dfa.start
-    while True:
-        if state in dfa.accepting and (len(out) >= max_len or rng.random() < 0.35):
-            return "".join(out)
-        rows = list(dfa.edges(state))
-        if not rows:
-            return "".join(out)  # accepting by co-accessibility
-        if len(out) >= max_len:
-            rows = [r for r in rows if dist[r[2]] == dist[state] - 1] or rows
-        lo, hi, dst = rng.choice(rows)
-        out.append(chr(_pick_cp(lo, hi, rng)))
-        state = dst
-
-
-def _pick_cp(lo: int, hi: int, rng) -> int:
-    # bias toward printable ASCII when the interval allows it
-    plo, phi = max(lo, 0x20), min(hi, 0x7E)
-    if plo <= phi:
-        return rng.randint(plo, phi)
-    return rng.randint(lo, hi)
-
-
-def _distance_to_accept(dfa: Dfa) -> dict[int, int]:
-    incoming: dict[int, list[int]] = {s: [] for s in range(dfa.n)}
-    for s in range(dfa.n):
-        for _, _, dst in dfa.edges(s):
-            incoming[dst].append(s)
-    dist = {s: 0 for s in dfa.accepting}
-    queue = deque(dfa.accepting)
-    while queue:
-        s = queue.popleft()
-        for p in incoming[s]:
-            if p not in dist:
-                dist[p] = dist[s] + 1
-                queue.append(p)
-    return dist

@@ -151,22 +151,22 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
             fields = line.split(" ")
             tag = fields[0]
             if tag == "state":
-                q, w = dec(fields[1]), int(fields[2])
+                q, w = dec(fields[1]), _counter(fields[2])
                 v.states.add(q)
                 v.w_state[q] = w
             elif tag == "final":
-                q, w = dec(fields[1]), int(fields[2])
+                q, w = dec(fields[1]), _counter(fields[2])
                 v.finals.add(q)
                 v.w_final[q] = w
             elif tag == "call":
-                src, label, dst, w = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), int(fields[4])
+                src, label, dst, w = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), _counter(fields[4])
                 key = (src, label)
                 if v.call_to.get(key, dst) != dst:
                     raise StateFileError(f"conflicting call transition {line!r}")
                 v.call_to[key] = dst
                 v.w_call[key] = w
             elif tag == "int":
-                src, dt, dst, w = dec(fields[1]), fields[2], dec(fields[3]), int(fields[4])
+                src, dt, dst, w = dec(fields[1]), fields[2], dec(fields[3]), _counter(fields[4])
                 if v.int_to.get(src, dst) != dst:
                     raise StateFileError(f"conflicting text transition {line!r}")
                 if dt not in dts:
@@ -175,7 +175,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
                 v.w_int[(src, dt)] = w
             elif tag == "ret":
                 src, label, popped, dst = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), dec(fields[4])
-                w = int(fields[5])
+                w = _counter(fields[5])
                 key = (src, label, popped)
                 if v.ret_to.get(key, dst) != dst:
                     raise StateFileError(f"conflicting return transition {line!r}")
@@ -197,6 +197,14 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     for q in v.w_state:
         v.states.add(q)
     return learner
+
+
+def _counter(token: str) -> int:
+    """A counter field; ``dump_state`` writes none below 1."""
+    w = int(token)
+    if w < 1:
+        raise ValueError(f"counter {w} below 1")
+    return w
 
 
 def save_state(learner: Learner, path: str) -> None:

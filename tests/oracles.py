@@ -5,15 +5,18 @@ is recomputed by brute force over all datatypes, cardealer conformance is
 a hand-written recursive descent with stdlib regexes, the small-stream
 enumerator produces every well-nested stream within depth/width bounds,
 module minimization is the pairwise scan that restarts after each fold,
-and the datatype-set validator checks each text against every member
-datatype instead of the compiled predicate.
+the datatype-set validator checks each text against every member
+datatype instead of the compiled predicate, and DFA pairs are compared
+by a breadth-first search of their product for a witness string.
 """
 
 import re
+from collections import deque
 from random import Random
 
 from xvpa import events as ev
-from xvpa.automata import Dxvpa, Module, Verdict, _run
+from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, validate
+from xvpa.dfa import Dfa, _atomic_intervals
 
 
 def brute_force_minimal(dts, text: str) -> frozenset:
@@ -175,8 +178,9 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
     for (q, c), target in model.call_map.items():
         calls_by_state.setdefault(q, []).append((c, target))
     rets_by_state = {}
-    for (q, c, popped), target in model.ret_map.items():
-        rets_by_state.setdefault((q, popped), []).append((c, target))
+    for (popped, c), (target, exits) in model.ret_map.items():
+        for q in exits:
+            rets_by_state.setdefault((q, popped), []).append((c, target))
 
     events = [ev.start(model.root_element)]
     state = model.entry0
@@ -222,31 +226,31 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
 # ---------------------------------------------------------------------------
 # validation by datatype sets
 
+class _AnyOf:
+    """Stands in for a compiled predicate: a text is accepted when some
+    member datatype accepts it."""
+
+    def __init__(self, dts, dtset):
+        self.dts = dts
+        self.dtset = dtset
+
+    def accepts(self, text_: str) -> bool:
+        return any(self.dts.accepts(name, text_) for name in self.dtset)
+
+
 def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:
     """Datatype-set semantics: a text moves along the internal transition
     when some member datatype accepts it.  Equivalent to the compiled
-    form; exists as the slow reference route."""
-    call_map = {}
-    ret_map = {}
+    form; exists as the slow reference route, and shares the validator's
+    walk with member-by-member predicates in place of the fused ones."""
+    predicates = {}
     int_map = {}
     for mod in dxvpa.modules.values():
-        for (q, c), callee in mod.calls.items():
-            call_map[(q, c)] = dxvpa.modules[callee].entry
-        ret_map.update(mod.returns)
-        int_map.update(mod.internals)
-
-    def step_text(q, text_):
-        hit = int_map.get(q)
-        if hit is None:
-            return None
-        dst, dtset = hit
-        if any(dxvpa.dts.accepts(name, text_) for name in dtset):
-            return dst
-        return None
-
-    entry0 = dxvpa.modules[dxvpa.m0].entry
-    return _run(stream, dxvpa.root_element, entry0, dxvpa.finals,
-                call_map.get, ret_map.get, step_text)
+        for src, (dst, dtset) in mod.internals.items():
+            key = frozenset(dtset)
+            predicates.setdefault(key, _AnyOf(dxvpa.dts, key))
+            int_map[src] = (dst, key)
+    return validate(Cxvpa(dxvpa, predicates, int_map), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +309,7 @@ def _module_edges(modules: dict, mod: Module, state):
     for (q, c), callee_key in mod.calls.items():
         if q != state:
             continue
-        callee = modules[callee_key]
-        resume = {t for (_x, _c, popped), t in callee.returns.items()
-                  if popped == state and _c == c}
-        edges[("call", c, callee_key)] = resume.pop() if resume else None
+        edges[("call", c, callee_key)] = modules[callee_key].returns.get((state, c))
     return edges
 
 
@@ -350,27 +351,126 @@ def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
     """Fold module n into m, rewriting calls and returns of its neighbors."""
     m, n = modules[key_m], modules[key_n]
 
-    # callers of n now call m; n's returns migrate to all of m's exits
-    # (their targets live in the callers and stay valid)
+    # callers of n now call m; n's returns move to m's table (their
+    # targets live in the callers and stay valid)
     for key_i, mod_i in modules.items():
         if key_i == key_n:
             continue
         for (q, c), callee in list(mod_i.calls.items()):
             if callee == key_n:
                 mod_i.calls[(q, c)] = key_m
-    for (_q, c, popped), target in list(n.returns.items()):
-        for x in m.exits:
-            m.returns[(x, c, popped)] = target
+    m.returns.update(n.returns)
 
     # callees of n: returns popping n-states are rewritten through the pairing
     callees = {callee for (_q, _c), callee in n.calls.items()}
     for callee_key in callees:
         if callee_key == key_n:
             continue
-        callee = modules[callee_key]
-        for (q, c, popped), target in list(callee.returns.items()):
+        returns = modules[callee_key].returns
+        for (popped, c), target in list(returns.items()):
             if popped in n.states:
-                del callee.returns[(q, c, popped)]
-                callee.returns[(q, c, pairing[popped])] = pairing[target]
+                del returns[(popped, c)]
+                returns[(pairing[popped], c)] = pairing[target]
 
     del modules[key_n]
+
+
+# ---------------------------------------------------------------------------
+# language queries on DFA pairs: witness strings and random members
+
+def _product_witness(a: Dfa, b: Dfa, want) -> str | None:
+    """BFS the product automaton; return the first string whose pair of
+    acceptance flags satisfies ``want(acc_a, acc_b)``.  Missing transitions
+    are modelled as a dead (non-accepting, absorbing) state ``None``."""
+
+    def acc(d: Dfa, s):
+        return s is not None and s in d.accepting
+
+    start = (a.start, b.start)
+    if want(acc(a, start[0]), acc(b, start[1])):
+        return ""
+    seen = {start}
+    queue = deque([(start, "")])
+    while queue:
+        (sa, sb), prefix = queue.popleft()
+        edges = []
+        if sa is not None:
+            edges.extend((lo, hi) for lo, hi, _ in a.edges(sa))
+        if sb is not None:
+            edges.extend((lo, hi) for lo, hi, _ in b.edges(sb))
+        if not edges:
+            continue
+        for lo, hi in _atomic_intervals([(((l, h),), 0) for l, h in edges]):
+            ta = a.step(sa, lo) if sa is not None else None
+            tb = b.step(sb, lo) if sb is not None else None
+            if (ta, tb) in seen:
+                continue
+            seen.add((ta, tb))
+            cp = _readable_cp(lo, hi)
+            if want(acc(a, ta), acc(b, tb)):
+                return prefix + chr(cp)
+            queue.append(((ta, tb), prefix + chr(cp)))
+    return None
+
+
+def _readable_cp(lo: int, hi: int) -> int:
+    for probe in (0x61, 0x30, 0x20):  # 'a', '0', space
+        if lo <= probe <= hi:
+            return probe
+    return lo
+
+
+def subset_counterexample(a: Dfa, b: Dfa) -> str | None:
+    """A string in L(a) but not L(b), or None if L(a) is a subset of L(b)."""
+    return _product_witness(a, b, lambda x, y: x and not y)
+
+
+def distinguishing_string(a: Dfa, b: Dfa) -> str | None:
+    """A string in exactly one of the two languages, or None if equal."""
+    return _product_witness(a, b, lambda x, y: x != y)
+
+
+def sample_string(dfa: Dfa, rng, max_len: int = 40) -> str:
+    """Draw a random member of L(dfa).  Raises ValueError on the empty
+    language.  The walk stops at accepting states with growing probability
+    and falls back to a shortest path to acceptance near max_len."""
+    if dfa.is_empty:
+        raise ValueError("cannot sample from an empty language")
+    dist = _distance_to_accept(dfa)
+    out = []
+    state = dfa.start
+    while True:
+        if state in dfa.accepting and (len(out) >= max_len or rng.random() < 0.35):
+            return "".join(out)
+        rows = list(dfa.edges(state))
+        if not rows:
+            return "".join(out)  # accepting by co-accessibility
+        if len(out) >= max_len:
+            rows = [r for r in rows if dist[r[2]] == dist[state] - 1] or rows
+        lo, hi, dst = rng.choice(rows)
+        out.append(chr(_pick_cp(lo, hi, rng)))
+        state = dst
+
+
+def _pick_cp(lo: int, hi: int, rng) -> int:
+    # bias toward printable ASCII when the interval allows it
+    plo, phi = max(lo, 0x20), min(hi, 0x7E)
+    if plo <= phi:
+        return rng.randint(plo, phi)
+    return rng.randint(lo, hi)
+
+
+def _distance_to_accept(dfa: Dfa) -> dict[int, int]:
+    incoming: dict[int, list[int]] = {s: [] for s in range(dfa.n)}
+    for s in range(dfa.n):
+        for _, _, dst in dfa.edges(s):
+            incoming[dst].append(s)
+    dist = {s: 0 for s in dfa.accepting}
+    queue = deque(dfa.accepting)
+    while queue:
+        s = queue.popleft()
+        for p in incoming[s]:
+            if p not in dist:
+                dist[p] = dist[s] + 1
+                queue.append(p)
+    return dist

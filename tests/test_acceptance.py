@@ -12,7 +12,6 @@ import pytest
 from xvpa import events as ev
 from xvpa.automata import build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
-from xvpa.dfa import sample_string
 from xvpa.harness import (CDATA_SCRIPT_INJECTION, HIGH_NODE_COUNT,
                           STRUCTURAL_ATTACK_KINDS, build_cardealer_scenario,
                           cardealer_grammar, evaluate, generate)
@@ -21,7 +20,7 @@ from xvpa.persistence import dump_state
 
 from .conftest import MASTER_SEED
 from .oracles import (brute_force_minimal, enumerate_streams, is_antichain,
-                      sample_accepted_stream, validate_dxvpa)
+                      sample_accepted_stream, sample_string, validate_dxvpa)
 from .samplers import mixed_corpus
 
 A11 = NamingScheme("ancestor", 1, 1)

@@ -20,7 +20,7 @@ from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state, parse_state
 
-from .oracles import enumerate_streams, minimize_pairwise, validate_dxvpa
+from .oracles import distinguishing_string, enumerate_streams, minimize_pairwise, validate_dxvpa
 from .samplers import sample
 
 A11 = NamingScheme("ancestor", 1, 1)
@@ -100,6 +100,15 @@ def test_transition_outside_every_module_rejected(dts):
         build_xvpa(edited.snapshot(), dts)
 
 
+def test_return_in_two_modules_rejected(dts):
+    """A return on one (popped state, element) that sources in two modules
+    take cannot live in one module's return table: a structure error."""
+    learner = learn_corpus(dts, A11, [ev.parse_document(b"<r><x>5</x></r>")])
+    edited = parse_state(dump_state(learner) + "ret r| x r| r|x 1\n", dts)
+    with pytest.raises(AutomatonStructureError):
+        build_xvpa(edited.snapshot(), dts)
+
+
 def test_sanitized_model_folds_like_unminimized(dts):
     """Sanitize keeps a return whose call it trimmed.  The folded module
     never takes it, so folding drops it, and the minimized model's verdicts
@@ -124,14 +133,14 @@ def test_sanitized_model_folds_like_unminimized(dts):
 
 def test_structural_invariants_hold(cardealer, dts):
     _docs, dxvpa, _cx = cardealer
-    # re-runs the constructor checks (single exit, mixed content)
+    # re-runs the constructor checks (entry states, mixed content)
     type(dxvpa)(dxvpa.modules, dxvpa.m0, dxvpa.root_element, dts)
     for mod in dxvpa.modules.values():
         internal_successors = {dst for dst, _ in mod.internals.values()}
         for src, (dst, _dts) in mod.internals.items():
             assert dst in mod.states and src in mod.states
         for other in dxvpa.modules.values():
-            for (_q, _c, _p), target in other.returns.items():
+            for target in other.returns.values():
                 assert target not in internal_successors
 
 
@@ -316,7 +325,6 @@ def test_single_datatype_predicate_equals_member(dts):
     cx = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
     (key,) = cx.predicates
     assert key == frozenset({"boolean"})
-    from xvpa.dfa import distinguishing_string
     assert distinguishing_string(cx.predicates[key], dts.datatypes["boolean"].dfa) is None
 
 
@@ -506,3 +514,68 @@ def test_dot_golden_small(dts):
         '  s1 -> s0 [label="boolean"];\n'
         '}\n'
     )
+
+
+# a fold, a module with two exits (``a`` closes empty or after ``b``) and a
+# callee shared by two callers; every exit is drawn with every return of
+# its module, so ``a``'s four returns give eight dotted edges
+_GOLDEN_MULTI_EXIT_DOT = (
+    'digraph xvpa {\n'
+    '  rankdir=LR;\n'
+    '  node [shape=circle fontsize=10];\n'
+    '  subgraph cluster_0 {\n'
+    '    label="b";\n'
+    '    s0 [shape=doublecircle label="x"];\n'
+    '    s1 [shape=circle style=bold label="e"];\n'
+    '  }\n'
+    '  subgraph cluster_1 {\n'
+    '    label="a";\n'
+    '    s2 [shape=doublecircle label="x"];\n'
+    '    s3 [shape=doublecircle style=bold label="e"];\n'
+    '  }\n'
+    '  subgraph cluster_2 {\n'
+    '    label="p";\n'
+    '    s4 [shape=doublecircle label="x"];\n'
+    '    s5 [shape=circle style=bold label="e"];\n'
+    '  }\n'
+    '  subgraph cluster_3 {\n'
+    '    label="q";\n'
+    '    s6 [shape=doublecircle label="x"];\n'
+    '    s7 [shape=circle style=bold label="e"];\n'
+    '  }\n'
+    '  subgraph cluster_4 {\n'
+    '    label="root (start)";\n'
+    '    s8 [shape=circle label="q"];\n'
+    '    s9 [shape=doublecircle label="x"];\n'
+    '    s10 [shape=circle style=bold label="e"];\n'
+    '  }\n'
+    '  s1 -> s0 [label="unsignedByte"];\n'
+    '  s0 -> s2 [label="/b" style=dotted];\n'
+    '  s3 -> s1 [label="b" style=dashed];\n'
+    '  s2 -> s4 [label="/a" style=dotted];\n'
+    '  s2 -> s4 [label="/a" style=dotted];\n'
+    '  s2 -> s6 [label="/a" style=dotted];\n'
+    '  s2 -> s6 [label="/a" style=dotted];\n'
+    '  s3 -> s4 [label="/a" style=dotted];\n'
+    '  s3 -> s4 [label="/a" style=dotted];\n'
+    '  s3 -> s6 [label="/a" style=dotted];\n'
+    '  s3 -> s6 [label="/a" style=dotted];\n'
+    '  s4 -> s3 [label="a" style=dashed];\n'
+    '  s5 -> s3 [label="a" style=dashed];\n'
+    '  s4 -> s8 [label="/p" style=dotted];\n'
+    '  s6 -> s3 [label="a" style=dashed];\n'
+    '  s7 -> s3 [label="a" style=dashed];\n'
+    '  s6 -> s9 [label="/q" style=dotted];\n'
+    '  s8 -> s7 [label="q" style=dashed];\n'
+    '  s10 -> s5 [label="p" style=dashed];\n'
+    '}\n'
+)
+
+
+def test_dot_golden_multi_exit_shared_callee(dts):
+    doc = ev.parse_document(b"<root><p><a><b>5</b></a><a/></p><q><a><b>7</b></a><a/></q></root>")
+    dxvpa = build_xvpa(learn_corpus(dts, A12, [doc]).snapshot(), dts)
+    assert len(dxvpa.modules[("p", "a")].exits) == 2
+    assert to_dot(dxvpa) == _GOLDEN_MULTI_EXIT_DOT
+    assert to_dot(dxvpa, compiled=True) == _GOLDEN_MULTI_EXIT_DOT.replace(
+        'label="unsignedByte"', 'label="p0"')

@@ -76,6 +76,27 @@ def test_validate_empty_state_rejects_all(workdir, capsys):
     assert code == EXIT_REJECT and "empty-language" in out
 
 
+def test_validate_refused_model_is_state_error(workdir, capsys):
+    """A state file that model generation refuses is corrupt: validate
+    exits 4 with a state error, like export-dot, and prints no verdict."""
+    nested = workdir["dir"] / "nested.xml"
+    nested.write_bytes(b"<r><x>5</x></r>")
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=1", str(nested)])
+    with open(workdir["state"], encoding="utf-8") as fh:
+        state = fh.read()
+    capsys.readouterr()
+    # a call from the state after the root; a return that two modules take
+    for line in ("call |r x x| 1\n", "ret r| x r| r|x 1\n"):
+        with open(workdir["state"], "w", encoding="utf-8") as fh:
+            fh.write(state + line)
+        code = run(["validate", workdir["state"], str(nested)])
+        captured = capsys.readouterr()
+        assert code == EXIT_STATE and captured.out == "", line
+        assert "state error" in captured.err
+        assert run(["export-dot", workdir["state"]]) == EXIT_STATE
+        capsys.readouterr()
+
+
 def test_parse_error_exit_codes(workdir, capsys):
     code = run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=1",
                 workdir["ok1.xml"], workdir["broken.xml"]])

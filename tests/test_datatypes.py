@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import distinguishing_string, sample_string, subset_counterexample
-
-from .oracles import brute_force_minimal, is_antichain
+from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, sample_string,
+                      subset_counterexample)
 from .samplers import SAMPLERS, mixed_corpus, sample
 
 EXPECTED_DATATYPES = {

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import (Dfa, PatternError, distinguishing_string, sample_string,
-                      subset_counterexample, union_dfas)
+from xvpa.dfa import Dfa, PatternError, union_dfas
+
+from .oracles import distinguishing_string, sample_string, subset_counterexample
 
 # patterns whose syntax coincides with Python re, for oracle comparison
 RE_COMPATIBLE = [

@@ -90,6 +90,12 @@ def test_hash_mismatch_blocks_load(dts):
     assert loaded.dts_hash == "f" * 64
 
 
+def _with_counter(tag, value):
+    """Set the counter of every ``tag`` line to ``value``."""
+    return lambda t: "\n".join(l.rsplit(" ", 1)[0] + f" {value}" if l.startswith(tag + " ") else l
+                               for l in t.split("\n"))
+
+
 @pytest.mark.parametrize("mutate", [
     lambda t: "garbage\n" + t,
     lambda t: t.replace("xvpa-state 1", "xvpa-state 9"),
@@ -102,6 +108,8 @@ def test_hash_mismatch_blocks_load(dts):
     lambda t: "\n".join("mindchanges x,1" if l.startswith("mindchanges ") else l
                         for l in t.split("\n")),
     lambda t: t.replace("xvpa-state 1", "xvpa-state "),
+    _with_counter("state", -3),
+    _with_counter("ret", 0),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))
