@@ -145,12 +145,13 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     with empty siblings; exits are states with outgoing returns, and the
     module's one return table, keyed by (popped state, element), holds the
     returns of all its exits, so each exit takes each of them.  A return
-    key that two modules take is a structure error: a learner never makes
-    one, since the callee is a function of the popped state and element.
+    key that two modules take, or that has two targets in one module, is a
+    structure error: a learner never makes one, since the callee and the
+    target are functions of the popped state and element.
     Each transition map is read once, so the cost is linear in the
     snapshot.
     """
-    root_calls = {key: dst for key, dst in snapshot.call_to.items() if key[0] == START_STATE}
+    root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:
         raise EmptyLanguageError("snapshot accepts no document")
     root_elements = sorted({key[1] for key in root_calls})
@@ -176,25 +177,23 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
 
     # transitions, partitioned by source module; a text target lies in the
     # source's module, a return target in the popped state's
-    for (q, c), dst in snapshot.call_to.items():
+    for (q, c), (dst, _w) in snapshot.calls.items():
         if q == START_STATE:
             continue
         mod = modules.get(q[0])
         if mod is None or dst[0] not in modules:
             raise _outside_modules((q, c, dst))
         mod.calls[(q, c)] = dst[0]
-    datatypes_of: dict[StateName, set[str]] = {}
-    for (src, dt), w in snapshot.w_int.items():
-        if w > 0:
-            datatypes_of.setdefault(src, set()).add(dt)
-    for src, dst in snapshot.int_to.items():
-        if src in datatypes_of:
-            mod = modules.get(src[0])
-            if mod is None or dst[0] != src[0]:
-                raise _outside_modules((src, dst))
-            mod.internals[src] = (dst, frozenset(datatypes_of[src]))
+    choices: dict[StateName, tuple] = {}
+    for (src, dt), (dst, _w) in snapshot.ints.items():
+        choices.setdefault(src, (dst, set()))[1].add(dt)
+    for src, (dst, dtset) in choices.items():
+        mod = modules.get(src[0])
+        if mod is None or dst[0] != src[0]:
+            raise _outside_modules((src, dst))
+        mod.internals[src] = (dst, frozenset(dtset))
     owner: dict[tuple, tuple] = {}
-    for (q, c, popped), dst in snapshot.ret_to.items():
+    for (q, c, popped), (dst, _w) in snapshot.rets.items():
         mod = modules.get(q[0])
         if mod is None:
             raise _outside_modules((q, c, popped, dst))
@@ -206,7 +205,9 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         if owner.setdefault((popped, c), q[0]) != q[0]:
             raise AutomatonStructureError(
                 f"return on {c!r} popping {popped!r} lies in two modules")
-        mod.returns[(popped, c)] = dst
+        if mod.returns.setdefault((popped, c), dst) != dst:
+            raise AutomatonStructureError(
+                f"return on {c!r} popping {popped!r} has two targets")
 
     # element assignment: the element whose calls enter the module
     entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}

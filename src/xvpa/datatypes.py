@@ -61,10 +61,7 @@ class LexicalDatatypeSystem:
         self._index = {d.name: i for i, d in enumerate(datatypes)}
         self._names = [d.name for d in datatypes]
         self.lex_edges = tuple(lex_edges)
-        self.kind_edges = tuple(kind_edges)
         self._up = _closure_masks(self._index, lex_edges)
-        down_edges = [(b, a) for a, b in lex_edges]
-        self._down = _closure_masks(self._index, down_edges)
         self._topo = _topological(self._names, lex_edges)
         kinds = sorted({d.kind for d in datatypes})
         self._kind_index = {k: i for i, k in enumerate(kinds)}
@@ -90,9 +87,6 @@ class LexicalDatatypeSystem:
 
     def names(self):
         return list(self._names)
-
-    def kinds(self):
-        return sorted(self._kind_index)
 
     def __contains__(self, name: str) -> bool:
         return name in self.datatypes

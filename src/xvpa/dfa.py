@@ -521,10 +521,6 @@ class Dfa:
         for lo, hi, dst in zip(self._los[state], self._his[state], self._dst[state]):
             yield lo, hi, dst
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.accepting
-
     # -- construction -------------------------------------------------------
 
     @classmethod

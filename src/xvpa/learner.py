@@ -114,23 +114,17 @@ class Learner:
         directly and is per-document atomic.
         """
         self._check_input(stream)
-        v = self.vpa
         changes = 0
-        new = ([], [], [], [], [])
-        for weights, taken, fresh in zip(self._weights(), self._run(stream), new):
-            for key, entry in taken.items():
-                old = weights.get(key, 0)
-                weights[key] = old + entry[0]
-                if old == 0:
-                    fresh.append((key, entry[1]))
+        for table, taken in zip(self._tables(), self._run(stream)):
+            for key, (count, target, _index) in taken.items():
+                old = table.get(key)
+                if old is None:
+                    table[key] = count if target is None else (target, count)
                     changes += 1
-        calls, ints, rets, states, finals = new
-        v.call_to.update(calls)
-        v.int_to.update((q, target) for (q, _dt), target in ints)
-        v.ret_to.update(rets)
-        v.states.update(q for q, _ in states)
-        v.finals.update(q for q, _ in finals)
-
+                elif target is None:
+                    table[key] = old + count
+                else:
+                    table[key] = (old[0], old[1] + count)
         self.documents_learned += 1
         self.mind_changes.append(changes)
         return changes
@@ -149,44 +143,31 @@ class Learner:
         if self.sanitized:
             raise SanitizedStateError("unlearn is unsound after sanitize")
         self._check_input(stream)
-        v = self.vpa
         missing = []
         underflow = None
-        remaining = []
-        for kind, weights, taken in zip(("call", "text transition", "return", None, None),
-                                        self._weights(), self._run(stream)):
-            left = []
-            for key, entry in taken.items():
-                have = weights.get(key, 0)
-                if kind and have <= 0:
-                    missing.append((entry[2], f"no {kind} on {key[1]}"))
-                elif have < entry[0]:
+        left = []
+        for kind, table, taken in zip(("call", "text transition", "return", None, None),
+                                      self._tables(), self._run(stream)):
+            for key, (count, target, index) in taken.items():
+                old = table.get(key)
+                have = 0 if old is None else old if target is None else old[1]
+                if kind and not have:
+                    missing.append((index, f"no {kind} on {key[1]}"))
+                elif have < count:
                     underflow = key
-                left.append((key, have - entry[0]))
-            remaining.append(left)
+                else:
+                    left.append((table, key, have - count, None if target is None else old[0]))
         if missing:
             raise MissingTransitionError(*min(missing))
         if underflow is not None:
             raise CounterUnderflowError(f"counter for {underflow!r} would underflow")
 
-        # commit; keys that reach zero are deleted with their targets
-        calls, ints, rets, states, finals = dropped = ([], [], [], [], [])
-        for weights, left, gone in zip(self._weights(), remaining, dropped):
-            for key, count in left:
-                if count:
-                    weights[key] = count
-                else:
-                    del weights[key]
-                    gone.append(key)
-        for key in calls:
-            del v.call_to[key]
-        for key in rets:
-            del v.ret_to[key]
-        for q in {q for q, _dt in ints}:
-            if not any((q, dt) in v.w_int for dt in self.dts.datatypes):
-                del v.int_to[q]
-        v.states.difference_update(states)
-        v.finals.difference_update(finals)
+        # commit; keys that reach zero are deleted
+        for table, key, count, target in left:
+            if not count:
+                del table[key]
+            else:
+                table[key] = count if target is None else (target, count)
         self.documents_learned -= 1
         if self.mind_changes:
             self.mind_changes.pop()
@@ -195,10 +176,11 @@ class Learner:
         """The keys a document's run takes in each counter table.
 
         Returns the call, text, return, state and final tables, in the
-        order of ``_weights``; each maps a key to ``[count, target state,
-        index of the first event that takes it]``.  Text keys are
-        ``(source, datatype)``.  Targets are named, never looked up, so the
-        run does not depend on what the automaton holds.
+        order of ``_tables``; each maps a key to ``[count, target state,
+        index of the first event that takes it]``, where the state and
+        final tables have no target (None).  Text keys are ``(source,
+        datatype)``.  Targets are named, never looked up, so the run does
+        not depend on what the automaton holds.
         """
         scheme = self.scheme
         infer = self.dts.infer
@@ -228,42 +210,40 @@ class Learner:
                     popped = stack.pop()
                     q2 = ret_name(scheme, q, popped, element)
                     rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
-            states.setdefault(q2, [0, q2, index])[0] += 1
+            states.setdefault(q2, [0, None, index])[0] += 1
             q = q2
-        return calls, ints, rets, states, {q: [1, q, index]}
+        return calls, ints, rets, states, {q: [1, None, index]}
 
-    def _weights(self):
+    def _tables(self):
         v = self.vpa
-        return v.w_call, v.w_int, v.w_ret, v.w_state, v.w_final
+        return v.calls, v.ints, v.rets, v.states, v.finals
 
     # -- sanitization -----------------------------------------------------------
 
     def sanitize(self) -> bool:
         """Trim low-frequency structure by a uniform counter decrement.
 
-        Stage 1 decrements every transition counter by one (floored at
-        zero) and recomputes each non-start state's counter as the sum of
-        its incoming transition weights (finals take the recomputed state
-        weight).  Stage 2 removes states left unreachable from the start.
-        If no reachable final state would survive, everything reverts and
-        False is returned (not applicable); otherwise the trimmed result
-        replaces the learner's automaton and True is returned.
+        Stage 1 decrements every transition counter by one, dropping those
+        that reach zero, and recomputes each non-start state's counter as
+        the sum of its incoming transition weights (finals take the
+        recomputed state weight).  Stage 2 removes states left unreachable
+        from the start.  If the result would accept no document (no run
+        from the start reaches a final state with its stack matched),
+        everything reverts and False is returned (not applicable);
+        otherwise the trimmed result replaces the learner's automaton and
+        True is returned.
 
         Sanitizing marks the state: subsequent unlearns are refused.
         """
         v = self.vpa
-        w_call = {k: max(0, w - 1) for k, w in v.w_call.items()}
-        w_ret = {k: max(0, w - 1) for k, w in v.w_ret.items()}
-        w_int = {k: max(0, w - 1) for k, w in v.w_int.items()}
-
-        edges = [(key[0], v.call_to[key], w) for key, w in w_call.items() if w > 0]
-        edges += [(key[0], v.ret_to[key], w) for key, w in w_ret.items() if w > 0]
-        edges += [(src, v.int_to[src], w) for (src, _dt), w in w_int.items() if w > 0]
+        tables = [{key: (dst, w - 1) for key, (dst, w) in table.items() if w > 1}
+                  for table in (v.calls, v.ints, v.rets)]
         incoming: dict[StateName, int] = {}
         adj: dict[StateName, list[StateName]] = {}
-        for src, dst, w in edges:
-            incoming[dst] = incoming.get(dst, 0) + w
-            adj.setdefault(src, []).append(dst)
+        for table in tables:
+            for key, (dst, w) in table.items():
+                incoming[dst] = incoming.get(dst, 0) + w
+                adj.setdefault(key[0], []).append(dst)
         live = {START_STATE}
         work = [START_STATE]
         while work:
@@ -272,16 +252,17 @@ class Learner:
                     live.add(t)
                     work.append(t)
 
-        # unreachable states get weight zero, so trimming drops every
+        # unreachable states lose their counter, so trimming drops every
         # transition that touches them
-        w_state = {q: incoming[q] for q in live if incoming.get(q, 0) > 0}
-        w_final = {q: w_state[q] for q in v.finals if q in w_state}
-        if not w_final:
+        sanitized = WeightedVpa()
+        sanitized.calls, sanitized.ints, sanitized.rets = tables
+        sanitized.states = {q: w for q, w in incoming.items() if q in live}
+        sanitized.finals = {q: sanitized.states[q] for q in v.finals if q in sanitized.states}
+        if _matched_reach(*tables).isdisjoint(sanitized.finals):
             return False  # revert: nothing was mutated
 
-        v.w_call, v.w_ret, v.w_int, v.w_state, v.w_final = w_call, w_ret, w_int, w_state, w_final
         # full trim semantics: drop datatype transitions subsumed by a kept one
-        self.vpa = v.trimmed(self.dts)
+        self.vpa = sanitized.trimmed(self.dts)
         self.sanitized = True
         return True
 
@@ -300,3 +281,49 @@ class Learner:
         if self.dts.content_hash != self.dts_hash:
             raise DatatypeMismatchError(
                 "datatype definition file changed since this state was created")
+
+
+def _matched_reach(calls, ints, rets) -> set:
+    """The states that runs from the start reach with an empty stack.
+
+    ``reach[e]`` holds the states that runs entering at ``e`` reach at the
+    same stack height.  A call from ``q`` on ``c`` into ``e`` resumes at the
+    target of any return ``(x, c, q)`` with ``x`` in ``reach[e]``; each new
+    member of a ``reach`` set is matched once against the calls it makes
+    and once against the callers of its entry.
+    """
+    int_to = {q: dst for (q, _dt), (dst, _w) in ints.items()}
+    calls_of: dict[StateName, list] = {}
+    for (q, c), (e, _w) in calls.items():
+        calls_of.setdefault(q, []).append((c, e))
+    reach: dict[StateName, set] = {}
+    callers: dict[StateName, list] = {}
+    work = []
+
+    def add(e, q):
+        if q not in reach[e]:
+            reach[e].add(q)
+            work.append((e, q))
+
+    def enter(e):
+        if e not in reach:
+            reach[e], callers[e] = set(), []
+            add(e, e)
+
+    enter(START_STATE)
+    while work:
+        e, q = work.pop()
+        if q in int_to:
+            add(e, int_to[q])
+        for c, callee in calls_of.get(q, ()):
+            enter(callee)
+            callers[callee].append((e, q, c))
+            for x in list(reach[callee]):
+                hit = rets.get((x, c, q))
+                if hit is not None:
+                    add(e, hit[0])
+        for caller, popped, c in callers[e]:
+            hit = rets.get((q, c, popped))
+            if hit is not None:
+                add(caller, hit[0])
+    return reach[START_STATE]

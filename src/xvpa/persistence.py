@@ -3,7 +3,7 @@
 Layout: a fixed header (format version, naming scheme, datatype-file hash,
 sanitized flag, document count, mind-change series) followed by sorted
 ``state`` / ``final`` / ``call`` / ``int`` / ``ret`` lines with their
-counters.  Zero-weight entries are not written, so saving is canonical:
+counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
 restores the previous file exactly.
 
@@ -22,7 +22,6 @@ import tempfile
 from urllib.parse import quote, unquote
 
 from .learner import ANCESTOR, Learner, NamingScheme
-from .weighted import START_STATE
 
 FORMAT_NAME = "xvpa-state"
 FORMAT_VERSION = "1"
@@ -81,17 +80,17 @@ def dump_state(learner: Learner) -> str:
     ]
     v = learner.vpa
     body = []
-    body.extend(f"state {enc(q)} {w}" for q, w in v.w_state.items() if w > 0)
-    body.extend(f"final {enc(q)} {w}" for q, w in v.w_final.items() if w > 0)
+    body.extend(f"state {enc(q)} {w}" for q, w in v.states.items())
+    body.extend(f"final {enc(q)} {w}" for q, w in v.finals.items())
     body.extend(
-        f"call {enc(src)} {_encode_token(label)} {enc(v.call_to[(src, label)])} {w}"
-        for (src, label), w in v.w_call.items() if w > 0)
+        f"call {enc(src)} {_encode_token(label)} {enc(dst)} {w}"
+        for (src, label), (dst, w) in v.calls.items())
     body.extend(
-        f"int {enc(src)} {dt} {enc(v.int_to[src])} {w}"
-        for (src, dt), w in v.w_int.items() if w > 0)
+        f"int {enc(src)} {dt} {enc(dst)} {w}"
+        for (src, dt), (dst, w) in v.ints.items())
     body.extend(
-        f"ret {enc(src)} {_encode_token(label)} {enc(popped)} {enc(v.ret_to[(src, label, popped)])} {w}"
-        for (src, label, popped), w in v.w_ret.items() if w > 0)
+        f"ret {enc(src)} {_encode_token(label)} {enc(popped)} {enc(dst)} {w}"
+        for (src, label, popped), (dst, w) in v.rets.items())
     return "\n".join(lines + sorted(body)) + "\n"
 
 
@@ -144,6 +143,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
             q = decoded[token] = decode_state(token, mode)
         return q
 
+    int_to: dict[tuple, tuple] = {}  # the shared target of a text source
     try:
         for line in lines[body_at:]:
             if not line:
@@ -151,51 +151,33 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
             fields = line.split(" ")
             tag = fields[0]
             if tag == "state":
-                q, w = dec(fields[1]), _counter(fields[2])
-                v.states.add(q)
-                v.w_state[q] = w
+                v.states[dec(fields[1])] = _counter(fields[2])
             elif tag == "final":
-                q, w = dec(fields[1]), _counter(fields[2])
-                v.finals.add(q)
-                v.w_final[q] = w
+                v.finals[dec(fields[1])] = _counter(fields[2])
             elif tag == "call":
                 src, label, dst, w = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), _counter(fields[4])
                 key = (src, label)
-                if v.call_to.get(key, dst) != dst:
+                if v.calls.get(key, (dst,))[0] != dst:
                     raise StateFileError(f"conflicting call transition {line!r}")
-                v.call_to[key] = dst
-                v.w_call[key] = w
+                v.calls[key] = (dst, w)
             elif tag == "int":
                 src, dt, dst, w = dec(fields[1]), fields[2], dec(fields[3]), _counter(fields[4])
-                if v.int_to.get(src, dst) != dst:
+                if int_to.setdefault(src, dst) != dst:
                     raise StateFileError(f"conflicting text transition {line!r}")
                 if dt not in dts:
                     raise StateFileError(f"unknown datatype {dt!r} in state file")
-                v.int_to[src] = dst
-                v.w_int[(src, dt)] = w
+                v.ints[(src, dt)] = (dst, w)
             elif tag == "ret":
                 src, label, popped, dst = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), dec(fields[4])
                 w = _counter(fields[5])
                 key = (src, label, popped)
-                if v.ret_to.get(key, dst) != dst:
+                if v.rets.get(key, (dst,))[0] != dst:
                     raise StateFileError(f"conflicting return transition {line!r}")
-                v.ret_to[key] = dst
-                v.w_ret[key] = w
+                v.rets[key] = (dst, w)
             else:
                 raise StateFileError(f"unknown entry {line!r}")
     except (IndexError, ValueError) as exc:
         raise StateFileError(f"corrupt state entry: {exc}") from None
-
-    for key, dst in list(v.call_to.items()):
-        v.states.add(key[0])
-        v.states.add(dst)
-    for key, dst in list(v.ret_to.items()):
-        v.states.update((key[0], key[2], dst))
-    for src, dst in v.int_to.items():
-        v.states.update((src, dst))
-    v.states.add(START_STATE)
-    for q in v.w_state:
-        v.states.add(q)
     return learner
 
 

@@ -3,7 +3,8 @@
 This is the learner's substrate: named states, call/internal/return
 transitions, and frequency counters for states, final states, and
 transitions.  Counters are plain Python ints (arbitrary precision), so
-exact decrements for unlearning are always possible.
+exact decrements for unlearning are always possible.  No count below 1 is
+stored: an entry whose counter reaches zero is deleted.
 
 State names are exact pairs ``(typing_context, left_siblings)`` of tuples;
 no hashing scheme may alias distinct names, so plain tuple equality keys
@@ -28,7 +29,7 @@ TEXT_PLACEHOLDER = "$"
 
 @dataclass(frozen=True)
 class SnapshotStats:
-    """Summary over positive-weight entries (plus the start state)."""
+    """Summary over the stored entries (plus the start state)."""
 
     states: int
     transitions: int
@@ -37,109 +38,68 @@ class SnapshotStats:
 
 
 class WeightedVpa:
-    """States, finals, deterministic transition maps, and counters.
+    """One table per counter.
 
-    Transition structure:
-      * calls:    ``(source, element) -> target`` pushing the source state
-      * internals: ``source -> target`` with per-datatype counters keyed
-        ``(source, datatype)`` (a datatype choice shares one successor)
-      * returns:  ``(source, element, popped) -> target``
+      * states, finals: ``state -> count``; the start state is implicit
+      * calls:     ``(source, element) -> (target, count)``, pushing the source
+      * ints:      ``(source, datatype) -> (target, count)``; all datatypes
+        of one source share its target (a datatype choice)
+      * rets:      ``(source, element, popped) -> (target, count)``
     """
 
-    __slots__ = ("states", "finals", "call_to", "int_to", "ret_to",
-                 "w_state", "w_final", "w_call", "w_int", "w_ret")
+    __slots__ = ("states", "finals", "calls", "ints", "rets")
 
     def __init__(self):
-        self.states: set[StateName] = {START_STATE}
-        self.finals: set[StateName] = set()
-        self.call_to: dict[tuple, StateName] = {}
-        self.int_to: dict[StateName, StateName] = {}
-        self.ret_to: dict[tuple, StateName] = {}
-        self.w_state: dict[StateName, int] = {}
-        self.w_final: dict[StateName, int] = {}
-        self.w_call: dict[tuple, int] = {}
-        self.w_int: dict[tuple, int] = {}
-        self.w_ret: dict[tuple, int] = {}
+        self.states: dict[StateName, int] = {}
+        self.finals: dict[StateName, int] = {}
+        self.calls: dict[tuple, tuple[StateName, int]] = {}
+        self.ints: dict[tuple, tuple[StateName, int]] = {}
+        self.rets: dict[tuple, tuple[StateName, int]] = {}
 
     # -- summaries -----------------------------------------------------------
 
     def stats(self) -> SnapshotStats:
-        states = sum(1 for w in self.w_state.values() if w > 0)
-        if self.w_state.get(START_STATE, 0) <= 0:
-            states += 1  # the start state survives with weight zero
-        transitions = (sum(1 for w in self.w_call.values() if w > 0)
-                       + sum(1 for w in self.w_int.values() if w > 0)
-                       + sum(1 for w in self.w_ret.values() if w > 0))
-        finals = sum(1 for w in self.w_final.values() if w > 0)
-        total = (sum(self.w_state.values()) + sum(self.w_final.values())
-                 + sum(self.w_call.values()) + sum(self.w_int.values())
-                 + sum(self.w_ret.values()))
-        return SnapshotStats(states, transitions, finals, total)
+        transitions = (self.calls, self.ints, self.rets)
+        total = (sum(self.states.values()) + sum(self.finals.values())
+                 + sum(w for table in transitions for _dst, w in table.values()))
+        return SnapshotStats(len(self.states) + (START_STATE not in self.states),
+                             sum(map(len, transitions)), len(self.finals), total)
 
     # -- trim ----------------------------------------------------------------
 
     def trimmed(self, dts) -> "WeightedVpa":
-        """Positive-weight snapshot with datatype antichain reduction.
+        """Snapshot of the counted part with datatype antichain reduction.
 
-        Zero-weight transitions, states, and finals are dropped (the start
-        state always survives).  For every internal state pair, only the
-        lexically maximal surviving datatypes are kept: a subsumed datatype
+        Transitions whose source or target is not a counted state are
+        dropped (the start state always counts).  For every text source,
+        only the lexically maximal datatypes are kept: a subsumed datatype
         adds nothing to the snapshot's language.  The receiver is not
         mutated; raw counters keep subsumed entries so unlearning stays
         exact.
         """
         snap = WeightedVpa()
-        snap.states = {q for q, w in self.w_state.items() if w > 0}
-        snap.states.add(START_STATE)
-        snap.finals = {q for q, w in self.w_final.items() if w > 0}
-        snap.w_state = {q: w for q, w in self.w_state.items() if w > 0}
-        snap.w_final = {q: w for q, w in self.w_final.items() if w > 0}
-        for key, w in self.w_call.items():
-            if w > 0:
-                dst = self.call_to[key]
-                if key[0] in snap.states and dst in snap.states:
-                    snap.call_to[key] = dst
-                    snap.w_call[key] = w
-        for key, w in self.w_ret.items():
-            if w > 0:
-                dst = self.ret_to[key]
-                if key[0] in snap.states and dst in snap.states:
-                    snap.ret_to[key] = dst
-                    snap.w_ret[key] = w
+        snap.states = dict(self.states)
+        snap.finals = dict(self.finals)
+        counted = snap.states.keys() | {START_STATE}
+        for table, kept in ((self.calls, snap.calls), (self.rets, snap.rets)):
+            for key, entry in table.items():
+                if key[0] in counted and entry[0] in counted:
+                    kept[key] = entry
         by_src: dict[StateName, set[str]] = {}
-        for (src, dt), w in self.w_int.items():
-            if w > 0:
+        for (src, dt), (dst, _w) in self.ints.items():
+            if src in counted and dst in counted:
                 by_src.setdefault(src, set()).add(dt)
         for src, dtset in by_src.items():
-            dst = self.int_to[src]
-            if src not in snap.states or dst not in snap.states:
-                continue
-            snap.int_to[src] = dst
             for dt in dts.maxima(dtset):
-                snap.w_int[(src, dt)] = self.w_int[(src, dt)]
+                snap.ints[(src, dt)] = self.ints[(src, dt)]
         return snap
-
-    # -- comparisons (tests, set-drivenness) ----------------------------------
-
-    def structure(self):
-        """Hashable view of states, finals, and transitions sans weights."""
-        return (
-            frozenset(self.states),
-            frozenset(self.finals),
-            frozenset((k, v) for k, v in self.call_to.items() if self.w_call.get(k, 0) > 0),
-            frozenset((k, self.int_to[k[0]]) for k, w in self.w_int.items() if w > 0),
-            frozenset((k, v) for k, v in self.ret_to.items() if self.w_ret.get(k, 0) > 0),
-        )
 
     def __eq__(self, other):
         if not isinstance(other, WeightedVpa):
             return NotImplemented
-        return (self.structure() == other.structure()
-                and self.w_state == other.w_state
-                and self.w_final == other.w_final
-                and self.w_call == other.w_call
-                and self.w_int == other.w_int
-                and self.w_ret == other.w_ret)
+        return (self.states == other.states and self.finals == other.finals
+                and self.calls == other.calls and self.ints == other.ints
+                and self.rets == other.rets)
 
     def __hash__(self):
         raise TypeError("WeightedVpa is not hashable")

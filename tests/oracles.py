@@ -17,6 +17,7 @@ from random import Random
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, validate
 from xvpa.dfa import Dfa, _atomic_intervals
+from xvpa.weighted import START_STATE
 
 
 def brute_force_minimal(dts, text: str) -> frozenset:
@@ -39,6 +40,17 @@ _GYEAR_RE = re.compile(r"-?([1-9][0-9]{3,}|0[0-9]{3})"
                        r"(Z|[+-](0[0-9]|1[0-3]):[0-5][0-9]|[+-]14:00)?")
 _GYEARMONTH_RE = re.compile(r"-?([1-9][0-9]{3,}|0[0-9]{3})-(0[1-9]|1[0-2])"
                             r"(Z|[+-](0[0-9]|1[0-3]):[0-5][0-9]|[+-]14:00)?")
+
+
+def structure(vpa):
+    """Hashable view of a weighted VPA's states (with the implicit start
+    state), finals, and transitions with their targets, without counts."""
+    return (
+        frozenset(vpa.states) | {START_STATE},
+        frozenset(vpa.finals),
+        *(frozenset((key, dst) for key, (dst, _w) in table.items())
+          for table in (vpa.calls, vpa.ints, vpa.rets)),
+    )
 
 
 class Nonconforming(AssertionError):
@@ -434,7 +446,7 @@ def sample_string(dfa: Dfa, rng, max_len: int = 40) -> str:
     """Draw a random member of L(dfa).  Raises ValueError on the empty
     language.  The walk stops at accepting states with growing probability
     and falls back to a shortest path to acceptance near max_len."""
-    if dfa.is_empty:
+    if not dfa.accepting:
         raise ValueError("cannot sample from an empty language")
     dist = _distance_to_accept(dfa)
     out = []

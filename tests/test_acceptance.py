@@ -20,7 +20,7 @@ from xvpa.persistence import dump_state
 
 from .conftest import MASTER_SEED
 from .oracles import (brute_force_minimal, enumerate_streams, is_antichain,
-                      sample_accepted_stream, sample_string, validate_dxvpa)
+                      sample_accepted_stream, sample_string, structure, validate_dxvpa)
 from .samplers import mixed_corpus
 
 A11 = NamingScheme("ancestor", 1, 1)
@@ -314,7 +314,7 @@ def test_criterion_6_sanitize(dts):
     assert learner.sanitize() is True
     reference = Learner(dts, A11)
     reference.learn(doc_a)
-    assert learner.vpa.structure() == reference.snapshot().structure()
+    assert structure(learner.vpa) == structure(reference.snapshot())
     cleaned = _model_of(dts, learner)
     assert validate(cleaned, doc_a).accepted
     assert not validate(cleaned, doc_b).accepted

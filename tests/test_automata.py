@@ -109,26 +109,85 @@ def test_return_in_two_modules_rejected(dts):
         build_xvpa(edited.snapshot(), dts)
 
 
+def test_return_with_two_targets_in_one_module_rejected(dts):
+    """One module's return table holds one target per (popped state,
+    element); a second target for the same key is a structure error, not a
+    silent overwrite."""
+    learner = learn_corpus(dts, A11, [ev.parse_document(b"<r><x>5</x><x/></r>")])
+    state = dump_state(learner)
+    edited = state.replace("ret x| x r|x r|x 1\n", "ret x| x r| r| 1\n")
+    assert edited != state
+    with pytest.raises(AutomatonStructureError):
+        build_xvpa(parse_state(edited, dts).snapshot(), dts)
+
+
 def test_sanitized_model_folds_like_unminimized(dts):
-    """Sanitize keeps a return whose call it trimmed.  The folded module
-    never takes it, so folding drops it, and the minimized model's verdicts
-    equal the unminimized model's."""
+    """A sanitized model that still accepts documents folds, and the
+    minimized model's verdicts equal the unminimized model's."""
     learner = Learner(dts, A12)
-    for raw in (b"<r><c><a>x y</a><a>5</a></c><c><a><c><a>x y</a></c><c><a/></c></a></c></r>",
-                b"<r><c><a/><a>5</a></c><c><a><c/></a></c></r>"):
+    for raw in (b"<r><a>x y</a><c><a>x y</a></c></r>", b"<r><a>x y</a></r>",
+                b"<r><a><c/></a></r>", b"<r><a><c>5</c></a><c>x y</c></r>"):
         learner.learn(ev.parse_document(raw))
     assert learner.sanitize() is True
-    folded_dx = build_xvpa(learner.snapshot(), dts)
-    full_dx = build_xvpa(learner.snapshot(), dts, minimize_modules=False)
+    _assert_folds_like_unminimized(learner.snapshot(), dts, accepts_some=True)
+
+
+# sanitized by an earlier rule that applied whenever a final state survived:
+# it keeps a return whose call it trimmed, and accepts no document
+_SANITIZED_EMPTY = """xvpa-state 1
+mode ancestor
+k 1
+l 2
+datatypes {hash}
+sanitized 1
+documents 2
+mindchanges 31,2
+call a,c| a c,a| 1
+call c,a| c a,c| 1
+call r,c| a c,a| 3
+call r,c|a a c,a| 1
+call r| c r,c| 1
+call r|c c r,c| 1
+call | r r| 1
+final |r 1
+int c,a| NMTOKENS c,a|%24 1
+ret c,a|%24 a r,c|a r,c|a 1
+ret r,c|a c r| r|c 1
+ret r,c|a c r|c r|c 1
+ret r|c r | |r 1
+state a,c| 1
+state c,a| 5
+state c,a|%24 2
+state r,c| 2
+state r,c|a 2
+state r| 1
+state r|c 2
+state |r 1
+"""
+
+
+def test_fold_drops_returns_the_folded_module_never_takes(dts):
+    """A return whose popped state the folded module never reaches from its
+    entry is dropped by the fold, not mapped through the pairing."""
+    learner = parse_state(_SANITIZED_EMPTY.format(hash=dts.content_hash), dts)
+    _assert_folds_like_unminimized(learner.snapshot(), dts, accepts_some=False)
+
+
+def _assert_folds_like_unminimized(snapshot, dts, accepts_some):
+    folded_dx = build_xvpa(snapshot, dts)
+    full_dx = build_xvpa(snapshot, dts, minimize_modules=False)
     assert len(folded_dx.modules) < len(full_dx.modules)
     folded, full = compile_cxvpa(folded_dx), compile_cxvpa(full_dx)
     bodies = list(enumerate_streams(["c", "a"], ["x y", "5"], depth=4, width=1))
     bodies += enumerate_streams(["c", "a"], ["x y", "5"], depth=3, width=2)
+    accepted = 0
     for body in bodies:
         stream = ev.stream_from_events([ev.start("r"), *body, ev.end("r")], reindex=True)
         left, right = validate(folded, stream), validate(full, stream)
         assert (left.accepted, left.reason, left.event_index) == \
             (right.accepted, right.reason, right.event_index), stream.debug_lines()
+        accepted += left.accepted
+    assert bool(accepted) == accepts_some
 
 
 def test_structural_invariants_hold(cardealer, dts):

@@ -80,18 +80,21 @@ def test_validate_refused_model_is_state_error(workdir, capsys):
     """A state file that model generation refuses is corrupt: validate
     exits 4 with a state error, like export-dot, and prints no verdict."""
     nested = workdir["dir"] / "nested.xml"
-    nested.write_bytes(b"<r><x>5</x></r>")
+    nested.write_bytes(b"<r><x>5</x><x/></r>")
     run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=1", str(nested)])
     with open(workdir["state"], encoding="utf-8") as fh:
         state = fh.read()
     capsys.readouterr()
-    # a call from the state after the root; a return that two modules take
-    for line in ("call |r x x| 1\n", "ret r| x r| r|x 1\n"):
+    # a call from the state after the root; a return that two modules take;
+    # a return with two targets in one module
+    two_targets = state.replace("ret x| x r|x r|x 1\n", "ret x| x r| r| 1\n")
+    assert two_targets != state
+    for edited in (state + "call |r x x| 1\n", state + "ret r| x r| r|x 1\n", two_targets):
         with open(workdir["state"], "w", encoding="utf-8") as fh:
-            fh.write(state + line)
+            fh.write(edited)
         code = run(["validate", workdir["state"], str(nested)])
         captured = capsys.readouterr()
-        assert code == EXIT_STATE and captured.out == "", line
+        assert code == EXIT_STATE and captured.out == "", edited
         assert "state error" in captured.err
         assert run(["export-dot", workdir["state"]]) == EXIT_STATE
         capsys.readouterr()

@@ -11,6 +11,7 @@ from xvpa.learner import (ANCESTOR_SIBLING, CounterUnderflowError, Learner,
 from xvpa.persistence import dump_state
 from xvpa.weighted import START_STATE
 
+from .oracles import structure
 from .samplers import sample
 
 A11 = NamingScheme("ancestor", 1, 1)
@@ -71,8 +72,7 @@ def test_learn_single_empty_element_mind_changes(dts):
 def test_learn_boolean_internal_transition(dts):
     learner = Learner(dts, A11)
     learner.learn(doc(b"<m>false</m>"))
-    assert learner.vpa.w_int == {((("m",), ()), "boolean"): 1}
-    assert learner.vpa.int_to[(("m",), ())] == (("m",), ("$",))
+    assert learner.vpa.ints == {((("m",), ()), "boolean"): ((("m",), ("$",)), 1)}
 
 
 def test_learn_requires_stream(dts):
@@ -89,7 +89,7 @@ def test_mind_changes_zero_iff_nothing_new(dts):
     before = dump_state(learner)
     assert learner.learn(d1) == 0
     # counters moved but the trimmed snapshot is unchanged
-    assert learner.snapshot().structure() == learner.vpa.trimmed(dts).structure()
+    assert structure(learner.snapshot()) == structure(learner.vpa.trimmed(dts))
     assert dump_state(learner) != before  # weights doubled
 
 
@@ -103,7 +103,7 @@ def test_zero_mind_change_window_means_stable_snapshot(dts):
     snaps = []
     for d in docs:
         learner.learn(d)
-        snaps.append(learner.snapshot().structure())
+        snaps.append(structure(learner.snapshot()))
     series = learner.mind_change_series()
     assert series[1:] == [0, 0]
     for i in range(1, len(docs)):
@@ -120,7 +120,7 @@ def test_learn_unlearn_restores_fresh_state(dts):
     learner.unlearn(d)
     fresh = Learner(dts, A11)
     assert dump_state(learner) == dump_state(fresh)
-    assert learner.vpa.states == {START_STATE}
+    assert learner.vpa == fresh.vpa
 
 
 def test_unlearn_is_order_insensitive_on_counters(dts):
@@ -194,12 +194,12 @@ def test_sanitize_uniform_decrement_keeps_language(dts):
     for _ in range(3):
         learner.learn(d1)
         learner.learn(d2)
-    before = learner.snapshot().structure()
-    before_calls = dict(learner.vpa.w_call)
+    before = structure(learner.snapshot())
+    before_calls = dict(learner.vpa.calls)
     assert learner.sanitize() is True
-    assert learner.snapshot().structure() == before
-    for key, weight in learner.vpa.w_call.items():
-        assert weight == before_calls[key] - 1
+    assert structure(learner.snapshot()) == before
+    for key, (dst, weight) in learner.vpa.calls.items():
+        assert (dst, weight + 1) == before_calls[key]
     assert learner.sanitized
 
 
@@ -222,7 +222,7 @@ def test_sanitize_removes_rare_disjoint_branch(dts):
     assert learner.sanitize() is True
     reference = Learner(dts, A11)
     reference.learn(a)
-    assert learner.vpa.structure() == reference.snapshot().structure()
+    assert structure(learner.vpa) == structure(reference.snapshot())
 
 
 def test_sanitize_keeps_frequent_branches(dts):
@@ -232,9 +232,23 @@ def test_sanitize_keeps_frequent_branches(dts):
     for _ in range(5):
         learner.learn(a)
         learner.learn(b)
-    both = learner.snapshot().structure()
+    both = structure(learner.snapshot())
     assert learner.sanitize() is True
-    assert learner.vpa.structure() == both
+    assert structure(learner.vpa) == both
+
+
+def test_sanitize_not_applicable_when_result_accepts_nothing(dts):
+    """Final states that survive the decrement but that no run from the
+    start reaches with its stack matched do not make sanitize applicable:
+    the trimmed model would accept no document, so nothing changes."""
+    learner = Learner(dts, A12)
+    for raw in (b"<r><c><a>x y</a><a>5</a></c><c><a><c><a>x y</a></c><c><a/></c></a></c></r>",
+                b"<r><c><a/><a>5</a></c><c><a><c/></a></c></r>"):
+        learner.learn(doc(raw))
+    before = dump_state(learner)
+    assert learner.sanitize() is False
+    assert dump_state(learner) == before
+    assert not learner.sanitized
 
 
 def test_datatype_hash_guard(dts):
@@ -287,11 +301,14 @@ def test_counters_match_independent_replay_of_learn_log(dts, master_seed):
                 q = q2
         tally(finals, q)
 
-    assert learner.vpa.w_call == calls
-    assert learner.vpa.w_ret == rets
-    assert learner.vpa.w_int == ints
-    assert learner.vpa.w_state == states
-    assert learner.vpa.w_final == finals
+    def counts(table):
+        return {key: w for key, (_dst, w) in table.items()}
+
+    assert counts(learner.vpa.calls) == calls
+    assert counts(learner.vpa.rets) == rets
+    assert counts(learner.vpa.ints) == ints
+    assert learner.vpa.states == states
+    assert learner.vpa.finals == finals
 
 
 # -- randomized inverse property ----------------------------------------------
@@ -311,12 +328,10 @@ def test_learn_unlearn_inverse_randomized(dts, master_seed):
         learner.learn(extra)
         learner.unlearn(extra)
         assert dump_state(learner) == serialized
-        # neither the state file nor == reads the target maps and state sets
         never = Learner(dts, scheme)
         for d in docs:
             never.learn(d)
-        for name in ("call_to", "int_to", "ret_to", "states", "finals"):
-            assert getattr(learner.vpa, name) == getattr(never.vpa, name), name
+        assert learner.vpa == never.vpa
 
 
 def _random_doc(rng):

@@ -1,13 +1,20 @@
-"""Weighted automaton: trim semantics and snapshot summaries."""
+"""Weighted automaton: table shape, trim semantics and snapshot summaries."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa.learner import Learner, NamingScheme
+from xvpa.learner import (ANCESTOR_SIBLING, Learner, LearnerError, NamingScheme,
+                          _matched_reach, call_name, int_name, ret_name)
+from xvpa.persistence import dump_state, parse_state
 from xvpa.weighted import START_STATE, WeightedVpa
+
+from .test_automata import _TREES, _tree_events
 
 
 def internal_datatypes(vpa, src):
-    """Datatypes with positive weight on the text transition from ``src``."""
-    return frozenset(dt for (s, dt), w in vpa.w_int.items() if s == src and w > 0)
+    """Datatypes on the text transition from ``src``."""
+    return frozenset(dt for (s, dt) in vpa.ints if s == src)
 
 
 def test_fresh_stats():
@@ -22,7 +29,7 @@ def test_stats_after_single_and_double_learn(dts):
     learner.learn(doc)
     stats = learner.vpa.stats()
     assert (stats.states, stats.transitions, stats.finals) == (3, 2, 1)
-    assert learner.vpa.states == {START_STATE, (("a",), ()), ((), ("a",))}
+    assert set(learner.vpa.states) == {(("a",), ()), ((), ("a",))}
     first_total = stats.total_weight
     learner.learn(doc)
     again = learner.vpa.stats()
@@ -31,34 +38,31 @@ def test_stats_after_single_and_double_learn(dts):
 
 
 def test_trim_all_zero_keeps_only_start(dts):
+    """A state with no counter is not stored; trimming drops the
+    transitions into it, and only the implicit start state is left."""
     vpa = WeightedVpa()
-    vpa.states.add((("a",), ()))
-    vpa.w_state[(("a",), ())] = 0
-    vpa.call_to[(START_STATE, "a")] = (("a",), ())
-    vpa.w_call[(START_STATE, "a")] = 0
+    vpa.calls[(START_STATE, "a")] = ((("a",), ()), 1)
     snap = vpa.trimmed(dts)
-    assert snap.states == {START_STATE}
-    assert not snap.w_call and not snap.finals
+    assert not snap.states and not snap.calls and not snap.finals
+    assert snap.stats().states == 1
 
 
 def test_trim_keeps_only_lexically_maximal_datatypes(dts):
     vpa = WeightedVpa()
     src, dst = (("m",), ()), (("m",), ("$",))
-    vpa.states.update({src, dst})
-    vpa.w_state[src] = 1
-    vpa.w_state[dst] = 4
-    vpa.int_to[src] = dst
-    vpa.w_int[(src, "byte")] = 3
-    vpa.w_int[(src, "short")] = 1
+    vpa.states[src] = 1
+    vpa.states[dst] = 4
+    vpa.ints[(src, "byte")] = (dst, 3)
+    vpa.ints[(src, "short")] = (dst, 1)
     snap = vpa.trimmed(dts)
     assert internal_datatypes(snap, src) == {"short"}
-    assert snap.w_int == {(src, "short"): 1}
+    assert snap.ints == {(src, "short"): (dst, 1)}
     # incomparable datatypes both survive
-    vpa.w_int[(src, "boolean")] = 2
+    vpa.ints[(src, "boolean")] = (dst, 2)
     snap2 = vpa.trimmed(dts)
     assert internal_datatypes(snap2, src) == {"short", "boolean"}
     # the raw automaton is untouched
-    assert vpa.w_int[(src, "byte")] == 3
+    assert vpa.ints[(src, "byte")] == (dst, 3)
 
 
 def test_trim_after_learning_is_the_learned_part(dts):
@@ -67,8 +71,8 @@ def test_trim_after_learning_is_the_learned_part(dts):
     snap = learner.vpa.trimmed(dts)
     assert snap == learner.vpa.trimmed(dts)
     assert snap.states == learner.vpa.states
-    assert snap.w_call == learner.vpa.w_call
-    assert snap.w_ret == learner.vpa.w_ret
+    assert snap.calls == learner.vpa.calls
+    assert snap.rets == learner.vpa.rets
 
 
 def test_trim_idempotent(dts):
@@ -84,9 +88,9 @@ def test_trim_never_drops_positive_noninternal_entries(dts):
     learner = Learner(dts, NamingScheme("ancestor", 2, 2))
     learner.learn(ev.parse_document(b"<r><a>1</a><b/><a>2</a></r>"))
     snap = learner.vpa.trimmed(dts)
-    assert set(snap.w_call) == set(learner.vpa.w_call)
-    assert set(snap.w_ret) == set(learner.vpa.w_ret)
-    assert set(snap.w_state) == {q for q, w in learner.vpa.w_state.items() if w > 0}
+    assert snap.calls == learner.vpa.calls
+    assert snap.rets == learner.vpa.rets
+    assert snap.states == learner.vpa.states
 
 
 def test_datatype_cover_monotonicity(dts):
@@ -98,10 +102,51 @@ def test_datatype_cover_monotonicity(dts):
                 b"<r><f>p!q r</f></r>", b"<r><f>false</f></r>"):
         learner.learn(ev.parse_document(raw))
     snap = learner.vpa.trimmed(dts)
-    for (src, dt), w in learner.vpa.w_int.items():
-        if w <= 0:
-            continue
-        if (src, dt) in snap.w_int:
+    for src, dt in learner.vpa.ints:
+        if (src, dt) in snap.ints:
             continue
         kept = internal_datatypes(snap, src)
         assert any(dts.lex_lt(dt, other) for other in kept), (dt, kept)
+
+
+# -- table shape under every mutator ---------------------------------------------
+
+_DOCUMENTS = st.lists(_TREES, max_size=3).map(lambda body: ev.stream_from_events(
+    [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
+    reindex=True))
+
+
+@given(st.sampled_from([NamingScheme("ancestor", 1, 1), NamingScheme("ancestor", 1, 2),
+                        NamingScheme(ANCESTOR_SIBLING, 1, 2), NamingScheme(ANCESTOR_SIBLING, 2, 2)]),
+       st.lists(_DOCUMENTS, min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from(["learn", "learn", "unlearn", "sanitize", "reload"]),
+                          st.integers(0, 2)), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_tables_hold_counts_and_named_targets(dts, scheme, docs, steps):
+    """After every learn, unlearn, sanitize and state-file round trip, each
+    stored count is at least 1 and each transition's target is the one its
+    key names; an unsanitized model reaches all its finals."""
+    learner = Learner(dts, scheme)
+    for op, i in steps:
+        d = docs[i % len(docs)]
+        if op == "learn":
+            learner.learn(d)
+        elif op == "unlearn":
+            try:
+                learner.unlearn(d)
+            except LearnerError:
+                pass
+        elif op == "sanitize":
+            learner.sanitize()
+        else:
+            learner = parse_state(dump_state(learner), dts)
+        v = learner.vpa
+        assert min([*v.states.values(), *v.finals.values()], default=1) >= 1
+        named = ((v.calls, lambda key: call_name(scheme, key[0], key[1])),
+                 (v.ints, lambda key: int_name(scheme, key[0])),
+                 (v.rets, lambda key: ret_name(scheme, key[0], key[2], key[1])))
+        for table, name in named:
+            for key, (dst, w) in table.items():
+                assert w >= 1 and dst == name(key), key
+        if not learner.sanitized:
+            assert set(v.finals) <= _matched_reach(v.calls, v.ints, v.rets)
