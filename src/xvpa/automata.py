@@ -232,6 +232,57 @@ def _outside_modules(transition) -> AutomatonStructureError:
     return AutomatonStructureError(f"transition {transition!r} leaves its modules")
 
 
+def _matched_reach(calls, ints, rets) -> dict:
+    """The states that runs reach with their stack matched, read as the
+    dXVPA reads them.
+
+    ``reach[e]`` holds the states that runs entering at ``e`` reach at the
+    same stack height; its keys are the start state and every entry some
+    run calls.  As in ``build_xvpa``, a return belongs to the table of its
+    source's module and every exit of that module takes it: a call from
+    ``q`` on ``c`` into ``e`` resumes at the target of ``e``'s module's
+    return for ``(q, c)`` once ``reach[e]`` holds an exit.
+    """
+    int_to = {q: dst for (q, _dt), (dst, _w) in ints.items()}
+    calls_of: dict[StateName, list] = {}
+    for (q, c), (e, _w) in calls.items():
+        calls_of.setdefault(q, []).append((c, e))
+    returns = {(popped, c, x[0]): dst for (x, c, popped), (dst, _w) in rets.items()}
+    exits = {x for x, _c, _popped in rets}
+    reach: dict[StateName, set] = {}
+    callers: dict[StateName, list] = {}
+    exited = set()  # entries whose reach holds an exit
+    work = []
+
+    def add(e, q):
+        if q not in reach[e]:
+            reach[e].add(q)
+            work.append((e, q))
+
+    def resume(e, q, c, callee):
+        dst = returns.get((q, c, callee[0]))
+        if dst is not None and callee in exited:
+            add(e, dst)
+
+    reach[START_STATE], callers[START_STATE] = set(), []
+    add(START_STATE, START_STATE)
+    while work:
+        e, q = work.pop()
+        if q in int_to:
+            add(e, int_to[q])
+        for c, callee in calls_of.get(q, ()):
+            if callee not in reach:
+                reach[callee], callers[callee] = set(), []
+                add(callee, callee)
+            callers[callee].append((e, q, c))
+            resume(e, q, c, callee)
+        if q in exits and e not in exited:
+            exited.add(e)
+            for caller, popped, c in callers[e]:
+                resume(caller, popped, c, e)
+    return reach
+
+
 # ---------------------------------------------------------------------------
 # module minimization
 
@@ -347,8 +398,9 @@ class _ModuleGraph:
         callees = {callee for (_q, _c), callee in n.calls.items()}
         for callee_key in callees:
             if callee_key == key_n:
-                continue
-            self.callers[callee_key].discard(key_n)
+                callee_key = key_m  # n's returns to its own calls moved to m
+            else:
+                self.callers[callee_key].discard(key_n)
             returns = modules[callee_key].returns
             # the folded module never takes a return whose popped state or
             # target the pairing does not cover, so such a return is dropped
@@ -558,7 +610,7 @@ def to_dot(automaton, compiled: bool = False) -> str:
         mod = dxvpa.modules[key]
         lines.append(f"  subgraph cluster_{mi} {{")
         star = " (start)" if key == dxvpa.m0 else ""
-        lines.append(f'    label="{mod.element}{star}";')
+        lines.append(f'    label="{_dot_text(mod.element)}{star}";')
         for q in sorted(mod.states, key=repr):
             ids[q] = f"s{len(ids)}"
             shape = "doublecircle" if q in mod.exits else "circle"
@@ -577,11 +629,16 @@ def to_dot(automaton, compiled: bool = False) -> str:
                 label = ", ".join(sorted(dtset))
             lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
         for (q, c) in sorted(mod.calls, key=repr):
-            callee = dxvpa.modules[mod.calls[(q, c)]]
-            lines.append(f'  {ids[q]} -> {ids[callee.entry]} [label="{c}" style=dashed];')
+            entry = dxvpa.modules[mod.calls[(q, c)]].entry
+            lines.append(f'  {ids[q]} -> {ids[entry]} [label="{_dot_text(c)}" style=dashed];')
         rows = [((x, c, popped), dst) for (popped, c), dst in mod.returns.items()
                 for x in mod.exits]
         for (x, c, _popped), dst in sorted(rows, key=lambda row: repr(row[0])):
-            lines.append(f'  {ids[x]} -> {ids[dst]} [label="/{c}" style=dotted];')
+            lines.append(f'  {ids[x]} -> {ids[dst]} [label="/{_dot_text(c)}" style=dotted];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_text(name: str) -> str:
+    """An element name as the body of a quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')

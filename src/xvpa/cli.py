@@ -166,9 +166,7 @@ def cmd_validate(args, dts) -> int:
     try:
         model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
     except EmptyLanguageError:
-        for path in args.inputs:
-            print(f"{path}\tREJECT\t{EMPTY_LANGUAGE}\t-")
-        return EXIT_REJECT
+        model = None  # every parsed input is rejected
     except AutomatonStructureError as exc:
         print(f"state error: {exc}", file=sys.stderr)
         return EXIT_STATE
@@ -177,15 +175,17 @@ def cmd_validate(args, dts) -> int:
     for path, stream in _load_inputs(args.inputs):
         if stream is None:
             had_parse_error = True
-            print(f"{path}\tREJECT\tmalformed-xml\t-")
-            rejected = True
-            continue
-        verdict = validate(model, stream)
-        if verdict.accepted:
-            print(f"{path}\tACCEPT\t-\t-")
+            reason, index = "malformed-xml", "-"
+        elif model is None:
+            reason, index = EMPTY_LANGUAGE, "-"
         else:
-            rejected = True
-            print(f"{path}\tREJECT\t{verdict.reason}\t{verdict.event_index}")
+            verdict = validate(model, stream)
+            if verdict.accepted:
+                print(f"{path}\tACCEPT\t-\t-")
+                continue
+            reason, index = verdict.reason, verdict.event_index
+        rejected = True
+        print(f"{path}\tREJECT\t{reason}\t{index}")
     if had_parse_error:
         return EXIT_PARSE
     return EXIT_REJECT if rejected else EXIT_OK

@@ -302,6 +302,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
 # ---------------------------------------------------------------------------
 # serialization back to XML (used by the corpus harness)
 
+_XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#xD;"}
 _ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
                  "\t": "&#x9;", "\n": "&#xA;", "\r": "&#xD;"}
@@ -314,11 +315,13 @@ def serialize_xml(stream, declaration: bool = False) -> str:
     (the usual carrier of injection payloads); attribute values escape
     whitespace as character references so values survive attribute-value
     normalization on re-parse.  Namespaced names get generated prefixes
-    declared on the root element.
+    declared on the root element; the XML namespace keeps its predeclared
+    ``xml`` prefix.
     """
     namespaces = sorted({e.label.ns for e in stream
-                         if isinstance(e.label, QName) and e.label.ns})
+                         if isinstance(e.label, QName) and e.label.ns} - {_XML_NAMESPACE})
     prefix = {ns: f"n{i + 1}" for i, ns in enumerate(namespaces)}
+    prefix[_XML_NAMESPACE] = "xml"  # predeclared; declaring it is an error
 
     def name_of(qn: QName) -> str:
         return f"{prefix[qn.ns]}:{qn.local}" if qn.ns else qn.local
@@ -346,7 +349,7 @@ def serialize_xml(stream, declaration: bool = False) -> str:
             parts = ["<", name_of(qn)]
             if not root_done:
                 for ns in namespaces:
-                    parts.append(f' xmlns:{prefix[ns]}="{ns}"')
+                    parts.append(f' xmlns:{prefix[ns]}="{_escape(ns, _ATTR_ESCAPES)}"')
                 root_done = True
             for aname, avalue in attrs:
                 parts.append(f' {name_of(aname)}="{_escape(avalue, _ATTR_ESCAPES)}"')

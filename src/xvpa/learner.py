@@ -12,7 +12,7 @@ Unlearning takes the same run as learning: it checks and then subtracts
 exactly those counts, deleting only the touched keys that reach zero, so
 its cost follows the document, not the size of the model.  Sanitization
 uniformly decrements all transition counters to shake out rare, possibly
-poisoned structure.
+poisoned structure, and keeps the modules that runs still enter.
 
 A learner instance admits one mutator at a time.  Snapshots taken between
 mutations are immutable; validators built from them never block learning.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .automata import AutomatonStructureError, EmptyLanguageError, _matched_reach, build_xvpa
 from .events import CHARS, START, DocumentEventStream
 from .weighted import START_STATE, TEXT_PLACEHOLDER, StateName, WeightedVpa
 
@@ -223,46 +224,37 @@ class Learner:
     def sanitize(self) -> bool:
         """Trim low-frequency structure by a uniform counter decrement.
 
-        Stage 1 decrements every transition counter by one, dropping those
-        that reach zero, and recomputes each non-start state's counter as
-        the sum of its incoming transition weights (finals take the
-        recomputed state weight).  Stage 2 removes states left unreachable
-        from the start.  If the result would accept no document (no run
-        from the start reaches a final state with its stack matched),
-        everything reverts and False is returned (not applicable);
-        otherwise the trimmed result replaces the learner's automaton and
-        True is returned.
+        Every transition counter is decremented by one, dropping those that
+        reach zero.  The counted states of the modules that some run enters
+        are kept, each counting its incoming transition weights (finals take
+        the state weight), so no kept module lacks its entry.  The decision
+        is made on the model that validation runs: if the result cannot be
+        generated or its dXVPA accepts no document, everything reverts and
+        False is returned (not applicable); otherwise the result replaces
+        the learner's automaton and True is returned.
 
         Sanitizing marks the state: subsequent unlearns are refused.
         """
         v = self.vpa
         tables = [{key: (dst, w - 1) for key, (dst, w) in table.items() if w > 1}
                   for table in (v.calls, v.ints, v.rets)]
-        incoming: dict[StateName, int] = {}
-        adj: dict[StateName, list[StateName]] = {}
+        entered = {e[0] for e in _matched_reach(*tables)}
+        candidate = WeightedVpa()
+        candidate.calls, candidate.ints, candidate.rets = tables
         for table in tables:
-            for key, (dst, w) in table.items():
-                incoming[dst] = incoming.get(dst, 0) + w
-                adj.setdefault(key[0], []).append(dst)
-        live = {START_STATE}
-        work = [START_STATE]
-        while work:
-            for t in adj.get(work.pop(), ()):
-                if t not in live:
-                    live.add(t)
-                    work.append(t)
-
-        # unreachable states lose their counter, so trimming drops every
-        # transition that touches them
-        sanitized = WeightedVpa()
-        sanitized.calls, sanitized.ints, sanitized.rets = tables
-        sanitized.states = {q: w for q, w in incoming.items() if q in live}
-        sanitized.finals = {q: sanitized.states[q] for q in v.finals if q in sanitized.states}
-        if _matched_reach(*tables).isdisjoint(sanitized.finals):
+            for dst, w in table.values():
+                if dst[0] in entered:
+                    candidate.states[dst] = candidate.states.get(dst, 0) + w
+        candidate.finals = {q: candidate.states[q] for q in v.finals if q in candidate.states}
+        candidate = candidate.trimmed(self.dts)
+        try:
+            build_xvpa(candidate, self.dts, False)
+        except (EmptyLanguageError, AutomatonStructureError):
             return False  # revert: nothing was mutated
-
-        # full trim semantics: drop datatype transitions subsumed by a kept one
-        self.vpa = sanitized.trimmed(self.dts)
+        reach = _matched_reach(candidate.calls, candidate.ints, candidate.rets)
+        if reach[START_STATE].isdisjoint(candidate.finals):
+            return False
+        self.vpa = candidate
         self.sanitized = True
         return True
 
@@ -282,48 +274,3 @@ class Learner:
             raise DatatypeMismatchError(
                 "datatype definition file changed since this state was created")
 
-
-def _matched_reach(calls, ints, rets) -> set:
-    """The states that runs from the start reach with an empty stack.
-
-    ``reach[e]`` holds the states that runs entering at ``e`` reach at the
-    same stack height.  A call from ``q`` on ``c`` into ``e`` resumes at the
-    target of any return ``(x, c, q)`` with ``x`` in ``reach[e]``; each new
-    member of a ``reach`` set is matched once against the calls it makes
-    and once against the callers of its entry.
-    """
-    int_to = {q: dst for (q, _dt), (dst, _w) in ints.items()}
-    calls_of: dict[StateName, list] = {}
-    for (q, c), (e, _w) in calls.items():
-        calls_of.setdefault(q, []).append((c, e))
-    reach: dict[StateName, set] = {}
-    callers: dict[StateName, list] = {}
-    work = []
-
-    def add(e, q):
-        if q not in reach[e]:
-            reach[e].add(q)
-            work.append((e, q))
-
-    def enter(e):
-        if e not in reach:
-            reach[e], callers[e] = set(), []
-            add(e, e)
-
-    enter(START_STATE)
-    while work:
-        e, q = work.pop()
-        if q in int_to:
-            add(e, int_to[q])
-        for c, callee in calls_of.get(q, ()):
-            enter(callee)
-            callers[callee].append((e, q, c))
-            for x in list(reach[callee]):
-                hit = rets.get((x, c, q))
-                if hit is not None:
-                    add(e, hit[0])
-        for caller, popped, c in callers[e]:
-            hit = rets.get((q, c, popped))
-            if hit is not None:
-                add(caller, hit[0])
-    return reach[START_STATE]

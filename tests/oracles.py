@@ -4,6 +4,7 @@ These deliberately avoid the production code paths they check: minimality
 is recomputed by brute force over all datatypes, cardealer conformance is
 a hand-written recursive descent with stdlib regexes, the small-stream
 enumerator produces every well-nested stream within depth/width bounds,
+the accepted-stream witness is a fixpoint of its own over the compiled maps,
 module minimization is the pairwise scan that restarts after each fold,
 the datatype-set validator checks each text against every member
 datatype instead of the compiled predicate, and DFA pairs are compared
@@ -235,6 +236,58 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
             state = dst
 
 
+def accepted_witness(model, rng: Random | None = None):
+    """A stream that ``validate`` accepts on ``model``, or None when it
+    accepts none.
+
+    A fixpoint over the compiled maps: ``found[e][(q, text)]`` is a run
+    from entry ``e`` to ``q`` at the same stack height, where ``text``
+    says that the run ends in a text, so that no second text follows it.
+    A call from ``q`` on ``c`` into entry ``f`` extends a run by any run of
+    ``f`` that ends in an exit taking the return for ``(q, c)``.  Every
+    ``(entry, state, text)`` is visited, so a stream is found whenever
+    one exists.  Texts are sampled from the predicates.
+    """
+    rng = rng or Random(0)
+    texts = {}
+
+    def text_for(key):
+        if key not in texts:
+            samples = [sample_string(model.predicates[key], rng) for _ in range(10)]
+            texts[key] = next((t for t in samples if t.strip()), samples[0])
+        return ev.text(texts[key])
+
+    calls_of = {}
+    for (q, c), entry in model.call_map.items():
+        calls_of.setdefault(q, []).append((c, entry))
+    found = {model.entry0: {(model.entry0, False): []}}
+    changed = True
+    while changed:
+        changed = False
+        for e, runs in list(found.items()):
+            for (q, text), run in list(runs.items()):
+                steps = []
+                hit = model.int_map.get(q)
+                if hit is not None and not text:
+                    steps.append((e, (hit[0], True), run + [text_for(hit[1])]))
+                for c, entry in calls_of.get(q, ()):
+                    steps.append((entry, (entry, False), []))
+                    target, exits = model.ret_map.get((q, c), (None, ()))
+                    for (x, _text), inner in list(found.get(entry, {}).items()):
+                        if x in exits:
+                            steps.append((e, (target, False),
+                                          run + [ev.start(c), *inner, ev.end(c)]))
+                for f, key, events in steps:
+                    if key not in found.setdefault(f, {}):
+                        found[f][key] = events
+                        changed = True
+    for (q, _text), run in found[model.entry0].items():
+        if q in model.finals:
+            return ev.stream_from_events(
+                [ev.start(model.root_element), *run, ev.end(model.root_element)], reindex=True)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # validation by datatype sets
 
@@ -376,9 +429,8 @@ def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
     # callees of n: returns popping n-states are rewritten through the pairing
     callees = {callee for (_q, _c), callee in n.calls.items()}
     for callee_key in callees:
-        if callee_key == key_n:
-            continue
-        returns = modules[callee_key].returns
+        # a call of n into n is now a call of m into m, and its returns are in m
+        returns = modules[key_m if callee_key == key_n else callee_key].returns
         for (popped, c), target in list(returns.items()):
             if popped in n.states:
                 del returns[(popped, c)]

@@ -3,6 +3,7 @@
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,22 @@ def test_minimize_matches_pairwise_on_random_corpora(dts, bodies, scheme):
     assert_minimize_matches_pairwise(dts, scheme, docs)
 
 
+def test_fold_of_self_calling_module_rewrites_its_returns(dts):
+    """A module that calls itself keeps returns popping its own states;
+    folded into its caller, they are rewritten onto the caller's states
+    instead of naming states of the removed module."""
+    deep = ("b", [("b", [("b", [("b", "5"), ("b", "")])])])
+    docs = [ev.stream_from_events(
+        [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
+        reindex=True) for body in [[deep, deep, ("b", [("b", [("b", "5")])])]]]
+    assert_minimize_matches_pairwise(dts, AS22, docs)
+    folded = minimize(build_xvpa(learn_corpus(dts, AS22, docs).snapshot(), dts, False))
+    states = {q for mod in folded.modules.values() for q in mod.states}
+    for mod in folded.modules.values():
+        assert {popped for popped, _c in mod.returns} <= states
+        assert set(mod.returns.values()) <= states
+
+
 # -- compilation ----------------------------------------------------------------
 
 def test_year_predicate_accepts_both_members(cardealer, dts):
@@ -638,3 +655,16 @@ def test_dot_golden_multi_exit_shared_callee(dts):
     assert to_dot(dxvpa) == _GOLDEN_MULTI_EXIT_DOT
     assert to_dot(dxvpa, compiled=True) == _GOLDEN_MULTI_EXIT_DOT.replace(
         'label="unsignedByte"', 'label="p0"')
+
+
+def test_dot_labels_escape_quotes_and_backslashes(dts):
+    """Element names taking ``"`` or ``\\`` from their namespace are
+    escaped, so every label is one well-formed quoted DOT string."""
+    raw = b'<r xmlns:p="a&quot;b\\c"><p:x>5</p:x><p:x/></r>'
+    dxvpa = build_xvpa(learn_corpus(dts, A11, [ev.parse_document(raw)]).snapshot(), dts)
+    for compiled in (False, True):
+        dot = to_dot(dxvpa, compiled=compiled)
+        labels = re.findall(r'label=("(?:[^"\\]|\\.)*")(?=[ \];])', dot)
+        assert len(labels) == dot.count("label=")
+        assert r'"{a\"b\\c}x"' in labels
+        assert r'"/{a\"b\\c}x"' in labels

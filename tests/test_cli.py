@@ -74,6 +74,14 @@ def test_validate_empty_state_rejects_all(workdir, capsys):
     code = run(["validate", workdir["state"], workdir["ok1.xml"]])
     out = capsys.readouterr().out
     assert code == EXIT_REJECT and "empty-language" in out
+    # inputs are still parsed: a parse failure exits 3, as for any model
+    missing = str(workdir["dir"] / "missing.xml")
+    code = run(["validate", workdir["state"], workdir["ok1.xml"], workdir["broken.xml"], missing])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_PARSE
+    assert lines == [f"{workdir['ok1.xml']}\tREJECT\tempty-language\t-",
+                     f"{workdir['broken.xml']}\tREJECT\tmalformed-xml\t-",
+                     f"{missing}\tREJECT\tmalformed-xml\t-"]
 
 
 def test_validate_refused_model_is_state_error(workdir, capsys):
@@ -147,6 +155,29 @@ def test_sanitize_reporting(workdir, capsys):
     capsys.readouterr()
     assert run(["sanitize", workdir["state"]]) == EXIT_OK
     assert "applied" in capsys.readouterr().out
+
+
+def test_sanitize_refused_model_is_not_applicable(workdir, capsys):
+    """Sanitize decides on the generated model, so a state file that model
+    generation refuses is not applicable and stays byte-identical."""
+    nested = str(workdir["dir"] / "nested.xml")
+    with open(nested, "wb") as fh:
+        fh.write(b"<r><x>5</x><x/></r>")
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=1", nested, nested, nested])
+    with open(workdir["state"], encoding="utf-8") as fh:
+        state = fh.read()
+    # a call from the state after the root; a return that two modules take;
+    # a return with two targets in one module
+    two_targets = state.replace("ret x| x r|x r|x 3\n", "ret x| x r| r| 3\n")
+    assert two_targets != state
+    for edited in (state + "call |r x x| 3\n", state + "ret r| x r| r|x 3\n", two_targets):
+        with open(workdir["state"], "w", encoding="utf-8") as fh:
+            fh.write(edited)
+        capsys.readouterr()
+        assert run(["sanitize", workdir["state"]]) == EXIT_OK
+        assert capsys.readouterr().out == "sanitize: not-applicable\n"
+        with open(workdir["state"], encoding="utf-8") as fh:
+            assert fh.read() == edited
 
 
 def test_stats_reports_modules(workdir, capsys):

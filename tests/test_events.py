@@ -170,17 +170,20 @@ _text_alphabet = st.characters(
 _texts = st.text(_text_alphabet, min_size=1, max_size=12).filter(
     lambda s: s.strip(" \t\r\n") != "" and "]]>" not in s)
 _names = st.sampled_from(["a", "b", "item", "x1"])
+# namespace URIs with markup characters, and the predeclared XML namespace
+_namespaces = st.sampled_from(["", "", "urn:a", 'a"b&c<d', "http://www.w3.org/XML/1998/namespace"])
 _attr_values = st.text(_text_alphabet, max_size=8).filter(lambda s: "]]>" not in s)
 
 
 @st.composite
 def small_documents(draw, depth=0):
-    name = draw(_names)
-    attr_names = draw(st.lists(st.sampled_from(["p", "q", "r"]), max_size=2, unique=True))
-    events = [ev.start(name)]
-    for attr in sorted(attr_names):
-        events += [ev.start(attr, is_attr=True), ev.text(draw(_attr_values)),
-                   ev.end(attr, is_attr=True)]
+    name, ns = draw(_names), draw(_namespaces)
+    attr_names = draw(st.lists(st.tuples(_namespaces, st.sampled_from(["p", "q", "r"])),
+                               max_size=2, unique=True))
+    events = [ev.start(name, ns)]
+    for attr_ns, attr in sorted(attr_names):
+        events += [ev.start(attr, attr_ns, is_attr=True), ev.text(draw(_attr_values)),
+                   ev.end(attr, attr_ns, is_attr=True)]
     n_children = draw(st.integers(0, 2 if depth < 2 else 0))
     if draw(st.booleans()):
         events.append(ev.text(draw(_texts)))
@@ -188,7 +191,7 @@ def small_documents(draw, depth=0):
         events += draw(small_documents(depth=depth + 1))
         if draw(st.booleans()):
             events.append(ev.text(draw(_texts)))
-    events.append(ev.end(name))
+    events.append(ev.end(name, ns))
     return events
 
 

@@ -3,16 +3,20 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xvpa import events as ev
+from xvpa.automata import build_xvpa, compile_cxvpa, validate
 from xvpa.learner import (ANCESTOR_SIBLING, CounterUnderflowError, Learner,
                           MissingTransitionError, NamingScheme,
                           SanitizedStateError, call_name, int_name, ret_name)
 from xvpa.persistence import dump_state
 from xvpa.weighted import START_STATE
 
-from .oracles import structure
+from .oracles import accepted_witness, structure
 from .samplers import sample
+from .test_automata import _load_benchmark_workloads, _tree_events
 
 A11 = NamingScheme("ancestor", 1, 1)
 A12 = NamingScheme("ancestor", 1, 2)
@@ -249,6 +253,84 @@ def test_sanitize_not_applicable_when_result_accepts_nothing(dts):
     assert learner.sanitize() is False
     assert dump_state(learner) == before
     assert not learner.sanitized
+
+
+def sanitize_checked(dts, learner) -> bool:
+    """Sanitize, and check both outcomes: an applied result generates a
+    model that accepts some document; a refused one changes nothing."""
+    before = dump_state(learner)
+    if not learner.sanitize():
+        assert dump_state(learner) == before and not learner.sanitized
+        return False
+    model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    witness = accepted_witness(model)
+    assert witness is not None and validate(model, witness).accepted
+    return True
+
+
+# every call into module ``a`` is decremented away, while returns still
+# reach some of its states
+_NO_ENTRY = (b"<r><c/></r>",
+             b"<r><b><a><c>x y</c></a><b><a><c>5</c><c>x y</c></a></b></b><c><a>x y</a></c></r>",
+             b"<r><c/><b>x y</b></r>")
+
+
+def test_sanitize_drops_modules_no_run_enters(dts):
+    """A module that no run enters goes as a whole, so the sanitized model
+    has no module without its entry."""
+    learner = Learner(dts, A11)
+    for raw in _NO_ENTRY:
+        learner.learn(doc(raw))
+    assert sanitize_checked(dts, learner) is True
+    assert not any(q[0] == ("a",) for q in learner.vpa.states)
+
+
+def test_sanitize_decides_on_the_generated_model(dts):
+    """The weighted automaton's sanitized language is empty here, but the
+    generated model's is not: its exits share one return table per
+    module, so ``<r><b>5</b></r>`` closes through the return that pops the
+    state before ``b``."""
+    learner = Learner(dts, A11)
+    for raw in (b"<r><a/></r>", b"<r><a><b><a>x y</a><b/></b></a></r>",
+                b"<r><b><c><b/><b>x y</b></c><b>x y</b></b><b>5</b></r>",
+                b"<r><b><c>5</c><c>5</c></b></r>", b"<r><c>x y</c></r>",
+                b"<r><b><c><c><a>5</a><c>5</c></c></c><c>x y</c></b><b>5</b></r>"):
+        learner.learn(doc(raw))
+    assert sanitize_checked(dts, learner) is True
+    model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    assert validate(model, doc(b"<r><b>5</b></r>")).accepted
+
+
+def test_sanitize_recursive_grammar_builds(dts):
+    train, _mutants = _load_benchmark_workloads().recursive(1, 4, 3, 40, wrapped=0)
+    learner = Learner(dts, NamingScheme(ANCESTOR_SIBLING, 2, 2))
+    for raw in train:
+        learner.learn(doc(raw))
+    assert sanitize_checked(dts, learner) is True
+
+
+_SMALL_TREES = st.recursive(
+    st.tuples(st.sampled_from("abc"), st.sampled_from(["", "5", "x y"])),
+    lambda kids: st.tuples(st.sampled_from("abc"), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=8)
+_SMALL_DOCUMENTS = st.lists(_SMALL_TREES, max_size=3).map(lambda body: ev.stream_from_events(
+    [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
+    reindex=True))
+
+
+@given(st.sampled_from([A11, A12, NamingScheme(ANCESTOR_SIBLING, 1, 2),
+                        NamingScheme(ANCESTOR_SIBLING, 2, 2)]),
+       st.lists(_SMALL_DOCUMENTS, min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=2, max_size=14))
+@example(A11, [doc(raw) for raw in _NO_ENTRY], [0, 1, 2])
+@settings(max_examples=150, deadline=None)
+def test_sanitize_applied_builds_and_refused_changes_nothing(dts, scheme, pool, picks):
+    """Random learners, trained with repeats so that some structure
+    survives the decrement."""
+    learner = Learner(dts, scheme)
+    for i in picks:
+        learner.learn(pool[i % len(pool)])
+    sanitize_checked(dts, learner)
 
 
 def test_datatype_hash_guard(dts):

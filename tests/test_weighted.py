@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa.learner import (ANCESTOR_SIBLING, Learner, LearnerError, NamingScheme,
-                          _matched_reach, call_name, int_name, ret_name)
+from xvpa.automata import _matched_reach
+from xvpa.learner import (ANCESTOR_SIBLING, Learner, LearnerError, NamingScheme, call_name,
+                          int_name, ret_name)
 from xvpa.persistence import dump_state, parse_state
 from xvpa.weighted import START_STATE, WeightedVpa
 
@@ -149,4 +150,4 @@ def test_tables_hold_counts_and_named_targets(dts, scheme, docs, steps):
             for key, (dst, w) in table.items():
                 assert w >= 1 and dst == name(key), key
         if not learner.sanitized:
-            assert set(v.finals) <= _matched_reach(v.calls, v.ints, v.rets)
+            assert set(v.finals) <= _matched_reach(v.calls, v.ints, v.rets)[START_STATE]
