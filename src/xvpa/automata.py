@@ -5,19 +5,21 @@ by typing context, each module has a single entry, its exit states share
 one return table (the single-exit property is the data shape), and
 internal transitions carry datatype choices.  Congruent modules for the
 same element are folded.
-Compilation replaces each state's datatype choice by a single predicate
-acceptor (the determinized, minimized union of the members' lexical
-acceptors) so validation checks every text exactly once.
+Compilation replaces each state's datatype choice by a single predicate:
+the bitmask of its members over the datatype system's shared, lazily
+built product of all lexical acceptors, so validation checks every text
+exactly once and compilation builds no automaton.
 
 Generated automata are immutable; validation is reentrant and safe for
-concurrent use across streams.
+concurrent use across streams (the shared product builds its states under
+a lock).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, union_dfas
+from .dfa import ProductPredicate
 from .events import CHARS, END, START, QName
 from .weighted import START_STATE, StateName, WeightedVpa
 
@@ -112,8 +114,8 @@ class Cxvpa:
     """Predicate-transition automaton for one-pass validation.
 
     Structure mirrors the dXVPA it was compiled from; every datatype
-    choice is fused into one deterministic acceptor, at most one internal
-    transition per state.  ``ret_map`` maps (popped state, element) to the
+    choice is fused into one predicate, at most one internal transition
+    per state.  ``ret_map`` maps (popped state, element) to the
     target and the exits of the one module that takes that return.
     """
 
@@ -122,7 +124,7 @@ class Cxvpa:
         self.m0 = dxvpa.m0
         self.entry0 = dxvpa.modules[dxvpa.m0].entry
         self.finals = dxvpa.finals
-        self.predicates: dict[frozenset, Dfa] = predicates
+        self.predicates: dict[frozenset, ProductPredicate] = predicates
         self.call_map: dict[tuple, StateName] = {}
         self.ret_map: dict[tuple, tuple[StateName, frozenset]] = {}
         self.int_map: dict[StateName, tuple[StateName, frozenset]] = int_map
@@ -499,15 +501,16 @@ def _bisimulation(graph: _ModuleGraph, m: Module, n: Module):
 # compilation and validation
 
 def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
-    """Fuse every datatype choice into one minimized predicate acceptor."""
-    predicates: dict[frozenset, Dfa] = {}
+    """Fuse every datatype choice into one predicate: the mask of its
+    members over the datatype system's shared product.  No automaton is
+    built; the product grows its states as texts need them."""
+    predicates: dict[frozenset, ProductPredicate] = {}
     int_map: dict[StateName, tuple[StateName, frozenset]] = {}
     for mod in dxvpa.modules.values():
         for src, (dst, dtset) in mod.internals.items():
             key = frozenset(dtset)
             if key not in predicates:
-                members = [dxvpa.dts.datatypes[name].dfa for name in sorted(key)]
-                predicates[key] = members[0] if len(members) == 1 else union_dfas(members)
+                predicates[key] = dxvpa.dts.predicate(key)
             int_map[src] = (dst, key)
     return Cxvpa(dxvpa, predicates, int_map)
 

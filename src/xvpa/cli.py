@@ -254,14 +254,22 @@ def cmd_export_dot(args, dts) -> int:
 
 
 def cmd_eval(args, dts) -> int:
-    corpus = read_corpus(args.corpus)
+    try:
+        corpus = read_corpus(args.corpus)
+    except MalformedXmlError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     if not corpus.train:
         print("error: corpus has no training documents", file=sys.stderr)
         return EXIT_STATE
     learner = Learner(dts, NamingScheme(args.mode, args.k, args.l))
     for stream in corpus.train:
         learner.learn(stream)
-    model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    try:
+        model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    except (EmptyLanguageError, AutomatonStructureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STATE
     report = evaluate(model, corpus)
     print(report.summary())
     if args.report:

@@ -11,7 +11,12 @@ Everything is loaded from a versioned definition file (see
 the lexical spaces; its content hash travels with persisted learner state
 so that models and definitions cannot drift apart silently.
 
-The loaded system is immutable and safe for unrestricted concurrent reads.
+The datatypes and both orders are immutable once loaded.  One lazily
+determinized product of all the datatypes' acceptors classifies a text in
+a single scan, for inference and for every compiled text predicate; its
+states are built on first use, under a lock taken only when a transition
+is new, so concurrent reads stay safe.  The inference cache is meant for
+the single thread that learns.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .dfa import Dfa
+from .dfa import Dfa, ProductDfa, ProductPredicate
 
 ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
@@ -70,6 +75,8 @@ class LexicalDatatypeSystem:
                 raise DatatypeFileError(f"kind order mentions unknown kind {a!r}/{b!r}")
         self._kind_up = _closure_masks(self._kind_index, kind_edges)
         self._validate()
+        self.product = ProductDfa(d.dfa for d in datatypes)
+        self._all = (1 << len(datatypes)) - 1
         self._infer_cache: dict[str, frozenset[str]] = {}
 
     def _validate(self):
@@ -98,6 +105,11 @@ class LexicalDatatypeSystem:
         """Membership of ``text`` in the lexical space of ``name``."""
         return self.datatypes[name].dfa.accepts(text)
 
+    def predicate(self, names) -> ProductPredicate:
+        """Membership in the union of the named lexical spaces, run on the
+        shared product."""
+        return ProductPredicate(self.product, sum(1 << self._index[name] for name in names))
+
     def lex_lt(self, a: str, b: str) -> bool:
         """Strict lexical subsumption per the declared order."""
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
@@ -110,18 +122,20 @@ class LexicalDatatypeSystem:
     def minimal_datatypes(self, text: str) -> frozenset[str]:
         """The nonempty antichain of minimal datatypes accepting ``text``.
 
-        Walks datatypes in topological order of the subsumption order and
-        prunes the up-set of every match from the candidate set, so each
-        accepted candidate is minimal by construction.  The top datatype
-        accepts everything, hence the result is never empty.
+        One product scan gives the mask of accepting datatypes.  Walking
+        them in topological order of the subsumption order prunes the
+        up-set of every match, so each one kept is minimal by construction.
+        The top datatype accepts everything, hence the result is never
+        empty.
         """
-        cand = (1 << len(self._names)) - 1
+        s = self.product.run(text, self._all)
+        cand = s.accept if s is not None else 0
         found = []
         for i in self._topo:
             if not cand:
                 break
             bit = 1 << i
-            if cand & bit and self.datatypes[self._names[i]].dfa.accepts(text):
+            if cand & bit:
                 found.append(self._names[i])
                 cand &= ~(bit | self._up[i])
         return frozenset(found)

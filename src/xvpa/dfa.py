@@ -3,8 +3,9 @@
 Lexical spaces of datatypes and the text predicates of compiled validators
 are plain regular languages.  This module supplies everything needed to
 treat them as first-class objects: a small pattern dialect, Thompson NFA
-construction, subset-construction determinization, DFA minimization,
-unions and membership.
+construction, subset-construction determinization, DFA minimization and
+membership, and a lazily determinized product of several DFAs that
+classifies a text against all of them in one scan.
 
 Character sets are kept as sorted, disjoint, inclusive codepoint intervals
 so that full Unicode classes (e.g. XML NameChar) stay tiny.
@@ -23,6 +24,7 @@ painful to spell as digit alternations.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from collections import deque
 
@@ -686,19 +688,130 @@ def _atomic_intervals(edges):
     return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
 
 
-def union_dfas(dfas) -> Dfa:
-    """Language union as a single minimized DFA."""
-    nfa = _Nfa()
-    start = nfa.new_state()
-    accepts = set()
-    for d in dfas:
-        offset = len(nfa.eps)
-        for _ in range(d.n):
-            nfa.new_state()
-        nfa.add_eps(start, offset + d.start)
-        for s in range(d.n):
-            for lo, hi, dst in d.edges(s):
-                nfa.add_edge(offset + s, ((lo, hi),), offset + dst)
-            if s in d.accepting:
-                accepts.add(offset + s)
-    return Dfa.from_nfa(nfa, start, accepts).minimized()
+# ---------------------------------------------------------------------------
+# lazily determinized product
+
+ASCII = 128
+
+
+class _ProductState:
+    """One product state: its component states (None where a component is
+    dead), the accept and live bitmasks, and its transition rows.
+
+    ``ascii`` holds the successor of each ASCII codepoint; ``wide`` is
+    None until a codepoint above ASCII arrives, then the state's atomic
+    intervals above ASCII (the merged boundaries of its components'
+    intervals) as ``(los, successors)``.  A successor slot is None until a
+    run first needs it.
+    """
+
+    __slots__ = ("comps", "accept", "live", "ascii", "wide")
+
+    def __init__(self, comps, accept, live):
+        self.comps = comps
+        self.accept = accept
+        self.live = live
+        self.ascii = [None] * ASCII
+        self.wide = None
+
+
+class ProductDfa:
+    """The product of minimized DFAs, determinized lazily.
+
+    Bit ``i`` of a state's ``accept`` mask is set when component ``i``
+    accepts there, and of its ``live`` mask when component ``i`` is not
+    dead.  The components are minimized, so each of their states reaches
+    acceptance and the live mask is exact.
+
+    Nothing is built up front: a transition is computed the first time a
+    run takes it.  Memory is bounded by the reachable product states and
+    their rows (128 ASCII slots plus one slot per atomic interval above
+    ASCII), never by the input.  Runs read without locking; a miss takes
+    the lock, and a successor is published only once its masks and rows
+    exist, so concurrent runs are safe.
+    """
+
+    def __init__(self, dfas):
+        self.dfas = tuple(dfas)
+        self.states: dict[tuple, _ProductState] = {}
+        self._lock = threading.Lock()
+        self.start = self._state(tuple(d.start if d.accepting else None for d in self.dfas))
+
+    def run(self, text: str, mask: int) -> _ProductState | None:
+        """The state after ``text``, or None as soon as no component in
+        ``mask`` is live."""
+        s = self.start
+        for ch in text:
+            cp = ord(ch)
+            if cp < ASCII:
+                t = s.ascii[cp]
+            else:
+                wide = s.wide
+                t = wide and wide[1][bisect_right(wide[0], cp) - 1]
+            if t is None:
+                t = self._miss(s, cp)
+            s = t
+            if not s.live & mask:
+                return None
+        return s
+
+    def _miss(self, s: _ProductState, cp: int) -> _ProductState:
+        with self._lock:
+            if cp < ASCII:
+                t = s.ascii[cp]
+                if t is None:
+                    t = s.ascii[cp] = self._successor(s, cp)
+                return t
+            if s.wide is None:
+                s.wide = self._partition(s)
+            los, successors = s.wide
+            i = bisect_right(los, cp) - 1
+            t = successors[i]
+            if t is None:
+                t = successors[i] = self._successor(s, los[i])
+            return t
+
+    def _successor(self, s: _ProductState, cp: int) -> _ProductState:
+        return self._state(tuple(None if c is None else d.step(c, cp)
+                                 for d, c in zip(self.dfas, s.comps)))
+
+    def _state(self, comps: tuple) -> _ProductState:
+        s = self.states.get(comps)
+        if s is None:
+            accept = live = 0
+            for i, (d, c) in enumerate(zip(self.dfas, comps)):
+                if c is not None:
+                    live |= 1 << i
+                    if c in d.accepting:
+                        accept |= 1 << i
+            s = self.states[comps] = _ProductState(comps, accept, live)
+        return s
+
+    def _partition(self, s: _ProductState):
+        """Atomic intervals above ASCII: every component steps the same
+        way on each, so one codepoint stands for all of it."""
+        points = {ASCII}
+        for d, c in zip(self.dfas, s.comps):
+            if c is not None:
+                for lo, hi, _dst in d.edges(c):
+                    points.add(lo)
+                    points.add(hi + 1)
+        los = sorted(p for p in points if ASCII <= p <= MAX_CP)
+        return los, [None] * len(los)
+
+
+class ProductPredicate:
+    """Membership in the union of the product components named by a mask.
+
+    A run stops at the first character after which none of them is live.
+    """
+
+    __slots__ = ("_run", "mask")
+
+    def __init__(self, product: ProductDfa, mask: int):
+        self._run = product.run
+        self.mask = mask
+
+    def accepts(self, text: str) -> bool:
+        s = self._run(text, self.mask)
+        return s is not None and bool(s.accept & self.mask)

@@ -576,15 +576,23 @@ def write_corpus(corpus: LabeledCorpus, directory: str) -> None:
 
 
 def read_corpus(directory: str) -> LabeledCorpus:
-    """Load a corpus directory written by :func:`write_corpus` (or by hand)."""
+    """Load a corpus directory written by :func:`write_corpus` (or by hand).
+
+    A document that fails to parse raises ``MalformedXmlError`` with its
+    path at the head of the message."""
     def read_dir(path):
         if not os.path.isdir(path):
             return []
         out = []
         for name in sorted(os.listdir(path)):
             if name.endswith(".xml"):
-                with open(os.path.join(path, name), "rb") as fh:
-                    out.append(ev.parse_document(fh.read()))
+                doc = os.path.join(path, name)
+                with open(doc, "rb") as fh:
+                    data = fh.read()
+                try:
+                    out.append(ev.parse_document(data))
+                except ev.MalformedXmlError as exc:
+                    raise ev.MalformedXmlError(f"{doc}: {exc}") from exc
         return out
 
     train = read_dir(os.path.join(directory, "train"))

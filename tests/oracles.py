@@ -7,17 +7,20 @@ enumerator produces every well-nested stream within depth/width bounds,
 the accepted-stream witness is a fixpoint of its own over the compiled maps,
 module minimization is the pairwise scan that restarts after each fold,
 the datatype-set validator checks each text against every member
-datatype instead of the compiled predicate, and DFA pairs are compared
-by a breadth-first search of their product for a witness string.
+datatype instead of the compiled predicate, the reference predicate of a
+datatype set is the determinized, minimized union of its members' DFAs,
+and DFA pairs are compared by a breadth-first search of their product for
+a witness string.
 """
 
 import re
 from collections import deque
+from functools import lru_cache
 from random import Random
 
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, validate
-from xvpa.dfa import Dfa, _atomic_intervals
+from xvpa.dfa import Dfa, _atomic_intervals, _Nfa
 from xvpa.weighted import START_STATE
 
 
@@ -185,8 +188,9 @@ def enumerate_streams(labels, texts, depth: int, width: int):
 # ---------------------------------------------------------------------------
 # sampling accepted streams from a compiled validator
 
-def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80):
-    """Random walk over a compiled automaton that ends in acceptance."""
+def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int = 80):
+    """Random walk over a compiled automaton that ends in acceptance.
+    Texts are sampled from the reference predicates."""
     calls_by_state = {}
     for (q, c), target in model.call_map.items():
         calls_by_state.setdefault(q, []).append((c, target))
@@ -232,11 +236,11 @@ def sample_accepted_stream(model, rng: Random, dfa_sample, max_events: int = 80)
             state = b
         else:
             dst, key = a, b
-            events.append(ev.text(dfa_sample(model.predicates[key], rng)))
+            events.append(ev.text(dfa_sample(reference_predicate(dts, key), rng)))
             state = dst
 
 
-def accepted_witness(model, rng: Random | None = None):
+def accepted_witness(model, dts, rng: Random | None = None):
     """A stream that ``validate`` accepts on ``model``, or None when it
     accepts none.
 
@@ -246,14 +250,14 @@ def accepted_witness(model, rng: Random | None = None):
     A call from ``q`` on ``c`` into entry ``f`` extends a run by any run of
     ``f`` that ends in an exit taking the return for ``(q, c)``.  Every
     ``(entry, state, text)`` is visited, so a stream is found whenever
-    one exists.  Texts are sampled from the predicates.
+    one exists.  Texts are sampled from the reference predicates.
     """
     rng = rng or Random(0)
     texts = {}
 
     def text_for(key):
         if key not in texts:
-            samples = [sample_string(model.predicates[key], rng) for _ in range(10)]
+            samples = [sample_string(reference_predicate(dts, key), rng) for _ in range(10)]
             texts[key] = next((t for t in samples if t.strip()), samples[0])
         return ev.text(texts[key])
 
@@ -437,6 +441,35 @@ def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
                 returns[(pairing[popped], c)] = pairing[target]
 
     del modules[key_n]
+
+
+# ---------------------------------------------------------------------------
+# reference predicates: unions of member DFAs
+
+def union_dfas(dfas) -> Dfa:
+    """Language union as a single minimized DFA."""
+    nfa = _Nfa()
+    start = nfa.new_state()
+    accepts = set()
+    for d in dfas:
+        offset = len(nfa.eps)
+        for _ in range(d.n):
+            nfa.new_state()
+        nfa.add_eps(start, offset + d.start)
+        for s in range(d.n):
+            for lo, hi, dst in d.edges(s):
+                nfa.add_edge(offset + s, ((lo, hi),), offset + dst)
+            if s in d.accepting:
+                accepts.add(offset + s)
+    return Dfa.from_nfa(nfa, start, accepts).minimized()
+
+
+@lru_cache(maxsize=None)
+def reference_predicate(dts, key: frozenset) -> Dfa:
+    """The compiled predicate of a datatype set, as one DFA: the member's
+    own DFA for a single datatype, else the union of the members'."""
+    members = [dts.datatypes[name].dfa for name in sorted(key)]
+    return members[0] if len(members) == 1 else union_dfas(members)
 
 
 # ---------------------------------------------------------------------------

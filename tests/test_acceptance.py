@@ -202,7 +202,7 @@ def test_criterion_5c_strong_monotonicity(dts):
         docs = generate(cardealer_grammar(), 24, rng.getrandbits(32))
         learner = _learn_all(dts, scheme, docs[:12])
         model = _model_of(dts, learner)
-        samples = [sample_accepted_stream(model, rng, sample_string) for _ in range(20)]
+        samples = [sample_accepted_stream(model, dts, rng, sample_string) for _ in range(20)]
         for s in samples:
             assert validate(model, s).accepted
         for d in docs[12:]:

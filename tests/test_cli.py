@@ -233,6 +233,31 @@ def test_eval_command(tmp_path, capsys, master_seed):
         assert "structural-wrapping" in fh.read()
 
 
+def _corpus(tmp_path, train):
+    directory = tmp_path / "corpus"
+    (directory / "train").mkdir(parents=True)
+    for i, payload in enumerate(train, 1):
+        (directory / "train" / f"{i}.xml").write_bytes(payload)
+    return str(directory)
+
+
+def test_eval_structure_error_is_state_error(tmp_path, capsys):
+    """Two root elements make no model: a message and exit 4, not a
+    traceback and the "rejected" code."""
+    code = run(["eval", _corpus(tmp_path, [b"<a>5</a>", b"<b>5</b>"])])
+    err = capsys.readouterr().err
+    assert code == EXIT_STATE
+    assert err.startswith("error: ") and "multiple root elements" in err
+
+
+def test_eval_malformed_training_document_is_parse_error(tmp_path, capsys):
+    corpus = _corpus(tmp_path, [b"<a>5"])
+    code = run(["eval", corpus])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert os.path.join(corpus, "train", "1.xml") in err
+
+
 def test_console_entry_point(tmp_path):
     doc = tmp_path / "d.xml"
     doc.write_bytes(DOC_OK)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import Dfa, PatternError, union_dfas
+from xvpa.dfa import Dfa, PatternError
 
-from .oracles import distinguishing_string, sample_string, subset_counterexample
+from .oracles import distinguishing_string, sample_string, subset_counterexample, union_dfas
 
 # patterns whose syntax coincides with Python re, for oracle comparison
 RE_COMPATIBLE = [

@@ -263,7 +263,7 @@ def sanitize_checked(dts, learner) -> bool:
         assert dump_state(learner) == before and not learner.sanitized
         return False
     model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
-    witness = accepted_witness(model)
+    witness = accepted_witness(model, dts)
     assert witness is not None and validate(model, witness).accepted
     return True
 
