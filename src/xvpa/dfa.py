@@ -678,13 +678,19 @@ def _merge_rows(rows):
     return merged
 
 
-def _atomic_intervals(edges):
+def _boundaries(intervals) -> list[int]:
+    """The sorted codepoints at which some interval starts or after which
+    one ends: between two consecutive boundaries, each interval covers
+    every codepoint or none."""
     points = set()
-    for cs, _ in edges:
-        for lo, hi in cs:
-            points.add(lo)
-            points.add(hi + 1)
-    bounds = sorted(points)
+    for lo, hi in intervals:
+        points.add(lo)
+        points.add(hi + 1)
+    return sorted(points)
+
+
+def _atomic_intervals(edges):
+    bounds = _boundaries(iv for cs, _ in edges for iv in cs)
     return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
 
 
@@ -726,7 +732,10 @@ class ProductDfa:
     Nothing is built up front: a transition is computed the first time a
     run takes it.  Memory is bounded by the reachable product states and
     their rows (128 ASCII slots plus one slot per atomic interval above
-    ASCII), never by the input.  Runs read without locking; a miss takes
+    ASCII), never by the input.  The dense ASCII row spares ASCII text the
+    bisect over intervals that every codepoint above ASCII takes; on the
+    ASCII workloads of the benchmark, one interval row over the whole
+    range ran measurably slower.  Runs read without locking; a miss takes
     the lock, and a successor is published only once its masks and rows
     exist, so concurrent runs are safe.
     """
@@ -790,13 +799,9 @@ class ProductDfa:
     def _partition(self, s: _ProductState):
         """Atomic intervals above ASCII: every component steps the same
         way on each, so one codepoint stands for all of it."""
-        points = {ASCII}
-        for d, c in zip(self.dfas, s.comps):
-            if c is not None:
-                for lo, hi, _dst in d.edges(c):
-                    points.add(lo)
-                    points.add(hi + 1)
-        los = sorted(p for p in points if ASCII <= p <= MAX_CP)
+        bounds = _boundaries((lo, hi) for d, c in zip(self.dfas, s.comps) if c is not None
+                             for lo, hi, _dst in d.edges(c))
+        los = [ASCII] + [p for p in bounds if ASCII < p <= MAX_CP]
         return los, [None] * len(los)
 
 

@@ -21,9 +21,8 @@ from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state, parse_state
 
-from .oracles import (distinguishing_string, enumerate_streams, minimize_pairwise,
-                      reference_predicate, validate_dxvpa)
-from .samplers import sample
+from .oracles import enumerate_streams, minimize_pairwise, sample_string, validate_dxvpa
+from .samplers import mixed_corpus, sample
 
 A11 = NamingScheme("ancestor", 1, 1)
 A12 = NamingScheme("ancestor", 1, 2)
@@ -397,12 +396,23 @@ def test_year_predicate_accepts_both_members(cardealer, dts):
         assert not predicate.accepts(text), text
 
 
-def test_single_datatype_predicate_equals_member(dts):
+def test_single_datatype_predicate_equals_member(dts, master_seed):
+    """A one-member predicate selects that member's bit alone and agrees
+    with the member's DFA on its own strings and on every other kind."""
     learner = learn_corpus(dts, A11, [ev.parse_document(b"<m>false</m>")])
     cx = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
     (key,) = cx.predicates
     assert key == frozenset({"boolean"})
-    assert distinguishing_string(reference_predicate(dts, key), dts.datatypes["boolean"].dfa) is None
+    predicate = cx.predicates[key]
+    assert predicate.mask == 1 << dts.names().index("boolean")
+    rng = random.Random(master_seed + 12)
+    boolean = dts.datatypes["boolean"].dfa
+    texts = [sample_string(boolean, rng) for _ in range(50)]
+    texts += mixed_corpus(rng, 300) + ["", "tru", "True", "1 ", "false0"]
+    assert any(dts.accepts("boolean", t) for t in texts)
+    assert not all(dts.accepts("boolean", t) for t in texts)
+    for text in texts:
+        assert predicate.accepts(text) == boolean.accepts(text), text
 
 
 def test_predicate_membership_cross_check(cardealer, dts, master_seed):
