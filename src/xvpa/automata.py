@@ -100,15 +100,6 @@ class Dxvpa:
                     raise AutomatonStructureError(
                         "return transition targets a datatype-choice successor")
 
-    def stats(self):
-        return {
-            "modules": len(self.modules),
-            "states": sum(len(m.states) for m in self.modules.values()),
-            "calls": sum(len(m.calls) for m in self.modules.values()),
-            "internals": sum(len(m.internals) for m in self.modules.values()),
-            "returns": sum(len(m.returns) for m in self.modules.values()),
-        }
-
 
 class Cxvpa:
     """Predicate-transition automaton for one-pass validation.
@@ -147,9 +138,12 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     with empty siblings; exits are states with outgoing returns, and the
     module's one return table, keyed by (popped state, element), holds the
     returns of all its exits, so each exit takes each of them.  A return
-    key that two modules take, or that has two targets in one module, is a
-    structure error: a learner never makes one, since the callee and the
-    target are functions of the popped state and element.
+    key that two modules take, or that lies outside the module the popped
+    state's call on its element enters, or that has two targets in one
+    module, is a structure error: a learner never makes one, since the
+    callee and the target are functions of the popped state and element.
+    (A crossed return would come alive when minimize folds its module
+    into the callee's class.)
     Each transition map is read once, so the cost is linear in the
     snapshot.
     """
@@ -204,9 +198,11 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             continue  # root return: represented by finals
         if popped[0] not in modules or dst[0] != popped[0]:
             raise _outside_modules((q, c, popped, dst))
-        if owner.setdefault((popped, c), q[0]) != q[0]:
+        # the one module that takes it: the callee of its call, if any
+        callee = modules[popped[0]].calls.get((popped, c))
+        if owner.setdefault((popped, c), callee or q[0]) != q[0]:
             raise AutomatonStructureError(
-                f"return on {c!r} popping {popped!r} lies in two modules")
+                f"return on {c!r} popping {popped!r} lies in two modules or outside its callee")
         if mod.returns.setdefault((popped, c), dst) != dst:
             raise AutomatonStructureError(
                 f"return on {c!r} popping {popped!r} has two targets")
@@ -294,150 +290,71 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
     Congruence is bisimilarity of the module graphs where internal edges
     compare by exact datatype choice and call edges by (element, callee
     module); the pairing must be a bijection.  One coarsest-partition
-    refinement over all module states picks the candidates: modules of one
-    element whose entries share a block.  Only the pairwise test folds a
-    candidate into the repr-smallest bisimilar member of its class; a fold
-    can make its callers' pairs bisimilar, so their classes are tested
-    again.  A fold never separates a bisimilar pair, and bisimilar modules
-    always share a block, so this reaches the automaton of a pairwise scan
-    over all modules.  Calls are indexed by state and returns by (popped
-    state, element), so testing a pair costs the edges of the states it
-    visits, and refinement costs its rounds times the states and edges.
-    The input is not mutated.
+    refinement over all module states (``_blocks``) decides it: modules of
+    one element whose entries share a block form a class, and each class
+    folds into its member with the repr-smallest key.  A call's returns
+    lie in its callee (``build_xvpa`` checks it), so folding a class never
+    changes the module graph its members' callers see, and these classes
+    are the modules a pairwise scan leaves.  A walk from the entries pairs
+    every folded module's states with its survivor's; a pairing that is
+    not a bijection raises ``AutomatonStructureError``.  One pass then
+    builds the survivors: calls go to survivors, and every member's
+    returns go into its survivor's table, a return that pops a state named
+    in a folded module mapped through the pairing, or dropped when the
+    pairing does not cover it (the folded module never takes it).
+    Refinement costs its rounds times the states and edges; the rest is
+    linear.  The input is not mutated.
     """
-    modules = {k: _copy_module(m) for k, m in dxvpa.modules.items()}
-    m0 = dxvpa.m0
-    graph = _ModuleGraph(modules)
+    modules = dxvpa.modules
+    labels: dict[StateName, list[str]] = {}  # a state's call elements
+    for mod in modules.values():
+        for q, c in mod.calls:
+            labels.setdefault(q, []).append(c)
+    block = _blocks(modules, labels)
 
-    classes = _candidate_classes(graph)
-    class_of = {key: i for i, members in enumerate(classes) for key in members}
-    pending = list(range(len(classes)))
-    queued = set(pending)
-    while pending:
-        i = pending.pop()
-        queued.discard(i)
-        survivors = []
-        for key_n in classes[i]:
-            n = modules[key_n]
-            for key_m in survivors:
-                pairing = _bisimulation(graph, modules[key_m], n)
-                if pairing is None:
-                    continue
-                for key_c in graph.callers[key_n] - {key_n}:
-                    j = class_of.get(key_c)
-                    if j is not None and j not in queued:
-                        queued.add(j)
-                        pending.append(j)
-                graph.fold(key_m, key_n, pairing)
-                if m0 == key_n:
-                    m0 = key_m
-                break
-            else:
-                survivors.append(key_n)
-        classes[i] = survivors
-    return Dxvpa(modules, m0, dxvpa.root_element, dxvpa.dts)
+    survivor: dict[tuple, tuple] = {}
+    classes: dict[tuple, tuple] = {}
+    for key in sorted(modules, key=repr):
+        mod = modules[key]
+        survivor[key] = classes.setdefault((mod.element, block[mod.entry]), key)
+    pairing: dict[StateName, StateName] = {}  # folded state -> survivor state
+    for key, mod in modules.items():
+        if survivor[key] != key:
+            pairing.update(_pairing(modules, labels, mod, modules[survivor[key]]))
 
-
-def _copy_module(m: Module) -> Module:
-    return Module(context=m.context, element=m.element, states=set(m.states),
-                  entry=m.entry, exits=set(m.exits), calls=dict(m.calls),
-                  internals=dict(m.internals), returns=dict(m.returns))
+    folded = {key: Module(context=mod.context, element=mod.element, states=set(mod.states),
+                          entry=mod.entry, exits=set(mod.exits),
+                          calls={qc: survivor[callee] for qc, callee in mod.calls.items()},
+                          internals=dict(mod.internals))
+              for key, mod in modules.items() if survivor[key] == key}
+    for key, mod in modules.items():
+        returns = folded[survivor[key]].returns
+        for (popped, c), target in mod.returns.items():
+            if survivor[popped[0]] == popped[0]:
+                returns[(popped, c)] = target
+            elif popped in pairing and target in pairing:
+                returns[(pairing[popped], c)] = pairing[target]
+    return Dxvpa(folded, survivor[dxvpa.m0], dxvpa.root_element, dxvpa.dts)
 
 
-class _ModuleGraph:
-    """The module-graph view of a set of modules, folded in place.
-
-    ``labels`` maps a state to the elements it calls (fixed by the
-    snapshot) and ``callers`` maps a module to the modules that call it.
-    A call from state q on element c resumes in the callee's return for
-    (q, c).  A fold updates only the entries of the modules it touches.
-    """
-
-    def __init__(self, modules: dict):
-        self.modules = modules
-        self.labels: dict[StateName, list[str]] = {}
-        self.callers: dict[tuple, set] = {key: set() for key in modules}
-        for key, mod in modules.items():
-            for (q, c), callee in mod.calls.items():
-                self.labels.setdefault(q, []).append(c)
-                self.callers[callee].add(key)
-
-    def edges(self, mod: Module, state: StateName):
-        """Outgoing edges of a state in the module-graph view.
-
-        A call edge is labeled (element, callee module) and leads to the
-        state this module resumes in after the callee returns popping
-        ``state``; root-module calls that never resume map to None."""
-        edges = {}
-        hit = mod.internals.get(state)
-        if hit:
-            dst, dtset = hit
-            edges[("text", dtset)] = dst
-        for c in self.labels.get(state, ()):
-            callee_key = mod.calls.get((state, c))
-            if callee_key is not None:
-                edges[("call", c, callee_key)] = self.modules[callee_key].returns.get((state, c))
-        return edges
-
-    def fold(self, key_m: tuple, key_n: tuple, pairing: dict):
-        """Fold module n into m, rewriting calls and returns of its neighbors."""
-        modules = self.modules
-        m, n = modules[key_m], modules[key_n]
-
-        # callers of n now call m; n's returns move to m's table (their
-        # targets live in the callers and stay valid)
-        callers = self.callers.pop(key_n)
-        callers.discard(key_n)
-        for key_i in callers:
-            mod_i = modules[key_i]
-            for (q, c), callee in list(mod_i.calls.items()):
-                if callee == key_n:
-                    mod_i.calls[(q, c)] = key_m
-        self.callers[key_m] |= callers
-        m.returns.update(n.returns)
-
-        # callees of n: returns popping n-states are rewritten through the pairing
-        callees = {callee for (_q, _c), callee in n.calls.items()}
-        for callee_key in callees:
-            if callee_key == key_n:
-                callee_key = key_m  # n's returns to its own calls moved to m
-            else:
-                self.callers[callee_key].discard(key_n)
-            returns = modules[callee_key].returns
-            # the folded module never takes a return whose popped state or
-            # target the pairing does not cover, so such a return is dropped
-            for (popped, c), target in list(returns.items()):
-                if popped in n.states:
-                    del returns[(popped, c)]
-                    if popped in pairing and target in pairing:
-                        returns[(pairing[popped], c)] = pairing[target]
-
-        del modules[key_n]
-
-
-def _candidate_classes(graph: _ModuleGraph) -> list[list]:
-    """Modules that may fold together, by coarsest partition refinement.
+def _blocks(modules: dict, labels: dict) -> dict[StateName, int]:
+    """The block of each module state, by coarsest partition refinement.
 
     A state's signature is its exit flag, its text edge (datatype choice,
-    target block) and its call edges (element, callee entry block, resume
-    block), taken in the module-graph view of its own module, where a
-    target outside the module has no edges.  Blocks start as one and split
-    until stable (Moore refinement, as in ``Dfa.minimized``).  Bisimilar
-    modules have entries in one block, so each class lists the modules of
-    one element whose entries share a block, in repr order.
+    target block) and its call edges (element, callee entry block, block
+    of the state its module resumes in after the callee returns), where a
+    target outside its module has no edges.  Blocks start as one and split
+    until stable (Moore refinement, as in ``Dfa.minimized``).
     """
-    modules = graph.modules
     empty = (False, None, ())
     rows = []
     for mod in modules.values():
         for q in mod.states:
-            hit = mod.internals.get(q)
             calls = []
-            for c in sorted(graph.labels.get(q, ())):
-                callee_key = mod.calls[(q, c)]
-                callee = modules[callee_key]
+            for c in sorted(labels.get(q, ())):
+                callee = modules[mod.calls[(q, c)]]
                 calls.append((c, callee.entry, callee.returns.get((q, c))))
-            rows.append((q, mod.states, q in mod.exits, hit, calls))
+            rows.append((q, mod.states, q in mod.exits, mod.internals.get(q), calls))
     block: dict[StateName, int] = {}
     count = 0
     while True:
@@ -455,45 +372,34 @@ def _candidate_classes(graph: _ModuleGraph) -> list[list]:
             new_block[q] = ids.setdefault(sig, len(ids))
         block = new_block
         if len(ids) == count:
-            break
+            return block
         count = len(ids)
-    by_key: dict[tuple, list] = {}
-    for key in sorted(modules, key=repr):
-        by_key.setdefault((modules[key].element, block[modules[key].entry]), []).append(key)
-    return [members for members in by_key.values() if len(members) > 1]
 
 
-def _bisimulation(graph: _ModuleGraph, m: Module, n: Module):
-    """Entry-rooted pairing of two module graphs, or None.
-
-    Requires identical edge labels at every paired state, identical
-    exit status, and a bijective pairing.
-    """
+def _pairing(modules: dict, labels: dict, n: Module, m: Module) -> dict:
+    """Pair the states of module n with those of m, in step from the
+    entries along text edges and call resumes.  The entries share a block,
+    so paired states carry the same edges; a pairing that is not a
+    bijection is a structure error."""
     pairing: dict[StateName, StateName] = {}
-    reverse: dict[StateName, StateName] = {}
+    paired = set()
     work = [(n.entry, m.entry)]
     while work:
         qn, qm = work.pop()
-        if qn in pairing:
-            if pairing[qn] != qm:
-                return None
+        if qn in pairing and pairing[qn] == qm:
             continue
-        if qm in reverse and reverse[qm] != qn:
-            return None
-        if (qn in n.exits) != (qm in m.exits):
-            return None
-        edges_n = graph.edges(n, qn)
-        edges_m = graph.edges(m, qm)
-        if set(edges_n) != set(edges_m):
-            return None
+        if qn in pairing or qm in paired:
+            raise AutomatonStructureError(
+                f"modules {n.context!r} and {m.context!r} share a class but their "
+                "states pair non-bijectively")
         pairing[qn] = qm
-        reverse[qm] = qn
-        for label, target_n in edges_n.items():
-            target_m = edges_m[label]
-            if (target_n is None) != (target_m is None):
-                return None
-            if target_n is not None:
-                work.append((target_n, target_m))
+        paired.add(qm)
+        if qn in n.internals:
+            work.append((n.internals[qn][0], m.internals[qm][0]))
+        for c in labels.get(qn, ()):
+            resume = modules[n.calls[(qn, c)]].returns.get((qn, c))
+            if resume is not None:
+                work.append((resume, modules[m.calls[(qm, c)]].returns[(qm, c)]))
     return pairing
 
 

@@ -167,7 +167,7 @@ class _Parser:
         while self.peek() is not None and self.peek() not in stops:
             digits += self.take()
         if not digits.isdigit():
-            self.error("expected integer in repetition")
+            self.error("expected integer")
         return int(digits)
 
     def atom(self):
@@ -190,6 +190,15 @@ class _Parser:
 
     def escape(self):
         ch = self.take()
+        if ch == "n" and self.src.startswith("um{", self.pos):
+            self.pos += 3
+            lo = self.int_until(",")
+            self.take()
+            hi = self.int_until("}")
+            self.take()
+            if hi < lo:
+                self.error(r"bad \num bounds")
+            return ("num", lo, hi)
         if ch == "d":
             return ("set", DIGIT_CS)
         if ch == "u":
@@ -216,6 +225,8 @@ class _Parser:
 
     def class_escape(self) -> int | tuple[Interval, ...]:
         ch = self.take()
+        if ch == "n" and self.src.startswith("um{", self.pos):
+            self.error(r"\num in a character class")
         if ch == "d":
             return DIGIT_CS
         if ch == "u":
@@ -280,54 +291,8 @@ class _Parser:
 
 
 def parse_pattern(src: str):
-    r"""Parse a pattern into an AST, handling the \num{lo,hi} atom."""
-    # \num{...} is lexically awkward inside the char-by-char parser, so it
-    # is replaced with a placeholder character from a private-use plane and
-    # restored during NFA construction.
-    ranges = []
-    out = []
-    i = 0
-    while i < len(src):
-        if src.startswith(r"\num{", i):
-            j = src.index("}", i)
-            body = src[i + 5:j]
-            try:
-                lo_s, hi_s = body.split(",")
-                lo, hi = int(lo_s), int(hi_s)
-            except ValueError:
-                raise PatternError(f"bad \\num atom in {src!r}") from None
-            if lo < 0 or hi < lo:
-                raise PatternError(f"bad \\num bounds in {src!r}")
-            placeholder = chr(0xF0000 + len(ranges))
-            ranges.append((lo, hi))
-            out.append(placeholder)
-            i = j + 1
-        else:
-            if src[i] == "\\" and i + 1 < len(src):
-                out.append(src[i:i + 2])
-                i += 2
-            else:
-                out.append(src[i])
-                i += 1
-    ast = _Parser("".join(out)).parse()
-
-    def restore(node):
-        kind = node[0]
-        if kind == "set":
-            cs = node[1]
-            if len(cs) == 1 and cs[0][0] == cs[0][1] and 0xF0000 <= cs[0][0] < 0xF0000 + len(ranges):
-                lo, hi = ranges[cs[0][0] - 0xF0000]
-                return ("num", lo, hi)
-            return node
-        if kind in ("cat", "alt"):
-            return (kind, tuple(restore(c) for c in node[1]))
-        if kind == "star":
-            return ("star", restore(node[1]))
-        if kind == "rep":
-            return ("rep", restore(node[1]), node[2], node[3])
-        return node
-
-    return restore(ast) if ranges else ast
+    """Parse a pattern into an AST."""
+    return _Parser(src).parse()
 
 
 # ---------------------------------------------------------------------------

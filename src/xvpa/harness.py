@@ -238,8 +238,8 @@ def _free_text(text: str) -> bool:
     return any(c.isalpha() for c in text) and not _value_like(text)
 
 
-def _element_spans(evts, skip_root=True):
-    """(start, end) index pairs of element subtrees, ends inclusive."""
+def _element_spans(evts):
+    """(start, end) index pairs of the subtrees below the root, ends inclusive."""
     spans = []
     stack = []
     for i, e in enumerate(evts):
@@ -247,7 +247,7 @@ def _element_spans(evts, skip_root=True):
             stack.append(i)
         elif e.kind == END:
             j = stack.pop()
-            if not (skip_root and not stack):
+            if stack:
                 spans.append((j, i))
     return sorted(spans)
 

@@ -430,15 +430,17 @@ def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
                 mod_i.calls[(q, c)] = key_m
     m.returns.update(n.returns)
 
-    # callees of n: returns popping n-states are rewritten through the pairing
-    callees = {callee for (_q, _c), callee in n.calls.items()}
-    for callee_key in callees:
-        # a call of n into n is now a call of m into m, and its returns are in m
-        returns = modules[key_m if callee_key == key_n else callee_key].returns
-        for (popped, c), target in list(returns.items()):
-            if popped in n.states:
-                del returns[(popped, c)]
-                returns[(pairing[popped], c)] = pairing[target]
+    # returns popping a state named in n, in whatever module, are rewritten
+    # through the pairing; one whose popped state or target the pairing does
+    # not cover is one the folded module never takes, and is dropped
+    for key_i, mod_i in modules.items():
+        if key_i == key_n:
+            continue  # n's returns moved to m
+        for (popped, c), target in list(mod_i.returns.items()):
+            if popped[0] == key_n:
+                del mod_i.returns[(popped, c)]
+                if popped in pairing and target in pairing:
+                    mod_i.returns[(pairing[popped], c)] = pairing[target]
 
     del modules[key_n]
 

@@ -19,7 +19,7 @@ from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            build_xvpa, compile_cxvpa, minimize, to_dot, validate)
 from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
-from xvpa.persistence import dump_state, parse_state
+from xvpa.persistence import StateFileError, dump_state, parse_state
 
 from .oracles import enumerate_streams, minimize_pairwise, sample_string, validate_dxvpa
 from .samplers import mixed_corpus, sample
@@ -108,6 +108,20 @@ def test_return_in_two_modules_rejected(dts):
     edited = parse_state(dump_state(learner) + "ret r| x r| r|x 1\n", dts)
     with pytest.raises(AutomatonStructureError):
         build_xvpa(edited.snapshot(), dts)
+
+
+def test_crossed_return_rejected(dts):
+    """With the calls into p,a and q,a swapped, each module's return pops
+    a state whose call enters the other module.  No run takes such a
+    return, and folding the two modules would bring it alive: a structure
+    error, not a model."""
+    state = dump_state(learn_corpus(
+        dts, A12, [ev.parse_document(SCHEME_CORPORA["a12-shared-callee"][1][0])]))
+    edited = (state.replace("call root,p| a p,a|", "call root,p| a q,a|")
+              .replace("call root,q| a q,a|", "call root,q| a p,a|"))
+    assert edited != state
+    with pytest.raises(AutomatonStructureError, match="outside its callee"):
+        build_xvpa(parse_state(edited, dts).snapshot(), dts, False)
 
 
 def test_return_with_two_targets_in_one_module_rejected(dts):
@@ -298,7 +312,11 @@ def assert_same_automaton(got, want):
 
 
 def assert_minimize_matches_pairwise(dts, scheme, docs):
-    raw = build_xvpa(learn_corpus(dts, scheme, docs).snapshot(), dts, minimize_modules=False)
+    assert_learner_minimizes_pairwise(dts, learn_corpus(dts, scheme, docs))
+
+
+def assert_learner_minimizes_pairwise(dts, learner):
+    raw = build_xvpa(learner.snapshot(), dts, minimize_modules=False)
     assert_same_automaton(minimize(raw), minimize_pairwise(raw))
 
 
@@ -365,7 +383,76 @@ def test_minimize_matches_pairwise_on_random_corpora(dts, bodies, scheme):
     docs = [ev.stream_from_events(
         [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
         reindex=True) for body in bodies]
-    assert_minimize_matches_pairwise(dts, scheme, docs)
+    learner = learn_corpus(dts, scheme, docs)
+    assert_learner_minimizes_pairwise(dts, learner)
+    if learner.sanitize():
+        assert_learner_minimizes_pairwise(dts, learner)
+
+
+@pytest.fixture(scope="module")
+def learned_states(dts):
+    """State files of learners whose modules fold: the small corpora and
+    the recursive grammar under both naming schemes."""
+    states = [dump_state(learn_corpus(dts, scheme, [ev.parse_document(r) for r in raws]))
+              for scheme, raws in SCHEME_CORPORA.values()]
+    train, _mutants = _load_benchmark_workloads().recursive(1, 3, 2, 30, wrapped=0)
+    docs = [ev.parse_document(r) for r in train]
+    return states + [dump_state(learn_corpus(dts, scheme, docs)) for scheme in (A12, AS22)]
+
+
+_LINE_EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "swap", "count"]),
+                        st.integers(min_value=0), st.integers(min_value=0),
+                        st.sampled_from([1, 2, 7]))
+
+
+@given(st.integers(min_value=0), st.lists(_LINE_EDITS, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_minimize_matches_pairwise_on_edited_state_files(dts, learned_states, pick, edits):
+    """Edit the entry lines of a learned state file: delete or duplicate a
+    line, swap the target states of two lines, or set a counter to 1, 2 or
+    7.  Whenever the edited file still builds, minimize folds it as the
+    pairwise scan does."""
+    lines = learned_states[pick % len(learned_states)].splitlines()
+    head, body = lines[:8], lines[8:]
+    for kind, at, other, count in edits:
+        if not body:
+            break
+        i = at % len(body)
+        if kind == "delete":
+            del body[i]
+        elif kind == "duplicate":
+            body.insert(i, body[i])
+        else:
+            parts = body[i].split(" ")
+            if kind == "count":
+                parts[-1] = str(count)
+            else:
+                j = other % len(body)
+                others = body[j].split(" ")
+                parts[-2], others[-2] = others[-2], parts[-2]
+                body[j] = " ".join(others)
+            body[i] = " ".join(parts)
+    try:
+        raw = build_xvpa(parse_state("\n".join(head + body) + "\n", dts).snapshot(), dts, False)
+    except (StateFileError, AutomatonStructureError, EmptyLanguageError):
+        return
+    assert_same_automaton(minimize(raw), minimize_pairwise(raw))
+
+
+def test_minimize_refuses_a_class_without_bijective_pairing(dts):
+    """p,a and q,a each call x and then y.  The edited return makes q,a
+    resume in the same state after both calls; every resume state is a bare
+    exit, so refinement puts p,a and q,a in one class, but no bijection
+    pairs their states.  minimize refuses the file, where the pairwise scan
+    keeps the two modules apart."""
+    doc = ev.parse_document(b"<r><p><a><x/></a><a><y/></a></p><q><a><x/></a><a><y/></a></q></r>")
+    state = dump_state(learn_corpus(dts, A12, [doc]))
+    edited = state.replace("ret a,y| y q,a| q,a|y 1\n", "ret a,y| y q,a| q,a|x 1\n")
+    assert edited != state
+    raw = build_xvpa(parse_state(edited, dts).snapshot(), dts, False)
+    with pytest.raises(AutomatonStructureError, match="pair"):
+        minimize(raw)
+    assert {("p", "a"), ("q", "a")} <= set(minimize_pairwise(raw).modules)
 
 
 def test_fold_of_self_calling_module_rewrites_its_returns(dts):
@@ -382,6 +469,22 @@ def test_fold_of_self_calling_module_rewrites_its_returns(dts):
     for mod in folded.modules.values():
         assert {popped for popped, _c in mod.returns} <= states
         assert set(mod.returns.values()) <= states
+
+
+def test_fold_leaves_no_return_naming_a_removed_state(dts):
+    """Two returns no run takes: one pops a state of q,a that makes no call
+    on its element, from a module q,a never calls; the other pops a name of
+    q,a that is no state.  Folding q,a into p,a rewrites the first through
+    the pairing and drops the second, so no return names a removed state."""
+    learner = learn_corpus(dts, A12, [ev.parse_document(SCHEME_CORPORA["a12-shared-callee"][1][0])])
+    edited = parse_state(dump_state(learner) + "ret root,q|a x q,a|b q,a|b 1\n"
+                         "ret a,b|%24 b q,a|zz q,a|b 1\n", dts)
+    raw = build_xvpa(edited.snapshot(), dts, False)
+    folded = minimize(raw)
+    assert_same_automaton(folded, minimize_pairwise(raw))
+    assert ("q", "a") not in folded.modules
+    assert folded.modules[("root", "q")].returns[((("p", "a"), ("b",)), "x")] == (("p", "a"), ("b",))
+    assert all(popped[0] != ("q", "a") for popped, _c in folded.modules[("a", "b")].returns)
 
 
 # -- compilation ----------------------------------------------------------------

@@ -34,6 +34,25 @@ def run(args):
     return main(args)
 
 
+def test_validate_refuses_a_class_without_bijective_pairing(workdir, capsys):
+    """A state file whose refinement class pairs states non-bijectively is
+    corrupt: validate exits 4 and prints no verdict."""
+    doc = workdir["dir"] / "twins.xml"
+    doc.write_bytes(b"<r><p><a><x/></a><a><y/></a></p><q><a><x/></a><a><y/></a></q></r>")
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2", str(doc)])
+    with open(workdir["state"], encoding="utf-8") as fh:
+        state = fh.read()
+    edited = state.replace("ret a,y| y q,a| q,a|y 1\n", "ret a,y| y q,a| q,a|x 1\n")
+    assert edited != state
+    with open(workdir["state"], "w", encoding="utf-8") as fh:
+        fh.write(edited)
+    capsys.readouterr()
+    code = run(["validate", workdir["state"], str(doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_STATE and captured.out == ""
+    assert "state error" in captured.err
+
+
 def test_learn_init_and_relearn(workdir, capsys):
     code = run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
                 workdir["ok1.xml"], workdir["ok2.xml"]])

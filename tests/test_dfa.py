@@ -73,7 +73,7 @@ def test_unicode_classes_and_escapes():
 
 
 def test_syntax_errors():
-    for bad in ["(a", "a)", "[a", "a{2,1}", "*a", r"\num{5,1}", "a{x}"]:
+    for bad in ["(a", "a)", "[a", "a{2,1}", "*a", r"\num{5,1}", "a{x}", r"[\num{1,2}]"]:
         with pytest.raises(PatternError):
             Dfa.from_pattern(bad)
 
