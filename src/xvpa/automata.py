@@ -44,13 +44,14 @@ class Verdict:
     accepted: bool
     reason: str | None = None
     event_index: int | None = None
-    state: str | None = None
 
     def __bool__(self):
         return self.accepted
 
 
 ACCEPT = Verdict(True)
+
+_DONE = object()  # the state after the root element's return
 
 
 @dataclass
@@ -62,7 +63,7 @@ class Module:
     (popped state, element) to a state of the calling module, and every
     state in ``exits`` takes every return (single-exit property).  Returns
     that pop the start state close the root element and are kept out of
-    ``returns``: they are represented by module exits + finals.
+    ``returns``; the compiled model adds the root's call and return.
     """
 
     context: tuple
@@ -83,7 +84,6 @@ class Dxvpa:
         self.m0 = m0
         self.root_element = root_element
         self.dts = dts
-        self.finals = frozenset(modules[m0].exits)
         self._check_structure()
 
     def _check_structure(self):
@@ -107,17 +107,18 @@ class Cxvpa:
     Structure mirrors the dXVPA it was compiled from; every datatype
     choice is fused into one predicate, at most one internal transition
     per state.  ``ret_map`` maps (popped state, element) to the
-    target and the exits of the one module that takes that return.
+    target and the exits of the one module that takes that return.  The
+    root element is an ordinary call from the start state into the start
+    module, and its return, taken by the start module's exits, leads to
+    ``_DONE``; no module call or return is keyed by the start state.
     """
 
     def __init__(self, dxvpa: Dxvpa, predicates, int_map):
-        self.root_element = dxvpa.root_element
-        self.m0 = dxvpa.m0
-        self.entry0 = dxvpa.modules[dxvpa.m0].entry
-        self.finals = dxvpa.finals
+        m0 = dxvpa.modules[dxvpa.m0]
         self.predicates: dict[frozenset, ProductPredicate] = predicates
-        self.call_map: dict[tuple, StateName] = {}
-        self.ret_map: dict[tuple, tuple[StateName, frozenset]] = {}
+        self.call_map: dict[tuple, StateName] = {(START_STATE, dxvpa.root_element): m0.entry}
+        self.ret_map: dict[tuple, tuple[StateName, frozenset]] = {
+            (START_STATE, dxvpa.root_element): (_DONE, frozenset(m0.exits))}
         self.int_map: dict[StateName, tuple[StateName, frozenset]] = int_map
         for mod in dxvpa.modules.values():
             for (q, c), callee in mod.calls.items():
@@ -195,7 +196,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             raise _outside_modules((q, c, popped, dst))
         mod.exits.add(q)
         if popped == START_STATE:
-            continue  # root return: represented by finals
+            continue  # root return: the compiled model adds it
         if popped[0] not in modules or dst[0] != popped[0]:
             raise _outside_modules((q, c, popped, dst))
         # the one module that takes it: the callee of its call, if any
@@ -421,83 +422,50 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     return Cxvpa(dxvpa, predicates, int_map)
 
 
-_BEFORE_ROOT = object()
-_DONE = object()
-_ROOT_MARK = object()
-
-
 def validate(model: Cxvpa, stream) -> Verdict:
     """Single-pass run over a document event stream.
 
     Accepts any iterable of events (a validated stream or a raw sequence,
-    e.g. an open-ended feed), runs the automaton with an explicit stack,
-    and checks each text once against the current state's predicate.
-    Failures become verdicts, never exceptions; cost is linear in event
-    count plus total text length.
+    e.g. an open-ended feed).  The run starts in the start state with an
+    empty stack, so the root element is its first call, and each event is
+    one lookup in the call, return or internal map; a text is checked once
+    against the current state's predicate.  The stream is accepted when
+    it ends just after the root's return.  Failures become verdicts, never
+    exceptions; cost is linear in event count plus total text length.
     """
-    root_element, finals = model.root_element, model.finals
     call_map, ret_map, int_map = model.call_map, model.ret_map, model.int_map
     predicates = model.predicates
-    q = _BEFORE_ROOT
+    q = START_STATE
     stack = []
     index = -1
     for event in stream:
         index = event.index if event.index >= 0 else index + 1
         if q is _DONE:
             return Verdict(False, TRAILING_CONTENT, index)
-        kind = event.kind
-        if kind == START:
-            label = event.label.render() if isinstance(event.label, QName) else str(event.label)
-            if q is _BEFORE_ROOT:
-                if label != root_element:
-                    return Verdict(False, UNEXPECTED_ELEMENT, index, "(start)")
-                stack.append(_ROOT_MARK)
-                q = model.entry0
-            else:
-                target = call_map.get((q, label))
-                if target is None:
-                    return Verdict(False, UNEXPECTED_ELEMENT, index, _show(q))
-                stack.append(q)
-                q = target
-        elif kind == END:
-            label = event.label.render() if isinstance(event.label, QName) else str(event.label)
-            if q is _BEFORE_ROOT or not stack:
-                return Verdict(False, UNEXPECTED_END, index, _show(q))
-            top = stack.pop()
-            if top is _ROOT_MARK:
-                if label != root_element or q not in finals:
-                    return Verdict(False, UNEXPECTED_END, index, _show(q))
-                q = _DONE
-            else:
-                hit = ret_map.get((top, label))
-                if hit is None or q not in hit[1]:
-                    return Verdict(False, UNEXPECTED_END, index, _show(q))
-                q = hit[0]
-        elif kind == CHARS:
-            if q is _BEFORE_ROOT:
-                return Verdict(False, DATATYPE_MISMATCH, index, "(before root)")
+        kind, label = event.kind, event.label
+        if kind == CHARS:
             hit = int_map.get(q)
-            if hit is None or not predicates[hit[1]].accepts(str(event.label)):
-                return Verdict(False, DATATYPE_MISMATCH, index, _show(q))
+            if hit is None or not predicates[hit[1]].accepts(str(label)):
+                return Verdict(False, DATATYPE_MISMATCH, index)
+            q = hit[0]
+            continue
+        label = label.render() if isinstance(label, QName) else str(label)
+        if kind == START:
+            target = call_map.get((q, label))
+            if target is None:
+                return Verdict(False, UNEXPECTED_ELEMENT, index)
+            stack.append(q)
+            q = target
+        elif kind == END:
+            hit = ret_map.get((stack.pop(), label)) if stack else None
+            if hit is None or q not in hit[1]:
+                return Verdict(False, UNEXPECTED_END, index)
             q = hit[0]
         else:
-            return Verdict(False, UNEXPECTED_ELEMENT, index, _show(q))
-    if q is _DONE and not stack:
-        return ACCEPT
-    return Verdict(False, PREMATURE_EOF, index, _show(q))
-
-
-def _show(q) -> str:
-    if q is _BEFORE_ROOT:
-        return "(before root)"
+            return Verdict(False, UNEXPECTED_ELEMENT, index)
     if q is _DONE:
-        return "(after root)"
-    ctx, sibs = q
-    def fmt_ctx(c):
-        if c and isinstance(c[0], tuple):
-            return "#".join(" ".join(seg) for seg in c)
-        return " ".join(c)
-    return f"({fmt_ctx(ctx)} | {' '.join(sibs)})"
+        return ACCEPT
+    return Verdict(False, PREMATURE_EOF, index)
 
 
 # ---------------------------------------------------------------------------

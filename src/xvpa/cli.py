@@ -3,7 +3,8 @@
 Commands operate on a durable state file.  Exit codes: 0 on success (and
 all documents accepted for ``validate``), 1 when a validation rejected a
 document, 3 when an input document failed to parse, 4 for state-file
-problems (missing, corrupt, scheme or datatype-hash mismatch).  Argument
+problems (missing, corrupt, scheme or datatype-hash mismatch) and for an
+unreadable or malformed datatype definition file.  Argument
 errors use argparse's conventional exit code 2.
 """
 
@@ -15,7 +16,7 @@ import sys
 from . import __version__
 from .automata import (EMPTY_LANGUAGE, AutomatonStructureError, EmptyLanguageError,
                        build_xvpa, compile_cxvpa, to_dot, validate)
-from .datatypes import load_datatype_system
+from .datatypes import DatatypeFileError, load_datatype_system
 from .events import MalformedXmlError, parse_document
 from .harness import evaluate, read_corpus
 from .learner import Learner, LearnerError, NamingScheme
@@ -32,7 +33,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         dts = load_datatype_system(args.datatypes)
-    except OSError as exc:
+    except (OSError, DatatypeFileError) as exc:
         print(f"error: cannot load datatype definitions: {exc}", file=sys.stderr)
         return EXIT_STATE
     try:

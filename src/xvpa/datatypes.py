@@ -82,8 +82,6 @@ class LexicalDatatypeSystem:
     def _validate(self):
         top_i = self._index[TOP]
         for name, i in self._index.items():
-            if self._up[i] & (1 << i):
-                raise DatatypeFileError(f"lexical order has a cycle through {name!r}")
             if name != TOP and not self._up[i] & (1 << top_i):
                 raise DatatypeFileError(f"{name!r} is not below the top datatype")
         for k, i in self._kind_index.items():
@@ -187,13 +185,21 @@ class LexicalDatatypeSystem:
 
 def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
     """Load a datatype system from ``path``, the ``XVPA_DATATYPES``
-    environment override, or the packaged default file."""
+    environment override, or the packaged default file.
+
+    A malformed file raises ``DatatypeFileError``, naming the line where
+    one line is at fault; an unreadable one raises ``OSError``.
+    """
     if path is None:
         path = os.environ.get(ENV_DATATYPE_FILE) or DEFAULT_PATH
     with open(path, "rb") as fh:
         raw = fh.read()
     content_hash = hashlib.sha256(raw).hexdigest()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw[:exc.start].count(b"\n") + 1
+        raise DatatypeFileError(f"line {lineno}: not UTF-8 text") from None
 
     defs: dict[str, str] = {}
     datatypes: list[Datatype] = []
@@ -202,11 +208,11 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
     version = None
     seen = set()
 
-    def expand(pattern: str, lineno: int) -> str:
+    def expand(pattern: str) -> str:
         def repl(m):
             name = m.group(1) or m.group(2)
             if name not in defs:
-                raise DatatypeFileError(f"line {lineno}: unknown fragment ${name}")
+                raise DatatypeFileError(f"unknown fragment ${name}")
             return "(" + defs[name] + ")"
         return _REF.sub(repl, pattern)
 
@@ -216,29 +222,29 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
             continue
         fields = line.split(None, 1)
         keyword, rest = fields[0], (fields[1] if len(fields) > 1 else "")
-        if keyword == "version":
-            version = rest.strip()
-        elif keyword == "def":
-            name, pattern = rest.split(None, 1)
-            defs[name] = expand(pattern.strip(), lineno)
-        elif keyword == "datatype":
-            try:
-                name, kind, pattern = rest.split(None, 2)
-            except ValueError:
-                raise DatatypeFileError(f"line {lineno}: bad datatype line") from None
-            if name in seen:
-                raise DatatypeFileError(f"line {lineno}: duplicate datatype {name!r}")
-            seen.add(name)
-            dfa = Dfa.from_pattern(expand(pattern.strip(), lineno))
-            datatypes.append(Datatype(name, kind, pattern.strip(), dfa))
-        elif keyword == "lexorder":
-            a, b = rest.split()
-            lex_edges.append((a, b))
-        elif keyword == "kindorder":
-            a, b = rest.split()
-            kind_edges.append((a, b))
-        else:
-            raise DatatypeFileError(f"line {lineno}: unknown keyword {keyword!r}")
+        try:
+            if keyword == "version":
+                version = rest.strip()
+            elif keyword == "def":
+                name, pattern = _fields(keyword, rest, 2)
+                defs[name] = expand(pattern)
+            elif keyword == "datatype":
+                name, kind, pattern = _fields(keyword, rest, 3)
+                if name in seen:
+                    raise DatatypeFileError(f"duplicate datatype {name!r}")
+                seen.add(name)
+                datatypes.append(Datatype(name, kind, pattern, Dfa.from_pattern(expand(pattern))))
+            elif keyword in ("lexorder", "kindorder"):
+                edge = tuple(rest.split())
+                if len(edge) != 2:
+                    raise DatatypeFileError(f"{keyword} line needs 2 names, has {len(edge)}")
+                (lex_edges if keyword == "lexorder" else kind_edges).append(edge)
+            else:
+                raise DatatypeFileError(f"unknown keyword {keyword!r}")
+        except ValueError as exc:  # a bad pattern (PatternError) among them
+            raise DatatypeFileError(f"line {lineno}: {exc}") from None
+        except RecursionError:
+            raise DatatypeFileError(f"line {lineno}: pattern nests too deeply") from None
 
     if version is None:
         raise DatatypeFileError("definition file lacks a version line")
@@ -246,6 +252,15 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
         if a not in seen or b not in seen:
             raise DatatypeFileError(f"lexorder mentions unknown datatype {a!r}/{b!r}")
     return LexicalDatatypeSystem(datatypes, lex_edges, kind_edges, version, content_hash)
+
+
+def _fields(keyword: str, rest: str, n: int) -> list[str]:
+    """The n fields after a line's keyword; the last one, a pattern, may
+    hold spaces."""
+    fields = rest.split(None, n - 1)
+    if len(fields) != n:
+        raise DatatypeFileError(f"{keyword} line needs {n} fields, has {len(fields)}")
+    return fields
 
 
 _default: LexicalDatatypeSystem | None = None

@@ -71,9 +71,10 @@ class WeightedVpa:
         """Snapshot of the counted part with datatype antichain reduction.
 
         Transitions whose source or target is not a counted state are
-        dropped (the start state always counts).  For every text source,
-        only the lexically maximal datatypes are kept: a subsumed datatype
-        adds nothing to the snapshot's language.  The receiver is not
+        dropped, and so are returns whose popped state is not counted (the
+        start state always counts).  For every text source, only the
+        lexically maximal datatypes are kept: a subsumed datatype adds
+        nothing to the snapshot's language.  The receiver is not
         mutated; raw counters keep subsumed entries so unlearning stays
         exact.
         """
@@ -81,10 +82,10 @@ class WeightedVpa:
         snap.states = dict(self.states)
         snap.finals = dict(self.finals)
         counted = snap.states.keys() | {START_STATE}
-        for table, kept in ((self.calls, snap.calls), (self.rets, snap.rets)):
-            for key, entry in table.items():
-                if key[0] in counted and entry[0] in counted:
-                    kept[key] = entry
+        snap.calls = {key: entry for key, entry in self.calls.items()
+                      if key[0] in counted and entry[0] in counted}
+        snap.rets = {key: entry for key, entry in self.rets.items()
+                     if key[0] in counted and key[2] in counted and entry[0] in counted}
         by_src: dict[StateName, set[str]] = {}
         for (src, dt), (dst, _w) in self.ints.items():
             if src in counted and dst in counted:

@@ -189,7 +189,8 @@ def enumerate_streams(labels, texts, depth: int, width: int):
 # sampling accepted streams from a compiled validator
 
 def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int = 80):
-    """Random walk over a compiled automaton that ends in acceptance.
+    """Random walk over a compiled automaton that ends in acceptance: the
+    root's call from the start state, then random steps until its return.
     Texts are sampled from the reference predicates."""
     calls_by_state = {}
     for (q, c), target in model.call_map.items():
@@ -199,21 +200,14 @@ def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int 
         for q in exits:
             rets_by_state.setdefault((q, popped), []).append((c, target))
 
-    events = [ev.start(model.root_element)]
-    state = model.entry0
-    stack = ["#root"]
+    [(root, state)] = calls_by_state[START_STATE]
+    events = [ev.start(root)]
+    stack = [START_STATE]
     while True:
         if len(events) > 20 * max_events:
             raise AssertionError("walk failed to terminate")
         closing = len(events) >= max_events
-        options = []
-        top = stack[-1]
-        if top == "#root":
-            if state in model.finals:
-                options.append(("close-root", None, None))
-        else:
-            for c, target in rets_by_state.get((state, top), []):
-                options.append(("ret", c, target))
+        options = [("ret", c, target) for c, target in rets_by_state.get((state, stack[-1]), [])]
         if not closing or not options:
             for c, target in sorted(calls_by_state.get(state, [])):
                 options.append(("call", c, target))
@@ -223,9 +217,6 @@ def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int 
         if not options:
             raise AssertionError(f"walk stuck in state {state}")
         kind, a, b = rng.choice(options if not closing else options[:1])
-        if kind == "close-root":
-            events.append(ev.end(model.root_element))
-            return ev.stream_from_events(events, reindex=True)
         if kind == "call":
             events.append(ev.start(a))
             stack.append(state)
@@ -233,6 +224,8 @@ def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int 
         elif kind == "ret":
             events.append(ev.end(a))
             stack.pop()
+            if not stack:
+                return ev.stream_from_events(events, reindex=True)
             state = b
         else:
             dst, key = a, b
@@ -264,7 +257,9 @@ def accepted_witness(model, dts, rng: Random | None = None):
     calls_of = {}
     for (q, c), entry in model.call_map.items():
         calls_of.setdefault(q, []).append((c, entry))
-    found = {model.entry0: {(model.entry0, False): []}}
+    [(root, entry0)] = calls_of.pop(START_STATE)
+    finals = model.ret_map[(START_STATE, root)][1]
+    found = {entry0: {(entry0, False): []}}
     changed = True
     while changed:
         changed = False
@@ -285,10 +280,9 @@ def accepted_witness(model, dts, rng: Random | None = None):
                     if key not in found.setdefault(f, {}):
                         found[f][key] = events
                         changed = True
-    for (q, _text), run in found[model.entry0].items():
-        if q in model.finals:
-            return ev.stream_from_events(
-                [ev.start(model.root_element), *run, ev.end(model.root_element)], reindex=True)
+    for (q, _text), run in found[entry0].items():
+        if q in finals:
+            return ev.stream_from_events([ev.start(root), *run, ev.end(root)], reindex=True)
     return None
 
 

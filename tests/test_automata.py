@@ -567,18 +567,34 @@ def test_validate_wrong_root(cardealer):
 
 
 def test_validate_raw_event_sequences(cardealer):
+    """The root is the run's first call: each edge of the root gets the
+    verdict of an ordinary call or return, at the event that breaks it."""
     _docs, _dx, cx = cardealer
-    # unclosed document: premature end of stream
-    partial = [ev.start("dealer"), ev.start("newcars")]
-    assert validate(cx, partial).reason == PREMATURE_EOF
-    # events after the root closes
-    trailing = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
-                ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer"),
-                ev.start("dealer")]
-    assert validate(cx, trailing).reason == TRAILING_CONTENT
-    # an end with no matching open
-    stray = [ev.start("dealer"), ev.start("newcars"), ev.end("dealer")]
-    assert validate(cx, stray).reason == UNEXPECTED_END
+    cases = [
+        # text before the root: the start state has no text transition
+        ([ev.text("5"), ev.start("dealer")], DATATYPE_MISMATCH, 0),
+        # an end before the root: nothing to pop
+        ([ev.end("dealer")], UNEXPECTED_END, 0),
+        # a root other than the learned one
+        ([ev.start("newcars")], UNEXPECTED_ELEMENT, 0),
+        # the root closed from its entry, which is not a final state
+        ([ev.start("dealer"), ev.end("dealer")], UNEXPECTED_END, 1),
+        # the empty stream and an unclosed document: premature end of stream
+        ([], PREMATURE_EOF, -1),
+        ([ev.start("dealer"), ev.start("newcars")], PREMATURE_EOF, 1),
+        # events after the root closes
+        ([ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
+          ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer"),
+          ev.start("dealer")], TRAILING_CONTENT, 6),
+        # an end with no matching open
+        ([ev.start("dealer"), ev.start("newcars"), ev.end("dealer")], UNEXPECTED_END, 2),
+    ]
+    for events, reason, index in cases:
+        verdict = validate(cx, events)
+        assert (verdict.accepted, verdict.reason, verdict.event_index) == (False, reason, index)
+    closed = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
+              ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer")]
+    assert validate(cx, closed).accepted
 
 
 def test_validate_is_deterministic(cardealer):

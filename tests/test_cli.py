@@ -9,6 +9,8 @@ import pytest
 from xvpa.cli import EXIT_OK, EXIT_PARSE, EXIT_REJECT, EXIT_STATE, main
 from xvpa.harness import build_cardealer_scenario, write_corpus
 
+from .test_datatypes import MALFORMED_DEFINITIONS
+
 DOC_OK = (b"<dealer><newcars><ad><model>Astra</model></ad></newcars>"
           b"<usedcars><ad><model>Corsa  GSi</model><year>1999Z</year></ad></usedcars></dealer>")
 DOC_OK2 = (b"<dealer><newcars/><usedcars><ad><model>Kadett E</model>"
@@ -305,3 +307,16 @@ def test_datatype_override_via_environment(tmp_path, workdir, monkeypatch):
     # the default file now has a different hash: mutating commands refuse
     monkeypatch.delenv("XVPA_DATATYPES")
     assert run(["learn", workdir["state"], workdir["ok1.xml"]]) == EXIT_STATE
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DEFINITIONS))
+def test_malformed_datatype_file_is_state_error(tmp_path, workdir, capsys, name):
+    payload, message = MALFORMED_DEFINITIONS[name]
+    path = tmp_path / "dts.txt"
+    path.write_bytes(payload)
+    code = run(["--datatypes", str(path), "learn", workdir["state"], "--init", "mode=ancestor",
+                workdir["ok1.xml"]])
+    assert code == EXIT_STATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load datatype definitions: ") and message in err
+    assert "Traceback" not in err and not os.path.exists(workdir["state"])

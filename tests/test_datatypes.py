@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xvpa.datatypes import DatatypeFileError, load_datatype_system
+
 from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, sample_string,
                       subset_counterexample)
 from .samplers import SAMPLERS, mixed_corpus, sample
@@ -203,3 +205,31 @@ def test_content_hash_matches_file(dts):
     from xvpa.datatypes import DEFAULT_PATH
     with open(DEFAULT_PATH, "rb") as fh:
         assert dts.content_hash == hashlib.sha256(fh.read()).hexdigest()
+
+
+_HEAD = b"version 1\ndatatype top topKind .*\n"
+
+# one malformed definition file per way a file can be wrong, with the
+# message it is refused with
+MALFORMED_DEFINITIONS = {
+    "unknown-keyword": (_HEAD + b"frobnicate x\n", "line 3: unknown keyword 'frobnicate'"),
+    "bad-pattern": (_HEAD + b"datatype d k (\nlexorder d top\n", "line 3: missing ')'"),
+    "short-lexorder": (_HEAD + b"lexorder top\n", "line 3: lexorder line needs 2 names, has 1"),
+    "not-utf8": (_HEAD + b"# caf\xe9\n", "line 3: not UTF-8 text"),
+    "cyclic-lexorder": (_HEAD + b"datatype a k a\ndatatype b k b\n"
+                        b"lexorder a b\nlexorder b a\nlexorder a top\n", "lexical order is cyclic"),
+    "cyclic-kindorder": (_HEAD + b"datatype a k a\nlexorder a top\n"
+                         b"kindorder k topKind\nkindorder topKind k\n",
+                         "kind order has a cycle through"),
+    "not-below-top": (_HEAD + b"datatype a k a\n", "'a' is not below the top datatype"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_DEFINITIONS))
+def test_malformed_definition_file_is_refused(tmp_path, name):
+    payload, message = MALFORMED_DEFINITIONS[name]
+    path = tmp_path / "dts.txt"
+    path.write_bytes(payload)
+    with pytest.raises(DatatypeFileError) as info:
+        load_datatype_system(str(path))
+    assert message in str(info.value)

@@ -94,6 +94,22 @@ def test_trim_never_drops_positive_noninternal_entries(dts):
     assert snap.states == learner.vpa.states
 
 
+def test_trim_drops_returns_that_pop_an_uncounted_state(dts):
+    """Sanitizing drops the state ``r|b`` while a return that pops it keeps
+    its count; the trimmed model must not keep that return."""
+    learner = Learner(dts, NamingScheme("ancestor", 1, 1))
+    for raw in (b"<r>5</r>", b"<r><a>5</a><c><c>x</c><a></a></c><a>5</a></r>",
+                b"<r><b>5</b><a>5</a></r>",
+                b"<r><a><c><a>x</a><a>5</a><b></b></c><c><a>x</a><b>x</b><a></a></c></a>"
+                b"<b>5</b><a>x</a></r>",
+                b"<r>5</r>"):
+        learner.learn(ev.parse_document(raw))
+    assert learner.sanitize()
+    v = learner.vpa
+    assert (("r",), ("b",)) not in v.states
+    assert all(popped in v.states or popped == START_STATE for _x, _c, popped in v.rets)
+
+
 def test_datatype_cover_monotonicity(dts):
     """A datatype transition is only missing from a snapshot when a
     covering (lexically larger) datatype survives between the same
@@ -125,8 +141,9 @@ _DOCUMENTS = st.lists(_TREES, max_size=3).map(lambda body: ev.stream_from_events
 @settings(max_examples=150, deadline=None)
 def test_tables_hold_counts_and_named_targets(dts, scheme, docs, steps):
     """After every learn, unlearn, sanitize and state-file round trip, each
-    stored count is at least 1 and each transition's target is the one its
-    key names; an unsanitized model reaches all its finals."""
+    stored count is at least 1, each transition's target is the one its
+    key names, and each return pops a counted state; an unsanitized model
+    reaches all its finals."""
     learner = Learner(dts, scheme)
     for op, i in steps:
         d = docs[i % len(docs)]
@@ -149,5 +166,6 @@ def test_tables_hold_counts_and_named_targets(dts, scheme, docs, steps):
         for table, name in named:
             for key, (dst, w) in table.items():
                 assert w >= 1 and dst == name(key), key
+        assert all(popped in v.states or popped == START_STATE for _x, _c, popped in v.rets)
         if not learner.sanitized:
             assert set(v.finals) <= _matched_reach(v.calls, v.ints, v.rets)[START_STATE]
