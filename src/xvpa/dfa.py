@@ -81,11 +81,21 @@ DIGIT_CS = ((ord("0"), ord("9")),)
 
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
 
+# The most atoms a pattern may unroll to.  A repetition count copies its
+# operand and a \num range makes states for every digit of its upper bound,
+# so a short pattern such as a{99999} or (a{1000}){1000} would otherwise
+# build an automaton that determinization and minimization do not finish.
+# The packaged datatype file's largest pattern (long) unrolls to 349; at
+# the bound, a{1000} builds in about 3 s, as minimizing a chain of states
+# takes a refinement round per state.
+MAX_EXPANSION = 1000
+
 
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.pos = 0
+        self.sizes: dict[int, int] = {}  # id of an AST node -> its expansion
 
     def error(self, msg: str):
         raise PatternError(f"{msg} at position {self.pos} in pattern {self.src!r}")
@@ -104,7 +114,35 @@ class _Parser:
         node = self.alt()
         if self.pos != len(self.src):
             self.error("unbalanced ')'")
+        self.check_expansion(node)
         return node
+
+    def check_expansion(self, node):
+        if self.expansion(node) > MAX_EXPANSION:
+            self.error(f"pattern expands to more than {MAX_EXPANSION} atoms")
+
+    def expansion(self, node) -> int:
+        """How many atoms ``node`` unrolls to in the NFA: a set or an
+        empty match is one, a \\num range one per state of its digit
+        automaton, and a repetition its operand times its largest count.
+        Memoized, since ``+`` shares its operand between two places."""
+        size = self.sizes.get(id(node))
+        if size is None:
+            kind = node[0]
+            if kind in ("cat", "alt"):
+                size = sum(self.expansion(child) for child in node[1])
+            elif kind == "star":
+                size = self.expansion(node[1])
+            elif kind == "rep":
+                _, child, lo, hi = node
+                size = self.expansion(child) * max(1, lo + 1 if hi is None else hi)
+            elif kind == "num":
+                # a state per digit count and relation (<, =, >) to each bound
+                size = 2 + 9 * len(str(node[2]))
+            else:
+                size = 1
+            self.sizes[id(node)] = size
+        return size
 
     def alt(self):
         branches = [self.cat()]
@@ -145,6 +183,7 @@ class _Parser:
                 node = self.bounds(node)
             else:
                 return node
+            self.check_expansion(node)
 
     def bounds(self, node):
         self.take()  # '{'
@@ -166,9 +205,12 @@ class _Parser:
         digits = ""
         while self.peek() is not None and self.peek() not in stops:
             digits += self.take()
-        if not digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
             self.error("expected integer")
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            self.error("integer too large")
 
     def atom(self):
         ch = self.take()

@@ -9,11 +9,13 @@ module minimization is the pairwise scan that restarts after each fold,
 the datatype-set validator checks each text against every member
 datatype instead of the compiled predicate, the reference predicate of a
 datatype set is the determinized, minimized union of its members' DFAs,
-and DFA pairs are compared by a breadth-first search of their product for
-a witness string.
+DFA pairs are compared by a breadth-first search of their product for
+a witness string, and the reference parser makes a new name object for
+every name it meets, as the event parser first did.
 """
 
 import re
+import xml.parsers.expat
 from collections import deque
 from functools import lru_cache
 from random import Random
@@ -21,6 +23,8 @@ from random import Random
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, validate
 from xvpa.dfa import Dfa, _atomic_intervals, _Nfa
+from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
+                         EncodingError, Event, MalformedXmlError, QName)
 from xvpa.weighted import START_STATE
 
 
@@ -567,3 +571,87 @@ def _distance_to_accept(dfa: Dfa) -> dict[int, int]:
                 dist[p] = dist[s] + 1
                 queue.append(p)
     return dist
+
+
+# ---------------------------------------------------------------------------
+# reference parser: one object per name occurrence, the original handlers
+
+_WS = set(" \t\r\n")
+
+
+def reference_parse(data: bytes) -> DocumentEventStream:
+    """``parse_document`` as it was before names were shared: a new QName
+    for every start, end and attribute name, each text run tested for
+    whitespace character by character, one handler call per expat
+    callback.  Same events, same indices, same errors."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError("parse_document expects bytes")
+    head = bytes(data[:4])
+    if head[:2] in (b"\xff\xfe", b"\xfe\xff") or b"\x00" in head:
+        raise EncodingError("only UTF-8 documents are accepted")
+
+    out: list[Event] = []
+    buf: list[str] = []
+    # newline as separator: a namespace URI can never contain a literal
+    # newline (attribute-value normalization replaces it), spaces it can
+    parser = xml.parsers.expat.ParserCreate(namespace_separator="\n")
+    parser.buffer_text = True
+
+    def flush_text():
+        if not buf:
+            return
+        run = "".join(buf)
+        buf.clear()
+        if all(c in _WS for c in run):
+            return
+        out.append(Event(CHARS, run, len(out)))
+
+    def split_name(name: str, is_attr=False) -> QName:
+        ns, sep, local = name.rpartition("\n")
+        return QName(ns if sep else "", local if sep else name, is_attr)
+
+    def on_start(name, attrs):
+        flush_text()
+        out.append(Event(START, split_name(name), len(out)))
+        pairs = [(split_name(attrs[i], True), attrs[i + 1]) for i in range(0, len(attrs), 2)]
+        pairs.sort(key=lambda p: (p[0].ns, p[0].local))
+        for qn, value in pairs:
+            out.append(Event(START, qn, len(out)))
+            out.append(Event(CHARS, value, len(out)))
+            out.append(Event(END, qn, len(out)))
+
+    def on_end(name):
+        flush_text()
+        out.append(Event(END, split_name(name), len(out)))
+
+    def on_chars(data):
+        buf.append(data)
+
+    def on_doctype(*_args):
+        raise DoctypeRejectedError(
+            "inline DOCTYPE declarations are rejected",
+            parser.ErrorLineNumber or parser.CurrentLineNumber,
+            parser.ErrorColumnNumber or parser.CurrentColumnNumber)
+
+    def on_decl(version, encoding, _standalone):
+        if encoding is not None and encoding.lower() not in ("utf-8",):
+            raise EncodingError(f"declared encoding {encoding!r} is not supported")
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.CharacterDataHandler = on_chars
+    parser.StartDoctypeDeclHandler = on_doctype
+    parser.XmlDeclHandler = on_decl
+    parser.ordered_attributes = True
+
+    try:
+        parser.Parse(bytes(data), True)
+    except xml.parsers.expat.ExpatError as exc:
+        raise MalformedXmlError(
+            xml.parsers.expat.errors.messages[exc.code] if hasattr(exc, "code") else str(exc),
+            exc.lineno, exc.offset) from None
+    finally:
+        # the handlers hold the parser and the parser holds the handlers:
+        # without this, the events live until the cyclic collector runs
+        parser = None
+    return DocumentEventStream(tuple(out))

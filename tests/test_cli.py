@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,25 @@ def test_eval_malformed_training_document_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert os.path.join(corpus, "train", "1.xml") in err
+
+
+def test_huge_repetition_in_datatype_file_exits_4_at_once(tmp_path):
+    """A repetition count that would unroll to a huge automaton is refused
+    while the file is read, so the command exits 4 within seconds."""
+    bad = tmp_path / "dts.txt"
+    bad.write_bytes(b"version 1\ndatatype top topKind .*\ndatatype d k (a{1000}){1000}\n"
+                    b"lexorder d top\n")
+    doc = tmp_path / "d.xml"
+    doc.write_bytes(DOC_OK)
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xvpa.cli", "--datatypes", str(bad), "learn",
+         str(tmp_path / "s.txt"), "--init", "mode=ancestor", str(doc)],
+        capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == EXIT_STATE
+    assert proc.stderr.startswith("error: cannot load datatype definitions: line 3: ")
+    assert "more than 1000 atoms" in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -222,6 +222,10 @@ MALFORMED_DEFINITIONS = {
                          b"kindorder k topKind\nkindorder topKind k\n",
                          "kind order has a cycle through"),
     "not-below-top": (_HEAD + b"datatype a k a\n", "'a' is not below the top datatype"),
+    "huge-repetition": (_HEAD + b"datatype d k a{99999}\nlexorder d top\n",
+                        "line 3: pattern expands to more than 1000 atoms"),
+    "nested-repetition": (_HEAD + b"def r (a{1000}){1000}\ndatatype d k x$r\nlexorder d top\n",
+                          "line 4: pattern expands to more than 1000 atoms"),
 }
 
 

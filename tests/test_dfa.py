@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import Dfa, PatternError
+from xvpa.dfa import MAX_EXPANSION, Dfa, PatternError
 
 from .oracles import distinguishing_string, sample_string, subset_counterexample, union_dfas
 
@@ -73,9 +73,29 @@ def test_unicode_classes_and_escapes():
 
 
 def test_syntax_errors():
-    for bad in ["(a", "a)", "[a", "a{2,1}", "*a", r"\num{5,1}", "a{x}", r"[\num{1,2}]"]:
+    for bad in ["(a", "a)", "[a", "a{2,1}", "*a", r"\num{5,1}", "a{x}", r"[\num{1,2}]",
+                "a{\u00b2}", "a{+2}"]:
         with pytest.raises(PatternError):
             Dfa.from_pattern(bad)
+
+
+@pytest.mark.parametrize("pattern", [
+    "a{99999}", "a{1001}", "a{0,1001}", "a{1000,}", "(a{1000}){1000}", "(a{40}){30}",
+    "((((((((((a+)+)+)+)+)+)+)+)+)+)+", "(ab){600}", "a{600}b{600}",
+    r"\num{0," + "9" * 200 + "}", r"\num{0," + "9" * 5000 + "}", "a{" + "9" * 5000 + "}",
+])
+def test_expansion_past_the_bound_is_refused(pattern):
+    """A repetition count, a nested repetition or a long \\num bound that
+    unrolls past MAX_EXPANSION atoms is a PatternError, raised before any
+    automaton is built."""
+    with pytest.raises(PatternError, match="more than 1000 atoms|integer too large"):
+        Dfa.from_pattern(pattern)
+
+
+def test_expansion_at_the_bound_builds():
+    assert MAX_EXPANSION == 1000
+    assert Dfa.from_pattern("(ab){0,200}c{3}").accepts("ab" * 200 + "ccc")
+    assert Dfa.from_pattern(r"\num{0,18446744073709551615}").accepts("18446744073709551615")
 
 
 def test_union_and_witnesses():

@@ -13,6 +13,8 @@ from xvpa.events import (CHARS, END, START, DoctypeRejectedError, EncodingError,
                          parse_document, serialize_xml,
                          stream_from_events)
 
+from .oracles import reference_parse
+
 
 def kinds_and_labels(stream):
     return [(e.kind, e.label) for e in stream]
@@ -109,6 +111,48 @@ def test_parsing_leaves_no_reference_cycle():
         gc.enable()
 
 
+def test_names_are_shared_within_one_stream():
+    raw = b'<r xmlns:p="urn:p" a="1"><a p:a="2"/><a a="3">x</a><p:a/></r>'
+    stream = parse_document(raw)
+    names = [e.label for e in stream if e.kind != CHARS]
+    for name in names:
+        assert all(other is name for other in names if other == name)
+    element = next(n for n in names if n == QName("", "a"))
+    attribute = next(n for n in names if n == QName("", "a", True))
+    assert attribute is not element and attribute.local == element.local
+    assert QName("urn:p", "a") in names and QName("urn:p", "a", True) in names
+    # each parse has its own names: nothing is cached across documents
+    again = parse_document(raw)
+    assert again == stream and again.events[0].label is not stream.events[0].label
+
+
+def test_rendered_label_is_computed_once_and_not_compared():
+    name = QName("urn:x", "b", True)
+    assert name.render() == "@{urn:x}b" and name.render() is name.render()
+    assert repr(name) == "QName(ns='urn:x', local='b', is_attr=True)"
+    assert name == QName("urn:x", "b", True) and hash(name) == hash(("urn:x", "b", True))
+    assert QName("", "a") < QName("", "a", True) < QName("", "b") < QName("urn:x", "a")
+
+
+def test_parsing_many_distinct_names_retains_none():
+    """The names of a document live only as long as its stream: a document
+    with 20,000 distinct element names leaves no QName behind."""
+    def qnames():
+        return sum(isinstance(o, QName) for o in gc.get_objects())
+
+    raw = b"<r>" + b"".join(b"<e%d/>" % i for i in range(20_000)) + b"</r>"
+    gc.collect()
+    before = qnames()
+    stream = parse_document(raw)
+    assert len({id(e.label) for e in stream}) == 20_001
+    assert qnames() >= before + 20_001
+    probe = weakref.ref(stream.events[-2].label)
+    del stream
+    assert probe() is None
+    gc.collect()
+    assert qnames() <= before
+
+
 def test_parse_determinism():
     raw = b'<r a="1" b="2">text<c/>more</r>'
     assert parse_document(raw) == parse_document(raw)
@@ -201,6 +245,92 @@ def test_serialize_parse_round_trip(events):
     stream = stream_from_events(events)
     xml_text = serialize_xml(stream)
     assert parse_document(xml_text.encode("utf-8")) == stream
+
+
+# -- hypothesis: the parser against the reference parser ---------------------
+
+_XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+# element prefixes; p and q are declared on the root, and the default
+# namespace sometimes is
+_prefixes = st.sampled_from(["", "p:", "q:"])
+# whitespace runs, with spaces that are not XML whitespace and must survive
+_space_runs = st.text(st.sampled_from(" \t\n\r\u00a0\u2003\u3000"), min_size=1, max_size=6)
+
+
+def _escaped(text):
+    return "".join(_XML_ESCAPES.get(c, c) for c in text)
+
+
+@st.composite
+def _raw_content(draw):
+    kind = draw(st.sampled_from(["text", "space", "cdata", "ref", "comment", "pi", "long"]))
+    if kind == "text":
+        return _escaped(draw(st.text(_text_alphabet, max_size=8)))
+    if kind == "space":
+        return draw(_space_runs)
+    if kind == "cdata":
+        return "<![CDATA[" + draw(st.text(_text_alphabet, max_size=8)).replace("]]>", "") + "]]>"
+    if kind == "ref":
+        return draw(st.sampled_from(["&#32;", "&#160;", "&#xA;", "&#13;", "&amp;", "&lt;"]))
+    if kind == "comment":
+        return "<!-- note -->"
+    if kind == "pi":
+        return "<?pi data?>"
+    # thousands of pieces, more than expat's text buffer (8192 characters)
+    # holds, so one run reaches the parser in several callbacks
+    unit = draw(st.sampled_from(["<![CDATA[ ]]>", " <!---->", "&#13;&#10;", "&#32;&#160;",
+                                 "x&amp;"]))
+    return unit * draw(st.integers(4200, 9000))
+
+
+@st.composite
+def _raw_elements(draw, depth=0):
+    name = draw(_prefixes) + draw(st.sampled_from(["a", "b", "item"]))
+    # unique by prefix and name, so unique by expanded name; left in the
+    # order drawn, which the parser must sort
+    attrs = draw(st.lists(st.tuples(_prefixes, st.sampled_from(["z", "c", "a", "m"])),
+                          max_size=4, unique=True))
+    parts = ["<", name]
+    if depth == 0:
+        parts.append(' xmlns:p="urn:p" xmlns:q="urn:q&amp;r"')
+        if draw(st.booleans()):
+            parts.append(' xmlns="urn:d"')
+    for prefix, attr in attrs:
+        parts.append(f' {prefix}{attr}="{_escaped(draw(_attr_values))}"')
+    content = []
+    for _ in range(draw(st.integers(0, 4))):
+        if depth < 3 and draw(st.booleans()):
+            content.append(draw(_raw_elements(depth + 1)))
+        else:
+            content.append(draw(_raw_content()))
+    if not content and draw(st.booleans()):
+        return "".join(parts) + "/>"
+    return "".join(parts) + ">" + "".join(content) + f"</{name}>"
+
+
+def _outcome(parse, data):
+    try:
+        stream = parse(data)
+    except MalformedXmlError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return [(e.kind, type(e.label), e.label, e.index) for e in stream]
+
+
+@given(_raw_elements(), st.sampled_from(["", '<?xml version="1.0" encoding="UTF-8"?>',
+                                         "<!-- lead -->\n", "<!DOCTYPE r>"]),
+       st.floats(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_parser_matches_reference_parser(body, prolog, cut):
+    """Same events, labels and indices as the reference parser, on
+    namespaced, attribute-bearing, CDATA and long-text documents; on a
+    truncated copy, the same error at the same position."""
+    data = (prolog + body).encode("utf-8")
+    outcome = _outcome(parse_document, data)
+    assert outcome == _outcome(reference_parse, data)
+    if prolog != "<!DOCTYPE r>":
+        assert isinstance(outcome, list)
+    truncated = data[:int(len(data) * cut)]
+    assert _outcome(parse_document, truncated) == _outcome(reference_parse, truncated)
 
 
 def test_parser_total_over_garbage(master_seed):
