@@ -15,8 +15,11 @@ The datatypes and both orders are immutable once loaded.  One lazily
 determinized product of all the datatypes' acceptors classifies a text in
 a single scan, for inference and for every compiled text predicate; its
 states are built on first use, under a lock taken only when a transition
-is new, so concurrent reads stay safe.  The inference cache is meant for
-the single thread that learns.
+is new, so concurrent reads stay safe.  Inference depends only on the
+accept mask of the product state a text ends in: a text-cache miss is one
+product scan, and the result is computed once per accept mask and shared
+by every text with that mask.  Both inference caches are meant for the
+single thread that learns.
 """
 
 from __future__ import annotations
@@ -78,8 +81,11 @@ class LexicalDatatypeSystem:
         self.product = ProductDfa(d.dfa for d in datatypes)
         self._all = (1 << len(datatypes)) - 1
         self._infer_cache: dict[str, frozenset[str]] = {}
+        self._by_mask: dict[int, frozenset[str]] = {}
 
     def _validate(self):
+        if not self.datatypes[TOP].dfa.is_universal():
+            raise DatatypeFileError("the top datatype does not accept every string")
         top_i = self._index[TOP]
         for name, i in self._index.items():
             if name != TOP and not self._up[i] & (1 << top_i):
@@ -117,6 +123,11 @@ class LexicalDatatypeSystem:
 
     # -- inference pipeline ---------------------------------------------------
 
+    def _accept_mask(self, text: str) -> int:
+        """The datatypes accepting ``text``, as a bitmask, from one scan."""
+        s = self.product.run(text, self._all)
+        return s.accept if s is not None else 0
+
     def minimal_datatypes(self, text: str) -> frozenset[str]:
         """The nonempty antichain of minimal datatypes accepting ``text``.
 
@@ -126,8 +137,7 @@ class LexicalDatatypeSystem:
         The top datatype accepts everything, hence the result is never
         empty.
         """
-        s = self.product.run(text, self._all)
-        cand = s.accept if s is not None else 0
+        cand = self._accept_mask(text)
         found = []
         for i in self._topo:
             if not cand:
@@ -153,11 +163,20 @@ class LexicalDatatypeSystem:
         return frozenset(types - dropped)
 
     def infer(self, text: str) -> frozenset[str]:
-        """Minimally required datatypes of a text: prefer(minimal(text))."""
+        """Minimally required datatypes of a text: prefer(minimal(text)).
+
+        That is a function of the accept mask the product ends in, so a
+        text-cache miss is one product scan plus one lookup per mask, and
+        every text with that mask shares one result.  Only a new mask
+        computes the definition.
+        """
         hit = self._infer_cache.get(text)
         if hit is not None:
             return hit
-        result = self.prefer(self.minimal_datatypes(text))
+        mask = self._accept_mask(text)
+        result = self._by_mask.get(mask)
+        if result is None:
+            result = self._by_mask[mask] = self.prefer(self.minimal_datatypes(text))
         if len(self._infer_cache) > 100_000:
             self._infer_cache.clear()
         self._infer_cache[text] = result

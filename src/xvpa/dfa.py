@@ -90,6 +90,12 @@ _ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
 # takes a refinement round per state.
 MAX_EXPANSION = 1000
 
+# The most states subset construction may make.  A pattern within the
+# expansion bound can still determinize to exponentially many states:
+# (a|b)*a(a|b){k} has 2**(k+1).  The packaged datatype file's largest
+# DFA has 117 states before minimization.
+MAX_DFA_STATES = 4096
+
 
 class _Parser:
     def __init__(self, src: str):
@@ -530,6 +536,27 @@ class Dfa:
         for lo, hi, dst in zip(self._los[state], self._his[state], self._dst[state]):
             yield lo, hi, dst
 
+    def is_universal(self) -> bool:
+        """Whether every string is accepted: every reachable state accepts
+        and has a transition on every codepoint."""
+        seen = {self.start}
+        work = [self.start]
+        while work:
+            s = work.pop()
+            if s not in self.accepting:
+                return False
+            covered = 0
+            for lo, hi, dst in self.edges(s):
+                if lo != covered:
+                    return False
+                covered = hi + 1
+                if dst not in seen:
+                    seen.add(dst)
+                    work.append(dst)
+            if covered != MAX_CP + 1:
+                return False
+        return True
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -576,6 +603,9 @@ class Dfa:
                     continue
                 tgt = closure(frozenset(targets))
                 if tgt not in index:
+                    if len(tables) == MAX_DFA_STATES:
+                        raise PatternError(
+                            f"pattern determinizes to more than {MAX_DFA_STATES} states")
                     index[tgt] = len(tables)
                     tables.append([])
                     if tgt & accepts:

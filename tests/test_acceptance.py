@@ -353,9 +353,9 @@ def test_criterion_8_streaming_cost(dts):
     def best_of(stream, repeats=3):
         times = []
         for _ in range(repeats):
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             verdict = validate(model, stream)
-            times.append(time.perf_counter() - t0)
+            times.append(time.process_time() - t0)
             assert verdict.accepted
         return min(times)
 
@@ -363,4 +363,4 @@ def test_criterion_8_streaming_cost(dts):
     t_large = best_of(large)
     ratio = t_large / t_small
     assert ratio <= 3.0, f"ratio {ratio:.2f}"
-    return f"2x events -> {ratio:.2f}x wall time ({t_small * 1000:.0f}ms vs {t_large * 1000:.0f}ms)"
+    return f"2x events -> {ratio:.2f}x process time ({t_small * 1000:.0f}ms vs {t_large * 1000:.0f}ms)"

@@ -299,6 +299,24 @@ def test_huge_repetition_in_datatype_file_exits_4_at_once(tmp_path):
     assert "more than 1000 atoms" in proc.stderr
 
 
+def test_exponential_determinization_in_datatype_file_exits_4_at_once(tmp_path):
+    """A short pattern whose DFA has 2**26 states is refused once subset
+    construction passes its state cap, so the command exits 4 within
+    seconds."""
+    bad = tmp_path / "dts.txt"
+    bad.write_bytes(b"version 1\ndatatype top topKind .*\ndatatype d k (a|b)*a(a|b){25}\n"
+                    b"lexorder d top\n")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xvpa.cli", "--datatypes", str(bad), "stats",
+         str(tmp_path / "s.txt")],
+        capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == EXIT_STATE
+    assert proc.stderr.startswith("error: cannot load datatype definitions: line 3: ")
+    assert "more than 4096 states" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     doc = tmp_path / "d.xml"
     doc.write_bytes(DOC_OK)

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.datatypes import DatatypeFileError, load_datatype_system
+from xvpa import events as ev
+from xvpa.datatypes import DatatypeFileError, LexicalDatatypeSystem, load_datatype_system
+from xvpa.harness import build_cardealer_scenario
+from xvpa.learner import Learner, NamingScheme
+from xvpa.persistence import dump_state
 
+from .conftest import MASTER_SEED
 from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, sample_string,
                       subset_counterexample)
 from .samplers import SAMPLERS, mixed_corpus, sample
+from .test_automata import _load_benchmark_workloads
 
 EXPECTED_DATATYPES = {
     "top", "string", "normalizedString", "token", "NMTOKEN", "NMTOKENS",
@@ -88,6 +94,78 @@ def test_aggregate_point_values(dts):
     assert dts.merge({"byte"}, {"short"}) == {"short"}
     some = dts.infer("x y z")
     assert dts.merge(some, some) == some
+
+
+# -- inference shared per accept mask ----------------------------------------
+
+NON_ASCII = ["café", "日本語", "ｆｕｌｌ", "١٢٣", "Ⅻ", "x\u0301", "1\u00a02", "a\u2028b",
+             "\U0001d518\U0001d52b", "\U0001f600", "20\U00010000", "\U0010ffff", "\x7f\x80"]
+
+
+def _idlog_texts(seed: int, count: int) -> list:
+    """The texts of ``count`` documents of the benchmark's idlog protocol,
+    none of which repeats."""
+    source = _load_benchmark_workloads().IdlogSource(seed)
+    return [e.label for raw in source.batch(count)
+            for e in ev.parse_document(raw).events if e.kind == ev.CHARS]
+
+
+IDLOG_TEXTS = _idlog_texts(3, 60)
+MEMO_CORPUS = mixed_corpus(random.Random(MASTER_SEED + 11), 300)
+
+
+@given(st.one_of(st.text(), st.text(st.characters(min_codepoint=0x80)),
+                 st.text(st.characters(min_codepoint=0x10000)),
+                 st.sampled_from(MEMO_CORPUS + IDLOG_TEXTS + NON_ASCII)))
+@settings(max_examples=300, deadline=None)
+def test_infer_equals_its_definition_on_a_text_cache_miss(dts, text):
+    dts._infer_cache.pop(text, None)
+    assert dts.infer(text) == dts.prefer(dts.minimal_datatypes(text)), text
+
+
+def test_infer_with_a_warm_mask_memo_equals_its_definition(dts):
+    """A fresh system first infers one corpus, so most masks are already
+    memoized from other texts, then every other text must still get the
+    definition's result, as computed on another system."""
+    fresh = load_datatype_system()
+    for text in MEMO_CORPUS:
+        fresh.infer(text)
+    for text in IDLOG_TEXTS + NON_ASCII + _idlog_texts(4, 20):
+        assert fresh.infer(text) == dts.prefer(dts.minimal_datatypes(text)), text
+
+
+def test_texts_with_one_accept_mask_share_one_result():
+    fresh = load_datatype_system()
+    by_mask: dict = {}
+    for text in IDLOG_TEXTS:
+        by_mask.setdefault(fresh._accept_mask(text), set()).add(text)
+    assert max(len(texts) for texts in by_mask.values()) > 10
+    for texts in by_mask.values():
+        assert len({id(fresh.infer(text)) for text in texts}) == 1
+
+
+def test_learned_state_is_the_same_with_the_definition_as_infer(monkeypatch):
+    """Learning cardealer and idlog documents, and then unlearning the last
+    tenth, writes byte-identical state files whether ``infer`` shares
+    results per accept mask or computes the definition for every text."""
+    docs = build_cardealer_scenario(7, train_count=150, normal_count=1).train
+    docs += [ev.parse_document(raw) for raw in _load_benchmark_workloads().IdlogSource(5).batch(150)]
+    keep = len(docs) - len(docs) // 10
+
+    def states():
+        system = load_datatype_system()
+        learner = Learner(system, NamingScheme("ancestor", 1, 2))
+        for stream in docs:
+            learner.learn(stream)
+        learned = dump_state(learner)
+        for stream in docs[keep:]:
+            learner.unlearn(stream)
+        return learned, dump_state(learner)
+
+    shared = states()
+    monkeypatch.setattr(LexicalDatatypeSystem, "infer",
+                        lambda self, text: self.prefer(self.minimal_datatypes(text)))
+    assert states() == shared
 
 
 # -- order soundness and distinctness ---------------------------------------
@@ -226,6 +304,10 @@ MALFORMED_DEFINITIONS = {
                         "line 3: pattern expands to more than 1000 atoms"),
     "nested-repetition": (_HEAD + b"def r (a{1000}){1000}\ndatatype d k x$r\nlexorder d top\n",
                           "line 4: pattern expands to more than 1000 atoms"),
+    "too-many-states": (_HEAD + b"datatype d k (a|b)*a(a|b){25}\nlexorder d top\n",
+                        "line 3: pattern determinizes to more than 4096 states"),
+    "non-universal-top": (b"version 1\ndatatype top topKind a*\n",
+                          "the top datatype does not accept every string"),
 }
 
 
