@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dfa import ProductPredicate
-from .events import CHARS, END, START, QName
+from .events import CHARS, END, START, DocumentEventStream, QName, _placed
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -425,24 +425,29 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
 def validate(model: Cxvpa, stream) -> Verdict:
     """Single-pass run over a document event stream.
 
-    Accepts any iterable of events (a validated stream or a raw sequence,
-    e.g. an open-ended feed).  The run starts in the start state with an
-    empty stack, so the root element is its first call, and each event is
-    one lookup in the call, return or internal map; a text is checked once
-    against the current state's predicate.  The stream is accepted when
-    it ends just after the root's return.  Failures become verdicts, never
-    exceptions; cost is linear in event count plus total text length.
+    Accepts a DocumentEventStream, whose kind, label and index sequences
+    are read directly and no Event is built, or any other iterable of
+    events (a raw sequence, e.g. an open-ended feed), where an unplaced
+    event (index -1) takes the index after its predecessor's.  The run
+    starts in the start state with an empty stack, so the root element is
+    its first call, and each event is one lookup in the call, return or
+    internal map; a text is checked once against the current state's
+    predicate.  The stream is accepted when it ends just after the root's
+    return.  Failures become verdicts, never exceptions; cost is linear in
+    event count plus total text length.
     """
     call_map, ret_map, int_map = model.call_map, model.ret_map, model.int_map
     predicates = model.predicates
+    if isinstance(stream, DocumentEventStream):
+        run = zip(stream.indices, stream.kinds, stream.labels)
+    else:
+        run = _placed(stream)
     q = START_STATE
     stack = []
     index = -1
-    for event in stream:
-        index = event.index if event.index >= 0 else index + 1
+    for index, kind, label in run:
         if q is _DONE:
             return Verdict(False, TRAILING_CONTENT, index)
-        kind, label = event.kind, event.label
         if kind == CHARS:
             hit = int_map.get(q)
             if hit is None or not predicates[hit[1]].accepts(str(label)):

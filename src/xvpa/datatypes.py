@@ -18,8 +18,9 @@ states are built on first use, under a lock taken only when a transition
 is new, so concurrent reads stay safe.  Inference depends only on the
 accept mask of the product state a text ends in: a text-cache miss is one
 product scan, and the result is computed once per accept mask and shared
-by every text with that mask.  Both inference caches are meant for the
-single thread that learns.
+by every text with that mask.  The text cache keeps only short texts,
+so no large text outlives its document there.  Both inference caches are
+meant for the single thread that learns.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
 
 TOP = "top"
+
+# the longest text whose inference result the text cache keeps: a longer
+# text is rescanned when it recurs, so the cache never holds a large text
+CACHED_TEXT_MAX = 256
 
 _REF = re.compile(r"\$(?:\{([A-Za-z0-9_]+)\}|([A-Za-z0-9_]+))")
 
@@ -168,7 +173,8 @@ class LexicalDatatypeSystem:
         That is a function of the accept mask the product ends in, so a
         text-cache miss is one product scan plus one lookup per mask, and
         every text with that mask shares one result.  Only a new mask
-        computes the definition.
+        computes the definition.  The text cache keeps only texts of at
+        most ``CACHED_TEXT_MAX`` characters.
         """
         hit = self._infer_cache.get(text)
         if hit is not None:
@@ -177,9 +183,10 @@ class LexicalDatatypeSystem:
         result = self._by_mask.get(mask)
         if result is None:
             result = self._by_mask[mask] = self.prefer(self.minimal_datatypes(text))
-        if len(self._infer_cache) > 100_000:
-            self._infer_cache.clear()
-        self._infer_cache[text] = result
+        if len(text) <= CACHED_TEXT_MAX:
+            if len(self._infer_cache) > 100_000:
+                self._infer_cache.clear()
+            self._infer_cache[text] = result
         return result
 
     def maxima(self, types) -> frozenset[str]:

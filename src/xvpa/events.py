@@ -11,6 +11,11 @@ Whitespace-only character runs between element tags are discarded before
 coalescing; surviving adjacent text becomes a single characters event, so a
 stream never contains two consecutive characters events.
 
+A stream is compact: three parallel sequences hold each event's kind,
+label and index (a ``range`` for a parsed stream), and ``Event`` objects
+are built only when the stream is iterated.  Validation and learning read
+the sequences directly, so the route from bytes to verdict builds none.
+
 Names are shared within one stream: ``parse_document`` makes one QName
 per distinct element name and one per distinct attribute name of a
 document, and every start and end event of that name holds the same
@@ -93,9 +98,8 @@ class Event:
     an event not yet placed in a stream.
 
     Immutable, hashable and equal by value, like a frozen dataclass of the
-    three fields, but slotted: a document makes one per event, and a
-    slotted event is less than half the size of a dataclass instance and
-    about a third cheaper to build.
+    three fields, but slotted.  A stream holds no events: iterating it
+    builds one per event, which the caller may keep or drop.
     """
 
     __slots__ = ("kind", "label", "index", "__weakref__")
@@ -146,31 +150,94 @@ def text(value: str) -> Event:
     return Event(CHARS, value)
 
 
-@dataclass(frozen=True)
 class DocumentEventStream:
-    """A validated, immutable sequence of events for one document."""
+    """A validated, immutable sequence of events for one document.
 
-    events: tuple[Event, ...] = field(default_factory=tuple)
+    The events are stored as three parallel sequences: ``kinds``,
+    ``labels`` and ``indices`` (a ``range`` when the indices are 0..n-1).
+    Iterating the stream, or reading ``events``, builds the ``Event``
+    objects on demand and keeps none of them.  Equality and hashing are
+    those of the event sequence.  ``DocumentEventStream(events)`` stores
+    the given events without checking them, an unplaced one (index -1)
+    placed just after its predecessor; use ``stream_from_events`` for a
+    checked stream.
+    """
+
+    __slots__ = ("kinds", "labels", "indices")
+
+    def __init__(self, events=()):
+        placed = tuple(_placed(events))
+        _set_indices(self, tuple(p[0] for p in placed))
+        _set_kinds(self, tuple(p[1] for p in placed))
+        _set_labels(self, tuple(p[2] for p in placed))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.events)
+        return map(Event, self.kinds, self.labels, self.indices)
 
     def __len__(self):
-        return len(self.events)
+        return len(self.kinds)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kinds == other.kinds and self.labels == other.labels
+                and tuple(self.indices) == tuple(other.indices))
+
+    def __hash__(self):
+        return hash((self.kinds, self.labels, tuple(self.indices)))
+
+    def __repr__(self):
+        return f"DocumentEventStream(events={self.events!r})"
+
+    def __reduce__(self):
+        return _stream, (self.kinds, self.labels, self.indices)
 
     def debug_lines(self):
         """Line-oriented debug form: ``K label`` with K in {S,E,C}."""
         out = []
-        for e in self.events:
-            if e.kind == START:
-                out.append("S " + e.label.render())
-            elif e.kind == END:
-                out.append("E " + e.label.render())
+        for kind, label in zip(self.kinds, self.labels):
+            if kind == START:
+                out.append("S " + label.render())
+            elif kind == END:
+                out.append("E " + label.render())
             else:
-                escaped = (str(e.label).replace("\\", "\\\\")
+                escaped = (str(label).replace("\\", "\\\\")
                            .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
                 out.append("C " + escaped)
         return out
+
+
+_set_kinds = DocumentEventStream.kinds.__set__
+_set_labels = DocumentEventStream.labels.__set__
+_set_indices = DocumentEventStream.indices.__set__
+
+
+def _stream(kinds: tuple, labels: tuple, indices) -> DocumentEventStream:
+    """A stream of the given sequences, taken as they are."""
+    self = _new(DocumentEventStream)
+    _set_kinds(self, kinds)
+    _set_labels(self, labels)
+    _set_indices(self, indices)
+    return self
+
+
+def _placed(events):
+    """``(index, kind, label)`` of each event; an unplaced event (index -1)
+    takes the index after its predecessor's."""
+    index = -1
+    for e in events:
+        index = e.index if e.index >= 0 else index + 1
+        yield index, e.kind, e.label
 
 
 def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
@@ -182,16 +249,17 @@ def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
     """
     events = list(events)
     if reindex or all(e.index < 0 for e in events):
-        events = [Event(e.kind, e.label, i) for i, e in enumerate(events)]
+        indices = range(len(events))
     else:
         last = -1
         for e in events:
             if e.index <= last:
                 raise InvariantViolation("stream-index not strictly increasing", e.index)
             last = e.index
+        indices = tuple(e.index for e in events)
 
     _check_invariants(events)
-    return DocumentEventStream(tuple(events))
+    return _stream(tuple(e.kind for e in events), tuple(e.label for e in events), indices)
 
 
 def _check_invariants(events):
@@ -269,6 +337,10 @@ def _check_invariants(events):
 # ---------------------------------------------------------------------------
 # parsing
 
+# the kinds of one attribute triple: start(@name), characters(value), end(@name)
+_ATTRIBUTE_KINDS = (START, CHARS, END)
+
+
 def parse_document(data: bytes) -> DocumentEventStream:
     """Parse XML bytes into the canonical event stream.
 
@@ -281,7 +353,8 @@ def parse_document(data: bytes) -> DocumentEventStream:
     if head[:2] in (b"\xff\xfe", b"\xfe\xff") or b"\x00" in head:
         raise EncodingError("only UTF-8 documents are accepted")
 
-    out: list[Event] = []
+    kinds: list[str] = []
+    labels: list = []
     buf: list[str] = []
     # expat name -> QName, local to this parse: the start and end tags of
     # one name share one object, and no name outlives the streams holding it
@@ -296,25 +369,27 @@ def parse_document(data: bytes) -> DocumentEventStream:
         run = "".join(buf)
         buf.clear()
         if run.strip(" \t\r\n"):
-            out.append(Event(CHARS, run, len(out)))
+            kinds.append(CHARS)
+            labels.append(run)
 
     def on_start(name, attrs):
         if buf:
             flush_text()
-        out.append(Event(START, elements.get(name) or _qname(elements, name, False), len(out)))
+        kinds.append(START)
+        labels.append(elements.get(name) or _qname(elements, name, False))
         if attrs:
             pairs = [(attributes.get(attrs[i]) or _qname(attributes, attrs[i], True),
                       attrs[i + 1]) for i in range(0, len(attrs), 2)]
             pairs.sort(key=lambda p: (p[0].ns, p[0].local))
             for qn, value in pairs:
-                out.append(Event(START, qn, len(out)))
-                out.append(Event(CHARS, value, len(out)))
-                out.append(Event(END, qn, len(out)))
+                kinds.extend(_ATTRIBUTE_KINDS)
+                labels.extend((qn, value, qn))
 
     def on_end(name):
         if buf:
             flush_text()
-        out.append(Event(END, elements[name], len(out)))
+        kinds.append(END)
+        labels.append(elements[name])
 
     def on_doctype(*_args):
         raise DoctypeRejectedError(
@@ -341,9 +416,9 @@ def parse_document(data: bytes) -> DocumentEventStream:
             exc.lineno, exc.offset) from None
     finally:
         # the handlers hold the parser and the parser holds the handlers:
-        # without this, the events live until the cyclic collector runs
+        # without this, the names and texts live until the cyclic collector runs
         parser = None
-    return DocumentEventStream(tuple(out))
+    return _stream(tuple(kinds), tuple(labels), range(len(kinds)))
 
 
 def _qname(names: dict, name: str, is_attr: bool) -> QName:
@@ -373,8 +448,11 @@ def serialize_xml(stream, declaration: bool = False) -> str:
     declared on the root element; the XML namespace keeps its predeclared
     ``xml`` prefix.
     """
-    namespaces = sorted({e.label.ns for e in stream
-                         if isinstance(e.label, QName) and e.label.ns} - {_XML_NAMESPACE})
+    if not isinstance(stream, DocumentEventStream):
+        stream = DocumentEventStream(stream)
+    kinds, labels = stream.kinds, stream.labels
+    namespaces = sorted({label.ns for label in labels
+                         if isinstance(label, QName) and label.ns} - {_XML_NAMESPACE})
     prefix = {ns: f"n{i + 1}" for i, ns in enumerate(namespaces)}
     prefix[_XML_NAMESPACE] = "xml"  # predeclared; declaring it is an error
 
@@ -384,31 +462,25 @@ def serialize_xml(stream, declaration: bool = False) -> str:
     out = []
     if declaration:
         out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    events = list(stream)
+    n = len(kinds)
     i = 0
     root_done = False
-    while i < len(events):
-        e = events[i]
-        qn = e.label
-        # attribute triples directly after a start tag fold into the tag
-        attrs = []
-        j = i + 1
-        if e.kind == START and not qn.is_attr:
-            while (j + 2 < len(events) and events[j].kind == START
-                   and isinstance(events[j].label, QName) and events[j].label.is_attr):
-                aname = events[j].label
-                avalue = events[j + 1].label
-                attrs.append((aname, avalue))
-                j += 3
-        if e.kind == START and not qn.is_attr:
-            parts = ["<", name_of(qn)]
+    while i < n:
+        kind = kinds[i]
+        label = labels[i]
+        if kind == START and not label.is_attr:
+            parts = ["<", name_of(label)]
             if not root_done:
                 for ns in namespaces:
                     parts.append(f' xmlns:{prefix[ns]}="{_escape(ns, _ATTR_ESCAPES)}"')
                 root_done = True
-            for aname, avalue in attrs:
-                parts.append(f' {name_of(aname)}="{_escape(avalue, _ATTR_ESCAPES)}"')
-            if j < len(events) and events[j].kind == END and events[j].label == qn:
+            # attribute triples directly after a start tag fold into the tag
+            j = i + 1
+            while (j + 2 < n and kinds[j] == START
+                   and isinstance(labels[j], QName) and labels[j].is_attr):
+                parts.append(f' {name_of(labels[j])}="{_escape(labels[j + 1], _ATTR_ESCAPES)}"')
+                j += 3
+            if j < n and kinds[j] == END and labels[j] == label:
                 parts.append("/>")
                 out.append("".join(parts))
                 i = j + 1
@@ -416,14 +488,14 @@ def serialize_xml(stream, declaration: bool = False) -> str:
             parts.append(">")
             out.append("".join(parts))
             i = j
-        elif e.kind == END:
-            out.append(f"</{name_of(qn)}>")
+        elif kind == END:
+            out.append(f"</{name_of(label)}>")
             i += 1
-        elif e.kind == CHARS:
-            out.append(_render_text(str(e.label)))
+        elif kind == CHARS:
+            out.append(_render_text(str(label)))
             i += 1
         else:  # start of an attribute outside a tag cannot occur in valid streams
-            raise InvariantViolation("attribute event outside a start tag", e.index)
+            raise InvariantViolation("attribute event outside a start tag", stream.indices[i])
     return "".join(out)
 
 

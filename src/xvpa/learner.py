@@ -176,8 +176,9 @@ class Learner:
     def _run(self, stream: DocumentEventStream):
         """The keys a document's run takes in each counter table.
 
-        Returns the call, text, return, state and final tables, in the
-        order of ``_tables``; each maps a key to ``[count, target state,
+        The walk zips the stream's index, kind and label sequences, so it
+        builds no Event.  Returns the call, text, return, state and final
+        tables, in the order of ``_tables``; each maps a key to ``[count, target state,
         index of the first event that takes it]``, where the state and
         final tables have no target (None).  Text keys are ``(source,
         datatype)``.  Targets are named, never looked up, so the run does
@@ -194,15 +195,13 @@ class Learner:
         index = -1
         # one setdefault per key: a state name is a nested tuple, and its
         # hash is computed again on every lookup
-        for event in stream:
-            index = event.index
-            kind = event.kind
+        for index, kind, label in zip(stream.indices, stream.kinds, stream.labels):
             if kind == CHARS:
                 q2 = int_name(scheme, q)
-                for dt in sorted(infer(event.label)):
+                for dt in sorted(infer(label)):
                     ints.setdefault((q, dt), [0, q2, index])[0] += 1
             else:
-                element = event.label.render()
+                element = label.render()
                 if kind == START:
                     q2 = call_name(scheme, q, element)
                     calls.setdefault((q, element), [0, q2, index])[0] += 1

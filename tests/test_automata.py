@@ -17,7 +17,8 @@ from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
                            build_xvpa, compile_cxvpa, minimize, to_dot, validate)
-from xvpa.harness import cardealer_grammar, generate
+from xvpa.harness import (STRUCTURAL_WRAPPING, InapplicableAttackError, cardealer_grammar,
+                          generate, inject_attack)
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import StateFileError, dump_state, parse_state
 
@@ -595,6 +596,61 @@ def test_validate_raw_event_sequences(cardealer):
     closed = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
               ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer")]
     assert validate(cx, closed).accepted
+
+
+def _verdict_of_every_input_form(cx, stream):
+    """The one verdict of a stream, of its events as a list and as an iterator."""
+    verdict = validate(cx, stream)
+    assert validate(cx, list(stream)) == verdict == validate(cx, iter(stream))
+    return verdict
+
+
+def test_validate_input_forms_agree(cardealer, master_seed):
+    """A stream reads its kind, label and index sequences, any other input
+    reads events: both give one verdict on parsed corpus documents,
+    structural-wrapping mutants and truncated event prefixes."""
+    docs, _dx, cx = cardealer
+    rng = random.Random(master_seed + 71)
+    parsed = [ev.parse_document(ev.serialize_xml(d).encode()) for d in docs]
+    mutants = []
+    for seed, stream in enumerate(parsed):
+        try:
+            mutant = inject_attack(stream, STRUCTURAL_WRAPPING, seed)
+        except InapplicableAttackError:
+            continue
+        mutants.append(ev.parse_document(ev.serialize_xml(mutant).encode()))
+    reasons = set()
+    for stream in parsed + mutants:
+        reasons.add(_verdict_of_every_input_form(cx, stream).reason)
+        events = list(stream)
+        for cut in rng.sample(range(len(events)), 4):
+            prefix = _verdict_of_every_input_form(cx, ev.DocumentEventStream(events[:cut]))
+            assert prefix == validate(cx, events[:cut])
+            reasons.add(prefix.reason)
+    assert {None, UNEXPECTED_ELEMENT, PREMATURE_EOF} <= reasons
+
+
+def test_validate_reports_the_index_a_gapped_stream_holds(cardealer):
+    """A stream whose indices have gaps reports the rejected event's own
+    index, in every input form."""
+    _docs, _dx, cx = cardealer
+    raw = (b"<dealer><newcars/><usedcars><ad><model>Astra</model>"
+           b"<year>20x5</year></ad></usedcars></dealer>")
+    position = validate(cx, ev.parse_document(raw)).event_index
+    gapped = ev.stream_from_events([ev.Event(e.kind, e.label, 3 * i + 2)
+                                    for i, e in enumerate(ev.parse_document(raw))])
+    assert tuple(gapped.indices) == tuple(range(2, 3 * len(gapped), 3))
+    verdict = _verdict_of_every_input_form(cx, gapped)
+    assert (verdict.reason, verdict.event_index) == (DATATYPE_MISMATCH, 3 * position + 2)
+    truncated = list(gapped)[:position]
+    assert validate(cx, truncated) == validate(cx, ev.DocumentEventStream(truncated))
+    assert validate(cx, truncated).event_index == 3 * position - 1
+    # an unplaced event (index -1) follows its predecessor in every form
+    for events, index in (([ev.start("dealer"), ev.start("garage")], 1),
+                          ([ev.Event(ev.START, ev.QName("", "dealer"), 5), ev.start("garage")], 6)):
+        stream = ev.DocumentEventStream(events)
+        assert _verdict_of_every_input_form(cx, stream) == validate(cx, events)
+        assert validate(cx, events).event_index == index
 
 
 def test_validate_is_deterministic(cardealer):

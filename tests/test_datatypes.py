@@ -1,13 +1,16 @@
 """Lexical datatype system: point values, inference pipeline, order laws."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa.datatypes import DatatypeFileError, LexicalDatatypeSystem, load_datatype_system
+from xvpa.datatypes import (CACHED_TEXT_MAX, DatatypeFileError, LexicalDatatypeSystem,
+                            load_datatype_system)
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state
@@ -166,6 +169,24 @@ def test_learned_state_is_the_same_with_the_definition_as_infer(monkeypatch):
     monkeypatch.setattr(LexicalDatatypeSystem, "infer",
                         lambda self, text: self.prefer(self.minimal_datatypes(text)))
     assert states() == shared
+
+
+def test_a_long_text_leaves_nothing_in_the_text_cache():
+    """Only short texts enter the text cache: learning a document with a
+    1 MB text and dropping its stream retains less than 100 KB."""
+    learner = Learner(load_datatype_system(), NamingScheme("ancestor", 1, 2))
+    learner.learn(ev.parse_document(b"<r><a>xxxx</a></r>"))
+    raw = b"<r><a>" + b"x" * 1_000_000 + b"</a></r>"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        learner.learn(ev.parse_document(raw))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
+    assert max(map(len, learner.dts._infer_cache)) <= CACHED_TEXT_MAX
 
 
 # -- order soundness and distinctness ---------------------------------------

@@ -1,7 +1,11 @@
 """Document event stream parsing, invariants, and serialization."""
 
 import gc
+import pickle
+import sys
+import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -94,15 +98,16 @@ def test_non_utf8_rejected():
 
 
 def test_parsing_leaves_no_reference_cycle():
-    """A dropped stream frees its events at once, and a failed parse leaves
-    nothing for the cyclic collector."""
+    """A dropped stream frees what it holds at once, and a failed parse
+    leaves nothing for the cyclic collector."""
     gc.collect()
     gc.disable()
     try:
         stream = parse_document(b"<a>" + b"<b>1</b>" * 1000 + b"</a>")
-        event = weakref.ref(stream.events[5])
+        assert stream.labels[4] == QName("", "b")
+        name = weakref.ref(stream.labels[4])
         del stream
-        assert event() is None
+        assert name() is None
         for bad in (b"<a><b>1</b><b></a>", b"<!DOCTYPE a><a/>"):
             with pytest.raises(MalformedXmlError):
                 parse_document(bad)
@@ -151,6 +156,42 @@ def test_parsing_many_distinct_names_retains_none():
     assert probe() is None
     gc.collect()
     assert qnames() <= before
+
+
+def test_parsed_stream_holds_no_events():
+    """A parsed stream keeps only its kind and label sequences and a range
+    of indices: a 50,000-deep document retains at most 24 bytes per event
+    beyond its names."""
+    raw = b"<a>" * 50_000 + b"</a>" * 50_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = parse_document(raw)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(stream) == 100_000 and isinstance(stream.indices, range)
+    names = sys.getsizeof(stream.labels[0]) + sys.getsizeof(stream.labels[0].__dict__) + 200
+    assert retained <= 24 * len(stream) + names
+
+
+def test_events_are_built_on_demand_and_compare_as_before():
+    raw = b'<r a="1"><c>x</c></r>'
+    stream = parse_document(raw)
+    assert stream.events == tuple(stream) and stream.events is not stream.events
+    assert stream.events[0] is not stream.events[0]
+    assert [e.index for e in stream] == list(stream.indices) == list(range(len(stream)))
+    assert stream.kinds == (START, START, CHARS, END, START, CHARS, END, END)
+    # a stream of the same events compares and hashes alike, however built
+    again = ev.DocumentEventStream(stream.events)
+    assert again == stream and hash(again) == hash(stream) and again.events == stream.events
+    assert stream_from_events(list(stream)) == stream
+    assert stream != ev.DocumentEventStream(stream.events[:-1])
+    gapped = stream_from_events([ev.Event(e.kind, e.label, 2 * e.index) for e in stream])
+    assert gapped != stream and gapped.indices == tuple(range(0, 2 * len(stream), 2))
+    assert pickle.loads(pickle.dumps(stream)) == stream
+    with pytest.raises(FrozenInstanceError):
+        stream.kinds = ()
 
 
 def test_parse_determinism():

@@ -153,6 +153,27 @@ def test_unlearn_never_learned_fails_without_mutation(dts):
     assert dump_state(learner) == before
 
 
+def test_gapped_stream_learns_alike_and_fails_at_its_own_index(dts):
+    """The learner reads a stream's indices: a stream whose indices have
+    gaps learns the same state, and an unlearn failure names the index the
+    stream holds, not the event's position."""
+    def gapped(raw):
+        return ev.stream_from_events([ev.Event(e.kind, e.label, 10 * i + 7)
+                                      for i, e in enumerate(doc(raw))])
+
+    learner = Learner(dts, A11)
+    learner.learn(gapped(b"<r><x>5</x></r>"))
+    plain = Learner(dts, A11)
+    plain.learn(doc(b"<r><x>5</x></r>"))
+    assert dump_state(learner) == dump_state(plain)
+    with pytest.raises(MissingTransitionError) as failure:
+        learner.unlearn(gapped(b"<r><zzz/></r>"))
+    assert failure.value.index == 17  # the start of zzz, at position 1
+    with pytest.raises(MissingTransitionError) as failure:
+        learner.unlearn(gapped(b"<r><x>cc</x></r>"))
+    assert failure.value.index == 27  # the text, at position 2
+
+
 def test_unlearn_underflow_fails_without_mutation(dts):
     learner = Learner(dts, A11)
     learner.learn(doc(b"<r><x>5</x></r>"))
