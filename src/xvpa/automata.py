@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dfa import ProductPredicate
+from .dfa import ProductPredicate, refine
 from .events import CHARS, END, START, DocumentEventStream, QName, _placed
 from .weighted import START_STATE, StateName, WeightedVpa
 
@@ -52,6 +52,7 @@ class Verdict:
 ACCEPT = Verdict(True)
 
 _DONE = object()  # the state after the root element's return
+_OUTSIDE = object()  # where minimization's refinement sends an edge leaving its module
 
 
 @dataclass
@@ -303,7 +304,7 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
     returns go into its survivor's table, a return that pops a state named
     in a folded module mapped through the pairing, or dropped when the
     pairing does not cover it (the folded module never takes it).
-    Refinement costs its rounds times the states and edges; the rest is
+    Refinement costs O(m log n) for n states and m edges; the rest is
     linear.  The input is not mutated.
     """
     modules = dxvpa.modules
@@ -339,42 +340,30 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
 
 
 def _blocks(modules: dict, labels: dict) -> dict[StateName, int]:
-    """The block of each module state, by coarsest partition refinement.
-
-    A state's signature is its exit flag, its text edge (datatype choice,
-    target block) and its call edges (element, callee entry block, block
-    of the state its module resumes in after the callee returns), where a
-    target outside its module has no edges.  Blocks start as one and split
-    until stable (Moore refinement, as in ``Dfa.minimized``).
-    """
-    empty = (False, None, ())
-    rows = []
+    """The block of each module state in the coarsest partition (``refine``)
+    keyed by its exit flag, its datatype choice and its call elements, each
+    with whether the callee resumes it, over its text edge, its call edges
+    ``(element, "entry")`` to the callee's entry and ``(element, "resume")``
+    to the state its module resumes in after the callee returns.  An edge
+    whose target lies outside its module leads to one sink, keyed like a
+    state with no edges."""
+    initial: dict = {_OUTSIDE: (False, None, ())}
+    edges = []
     for mod in modules.values():
         for q in mod.states:
             calls = []
             for c in sorted(labels.get(q, ())):
                 callee = modules[mod.calls[(q, c)]]
-                calls.append((c, callee.entry, callee.returns.get((q, c))))
-            rows.append((q, mod.states, q in mod.exits, mod.internals.get(q), calls))
-    block: dict[StateName, int] = {}
-    count = 0
-    while True:
-        ids = {empty: 0}
-        new_block = {}
-        for q, states, is_exit, hit, calls in rows:
-            text = None
-            if hit:
-                dst, dtset = hit
-                text = (dtset, block.get(dst, 0) if dst in states else 0)
-            sig = (is_exit, text, tuple(
-                (c, block.get(entry, 0),
-                 None if resume is None else (block.get(resume, 0) if resume in states else 0))
-                for c, entry, resume in calls))
-            new_block[q] = ids.setdefault(sig, len(ids))
-        block = new_block
-        if len(ids) == count:
-            return block
-        count = len(ids)
+                resume = callee.returns.get((q, c))
+                calls.append((c, resume is not None))
+                edges.append((q, (c, "entry"), callee.entry))
+                if resume is not None:
+                    edges.append((q, (c, "resume"), resume if resume in mod.states else _OUTSIDE))
+            hit = mod.internals.get(q)
+            if hit is not None:
+                edges.append((q, "text", hit[0] if hit[0] in mod.states else _OUTSIDE))
+            initial[q] = (q in mod.exits, None if hit is None else hit[1], tuple(calls))
+    return refine(initial, edges)
 
 
 def _pairing(modules: dict, labels: dict, n: Module, m: Module) -> dict:

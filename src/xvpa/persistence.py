@@ -190,32 +190,37 @@ def _counter(token: str) -> int:
 
 
 def save_state(learner: Learner, path: str) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.  An
+    operating-system failure raises ``StateFileError``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".xvpa-state-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dump_state(learner))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=".xvpa-state-", dir=directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(dump_state(learner))
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise StateFileError(f"cannot write state file: {exc}") from None
 
 
 def load_state(path: str, dts, require_hash: bool = True) -> Learner:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StateFileError(f"cannot read state file: {exc}") from None
     return parse_state(text, dts, require_hash=require_hash)
 
 
 class StateLock:
-    """Advisory lock for one mutating command per state file."""
+    """Advisory lock for one mutating command per state file.  A lock file
+    that cannot be opened raises ``StateFileError``."""
 
     def __init__(self, path: str):
         self.path = path + ".lock"
@@ -223,7 +228,10 @@ class StateLock:
 
     def __enter__(self):
         import fcntl
-        self._fd = open(self.path, "w")
+        try:
+            self._fd = open(self.path, "w")
+        except OSError as exc:
+            raise StateFileError(f"cannot lock state file: {exc}") from None
         fcntl.flock(self._fd, fcntl.LOCK_EX)
         return self
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  All randomness is anchored at the fixed master seed.
 """
 
+import gc
 import random
 import time
 
@@ -350,17 +351,23 @@ def test_criterion_8_streaming_cost(dts):
     learner = _learn_all(dts, A11, [ev.parse_document(b"<root><i>5</i><i>6</i></root>")])
     model = _model_of(dts, learner)
 
-    def best_of(stream, repeats=3):
-        times = []
-        for _ in range(repeats):
-            t0 = time.process_time()
-            verdict = validate(model, stream)
-            times.append(time.process_time() - t0)
-            assert verdict.accepted
-        return min(times)
+    def timed(stream):
+        t0 = time.process_time()
+        verdict = validate(model, stream)
+        elapsed = time.process_time() - t0
+        assert verdict.accepted
+        return elapsed
 
-    t_small = best_of(small)
-    t_large = best_of(large)
+    # interleaved, so a slow spell of the machine hits both sizes alike, and
+    # with the collector idle, so neither size pays for the other's garbage
+    gc.collect()
+    gc.disable()
+    try:
+        pairs = [(timed(small), timed(large)) for _ in range(5)]
+    finally:
+        gc.enable()
+    t_small = min(p[0] for p in pairs)
+    t_large = min(p[1] for p in pairs)
     ratio = t_large / t_small
     assert ratio <= 3.0, f"ratio {ratio:.2f}"
     return f"2x events -> {ratio:.2f}x process time ({t_small * 1000:.0f}ms vs {t_large * 1000:.0f}ms)"

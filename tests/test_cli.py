@@ -150,6 +150,34 @@ def test_state_errors(workdir, capsys):
     capsys.readouterr()
 
 
+def test_non_utf8_state_file_is_state_error(workdir, capsys):
+    """A state file that does not decode as UTF-8 is corrupt: validate and
+    stats exit 4 with a message, not a traceback."""
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"]])
+    with open(workdir["state"], "ab") as fh:
+        fh.write(b"state \xff| 1\n")
+    capsys.readouterr()
+    assert run(["validate", workdir["state"], workdir["ok1.xml"]]) == EXIT_STATE
+    assert run(["stats", workdir["state"]]) == EXIT_STATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("state error: cannot read state file") == 2
+
+
+def test_state_path_in_missing_directory_is_state_error(workdir, capsys):
+    """learn, unlearn and sanitize lock the state file first; in a directory
+    that does not exist that fails, and each exits 4."""
+    state = str(workdir["dir"] / "missing" / "state.txt")
+    for args in (["learn", state, "--init", "mode=ancestor", "k=1", "l=2", workdir["ok1.xml"]],
+                 ["unlearn", state, workdir["ok1.xml"]],
+                 ["sanitize", state]):
+        assert run(args) == EXIT_STATE, args
+    captured = capsys.readouterr()
+    assert captured.err.count("state error: cannot lock state file") == 3
+    assert not (workdir["dir"] / "missing").exists()
+
+
 def test_learn_unlearn_restores_file_bytes(workdir, capsys):
     run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
          workdir["ok1.xml"]])

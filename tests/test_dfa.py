@@ -2,12 +2,13 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import MAX_EXPANSION, Dfa, PatternError
+from xvpa.dfa import MAX_EXPANSION, Dfa, PatternError, _Nfa, parse_pattern, refine
 
 from .oracles import distinguishing_string, sample_string, subset_counterexample, union_dfas
 
@@ -155,3 +156,69 @@ def test_minimization_preserves_language():
         for _ in range(200):
             s = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, 8)))
             assert dfa.accepts(s) == again.accepts(s)
+
+
+# -- partition refinement ------------------------------------------------------
+
+def test_refine_separates_states_by_a_missing_transition():
+    """p loops on a, q has no edge: only the missing transition tells them
+    apart, so every initial block must start as a splitter, the largest
+    one included."""
+    block = refine({"p": 0, "q": 0}, [("p", "a", "p")])
+    assert block["p"] != block["q"]
+    block = refine({"p": 0, "q": 0, "r": 0, "s": 1}, [("p", "a", "p"), ("r", "a", "p")])
+    assert block["p"] == block["r"] != block["q"]
+    assert len({block["p"], block["q"], block["s"]}) == 3
+
+
+def test_refine_merges_along_chains():
+    """Two chains that end alike merge state by state; a third whose end
+    differs splits at every step back from that end."""
+    n = 50
+    initial, edges = {}, []
+    for chain, end in (("x", 1), ("y", 1), ("z", 2)):
+        for i in range(n):
+            initial[(chain, i)] = end if i == n - 1 else 0
+            if i < n - 1:
+                edges.append(((chain, i), "a", (chain, i + 1)))
+    block = refine(initial, iter(edges))
+    assert all(block[("x", i)] == block[("y", i)] for i in range(n))
+    assert len({block[("x", i)] for i in range(n)}) == n
+    assert not {block[("x", i)] for i in range(n)} & {block[("z", i)] for i in range(n)}
+
+
+_PATTERNS = st.recursive(
+    st.sampled_from(["a", "b", "c", ".", "[a-c]", "[^b]", "[ab]", r"\num{3,17}", ""]),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map("".join),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]}|{t[1]})"),
+        st.tuples(inner, st.sampled_from(["*", "+", "?", "{2}", "{0,3}", "{2,}"])).map(
+            lambda t: f"({t[0]}){t[1]}")),
+    max_leaves=8)
+
+
+@given(_PATTERNS)
+@settings(max_examples=150, deadline=None)
+def test_minimized_dfa_is_equivalent_and_minimal(pattern):
+    """from_pattern's DFA accepts the language of the unminimized subset
+    construction, and no two of its states accept the same language."""
+    nfa = _Nfa()
+    start, accept = nfa.fragment(parse_pattern(pattern))
+    raw = Dfa.from_nfa(nfa, start, {accept})
+    dfa = Dfa.from_pattern(pattern)
+    assert distinguishing_string(raw, dfa) is None
+    tables = [list(dfa.edges(s)) for s in range(dfa.n)]
+    at = [Dfa(dfa.n, s, dfa.accepting, tables) for s in range(dfa.n)]
+    for i in range(dfa.n):
+        for j in range(i + 1, dfa.n):
+            assert distinguishing_string(at[i], at[j]) is not None, (pattern, i, j)
+
+
+def test_long_chain_minimizes_in_linearithmic_time():
+    """a{1000} minimizes a chain of 1,001 states; refining it in rounds took
+    seconds, the smaller-half refinement takes hundredths."""
+    t0 = time.process_time()
+    dfa = Dfa.from_pattern("a{1000}")
+    elapsed = time.process_time() - t0
+    assert dfa.n == 1001 and dfa.accepts("a" * 1000) and not dfa.accepts("a" * 999)
+    assert elapsed < 1.0, f"{elapsed:.2f}s"

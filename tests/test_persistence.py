@@ -170,6 +170,11 @@ def test_atomic_save_replaces_not_truncates(dts, tmp_path):
     assert not [f for f in os.listdir(tmp_path) if f.startswith(".xvpa-state-")]
 
 
+def test_save_into_missing_directory_is_state_error(dts, tmp_path):
+    with pytest.raises(StateFileError, match="cannot write state file"):
+        save_state(trained_learner(dts, n=1), str(tmp_path / "missing" / "state.txt"))
+
+
 def test_state_lock_creates_lockfile(tmp_path):
     path = str(tmp_path / "state.txt")
     with StateLock(path):
