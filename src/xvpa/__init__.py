@@ -8,7 +8,7 @@ shapes, including content smuggled behind wrapper elements, is rejected.
 
 __version__ = "0.1.0"
 
-from .automata import (Cxvpa, Dxvpa, EmptyLanguageError, Verdict, build_xvpa,
+from .automata import (Cxvpa, Dxvpa, EmptyLanguageError, Validator, Verdict, build_xvpa,
                        compile_cxvpa, minimize, to_dot, validate)
 from .datatypes import (LexicalDatatypeSystem, default_system, load_datatype_system)
 from .events import (DocumentEventStream, Event, InvariantViolation,
@@ -23,7 +23,7 @@ __all__ = [
     "ANCESTOR", "ANCESTOR_SIBLING", "Cxvpa", "DocumentEventStream", "Dxvpa",
     "EmptyLanguageError", "Event", "InvariantViolation", "Learner",
     "LexicalDatatypeSystem", "MalformedXmlError", "NamingScheme", "QName",
-    "START_STATE", "SnapshotStats", "Verdict", "WeightedVpa", "build_xvpa",
+    "START_STATE", "SnapshotStats", "Validator", "Verdict", "WeightedVpa", "build_xvpa",
     "call_name", "compile_cxvpa", "default_system", "dump_state", "int_name",
     "load_datatype_system", "load_state", "minimize", "parse_document",
     "parse_state", "ret_name", "save_state", "serialize_xml",

@@ -5,22 +5,33 @@ by typing context, each module has a single entry, its exit states share
 one return table (the single-exit property is the data shape), and
 internal transitions carry datatype choices.  Congruent modules for the
 same element are folded.
-Compilation replaces each state's datatype choice by a single predicate:
-the bitmask of its members over the datatype system's shared, lazily
-built product of all lexical acceptors, so validation checks every text
-exactly once and compilation builds no automaton.
+Compilation numbers the states once and lays the transitions out as
+integer tables keyed by rendered element labels; it replaces each state's
+datatype choice by a single predicate: the bitmask of its members over
+the datatype system's shared, lazily built product of all lexical
+acceptors, so validation checks every text exactly once and compilation
+builds no automaton.
+
+Validation has one transition rule over those tables, run two ways:
+``validate`` loops over a parsed event stream, and ``Validator`` runs the
+rule from expat callbacks as the bytes arrive, building no events and
+stopping at the first rejection.
 
 Generated automata are immutable; validation is reentrant and safe for
 concurrent use across streams (the shared product builds its states under
-a lock).
+a lock).  A ``Validator`` holds one document's run and serves one caller.
 """
 
 from __future__ import annotations
 
+import xml.parsers.expat
 from dataclasses import dataclass, field
+from itertools import repeat
+from types import MappingProxyType
 
 from .dfa import ProductPredicate, refine
-from .events import CHARS, END, START, DocumentEventStream, QName, _placed
+from .events import (CHARS, END, START, DocumentEventStream, QName, _check_head,
+                     _doctype_error, _expat_parser, _malformed, _placed)
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -51,7 +62,6 @@ class Verdict:
 
 ACCEPT = Verdict(True)
 
-_DONE = object()  # the state after the root element's return
 _OUTSIDE = object()  # where minimization's refinement sends an edge leaving its module
 
 
@@ -103,30 +113,75 @@ class Dxvpa:
 
 
 class Cxvpa:
-    """Predicate-transition automaton for one-pass validation.
+    """Predicate-transition automaton for one-pass validation, on integer
+    states.
 
-    Structure mirrors the dXVPA it was compiled from; every datatype
-    choice is fused into one predicate, at most one internal transition
-    per state.  ``ret_map`` maps (popped state, element) to the
-    target and the exits of the one module that takes that return.  The
-    root element is an ordinary call from the start state into the start
-    module, and its return, taken by the start module's exits, leads to
-    ``_DONE``; no module call or return is keyed by the start state.
+    ``compile_cxvpa`` numbers the dXVPA's states once; ``names[i]`` is the
+    ``StateName`` of state ``i``, and state 0 is the start state.  Three
+    tables, each indexed by state, hold the transitions:
+
+    * ``calls[q]`` maps an element's rendered label to the callee's entry;
+    * ``returns[p]`` maps an element's rendered label, for popped state
+      ``p``, to ``(target, exits)``: the state the one module that takes
+      that return resumes in, and the ids of that module's exits, the only
+      states that take it;
+    * ``texts[q]`` is ``(predicate, target)``, every datatype choice fused
+      into one predicate, or None.
+
+    The root element is an ordinary call from the start state into the
+    start module's entry; its return, taken by the start module's exits,
+    empties the stack and has no target (None).  No module call or return
+    is keyed by the start state.  ``predicates`` maps each datatype set to
+    its one predicate.
     """
 
-    def __init__(self, dxvpa: Dxvpa, predicates, int_map):
-        m0 = dxvpa.modules[dxvpa.m0]
+    def __init__(self, names, calls, returns, texts, predicates):
+        self.names: tuple[StateName, ...] = names
+        self.calls: tuple[dict[str, int], ...] = calls
+        self.returns: tuple[dict[str, tuple[int | None, frozenset[int]]], ...] = returns
+        self.texts: tuple[tuple[ProductPredicate, int] | None, ...] = texts
         self.predicates: dict[frozenset, ProductPredicate] = predicates
-        self.call_map: dict[tuple, StateName] = {(START_STATE, dxvpa.root_element): m0.entry}
-        self.ret_map: dict[tuple, tuple[StateName, frozenset]] = {
-            (START_STATE, dxvpa.root_element): (_DONE, frozenset(m0.exits))}
-        self.int_map: dict[StateName, tuple[StateName, frozenset]] = int_map
-        for mod in dxvpa.modules.values():
-            for (q, c), callee in mod.calls.items():
-                self.call_map[(q, c)] = dxvpa.modules[callee].entry
-            exits = frozenset(mod.exits)
-            for key, target in mod.returns.items():
-                self.ret_map[key] = (target, exits)
+        self._by_expat_name: tuple[dict, dict] | None = None
+
+    def _labels_by_expat_name(self) -> tuple[dict, dict]:
+        """``_expat_names`` of the calls, made on the push route's first
+        use."""
+        if self._by_expat_name is None:
+            self._by_expat_name = _expat_names(self.calls)
+        return self._by_expat_name
+
+
+def _expat_names(calls) -> tuple[dict, dict]:
+    """Each element label in ``calls`` by the expat name (``ns\\nlocal`` or
+    ``local``) that ``parse_document`` renders to it, and each attribute
+    label by its name, as its sort key ``(ns, local)`` and the label.  A
+    label that no name renders to is left out: no document reaches it."""
+    elements: dict[str, str] = {}
+    attributes: dict[str, tuple[str, str, str]] = {}
+    for label in set().union(*calls):
+        bare = label[1:] if label.startswith("@") else label
+        ns, _, local = bare[1:].rpartition("}") if bare.startswith("{") else ("", "", bare)
+        name = f"{ns}\n{local}" if ns else local
+        # the name must split back into (ns, local) and render to the label
+        if name.rpartition("\n")[::2] != (ns, local) or _render(ns, local) != bare:
+            continue
+        if bare is label:
+            elements[name] = label
+        else:
+            attributes[name] = (ns, local, label)
+    return elements, attributes
+
+
+def _render(ns: str, local: str) -> str:
+    """A name's label, as ``QName.render`` renders an element's."""
+    return "{%s}%s" % (ns, local) if ns else local
+
+
+def _attribute_key(name: str) -> tuple[str, str, None]:
+    """An attribute name the model does not know: its sort key, and no
+    label."""
+    ns, _, local = name.rpartition("\n")
+    return ns, local, None
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +452,60 @@ def _pairing(modules: dict, labels: dict, n: Module, m: Module) -> dict:
 # compilation and validation
 
 def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
-    """Fuse every datatype choice into one predicate: the mask of its
-    members over the datatype system's shared product.  No automaton is
-    built; the product grows its states as texts need them."""
+    """Number the dXVPA's states once and build the integer tables of
+    ``Cxvpa`` from its modules in one pass.  Every datatype choice becomes
+    one predicate: the mask of its members over the datatype system's
+    shared product, one per distinct set.  No automaton is built; the
+    product grows its states as texts need them."""
+    modules = dxvpa.modules
+    m0 = modules[dxvpa.m0]
+    ids = _Numbering({START_STATE: 0})
+    for mod in modules.values():
+        for q in mod.states:
+            ids[q] = len(ids)
+    entries = {key: ids[mod.entry] for key, mod in modules.items()}
+    calls: dict[int, dict] = {0: {dxvpa.root_element: ids[m0.entry]}}
+    returns: dict[int, dict] = {}
+    texts: dict[int, tuple] = {}
     predicates: dict[frozenset, ProductPredicate] = {}
-    int_map: dict[StateName, tuple[StateName, frozenset]] = {}
-    for mod in dxvpa.modules.values():
+    for mod in modules.values():
+        for (q, c), callee in mod.calls.items():
+            q = ids[q]
+            if q in calls:
+                calls[q][c] = entries[callee]
+            else:
+                calls[q] = {c: entries[callee]}
+        exits = frozenset(map(ids.__getitem__, mod.exits))
+        if mod is m0:
+            returns[0] = {dxvpa.root_element: (None, exits)}
+        for (popped, c), target in mod.returns.items():
+            popped = ids[popped]
+            if popped in returns:
+                returns[popped][c] = (ids[target], exits)
+            else:
+                returns[popped] = {c: (ids[target], exits)}
         for src, (dst, dtset) in mod.internals.items():
-            key = frozenset(dtset)
-            if key not in predicates:
-                predicates[key] = dxvpa.dts.predicate(key)
-            int_map[src] = (dst, key)
-    return Cxvpa(dxvpa, predicates, int_map)
+            predicate = predicates.get(dtset)
+            if predicate is None:
+                predicate = predicates[dtset] = dxvpa.dts.predicate(dtset)
+            texts[ids[src]] = (predicate, ids[dst])
+    states = range(len(ids))
+    none = repeat(_NO_MOVES)
+    return Cxvpa(tuple(ids), tuple(map(calls.get, states, none)),
+                 tuple(map(returns.get, states, none)), tuple(map(texts.get, states)),
+                 predicates)
+
+
+class _Numbering(dict):
+    """State name -> id; a name outside every module's states (a popped
+    name that a fold rewrote) is numbered where it first occurs."""
+
+    def __missing__(self, q):
+        i = self[q] = len(self)
+        return i
+
+
+_NO_MOVES = MappingProxyType({})
 
 
 def validate(model: Cxvpa, stream) -> Verdict:
@@ -418,48 +515,204 @@ def validate(model: Cxvpa, stream) -> Verdict:
     are read directly and no Event is built, or any other iterable of
     events (a raw sequence, e.g. an open-ended feed), where an unplaced
     event (index -1) takes the index after its predecessor's.  The run
-    starts in the start state with an empty stack, so the root element is
-    its first call, and each event is one lookup in the call, return or
-    internal map; a text is checked once against the current state's
-    predicate.  The stream is accepted when it ends just after the root's
-    return.  Failures become verdicts, never exceptions; cost is linear in
-    event count plus total text length.
+    starts in the start state (0) with an empty stack, so the root element
+    is its first call, and each event is one lookup in the state's call,
+    return or text table, keyed by the QName's rendered label; a text is
+    checked once against the state's predicate.  The stream is accepted
+    when it ends just after the root's return, which empties the stack.
+    Failures become verdicts, never exceptions; cost is linear in event
+    count plus total text length.  ``Validator`` drives the same tables
+    and rule from expat callbacks.
     """
-    call_map, ret_map, int_map = model.call_map, model.ret_map, model.int_map
-    predicates = model.predicates
     if isinstance(stream, DocumentEventStream):
-        run = zip(stream.indices, stream.kinds, stream.labels)
-    else:
-        run = _placed(stream)
-    q = START_STATE
+        try:
+            return _run(model, zip(stream.indices, stream.kinds, stream.labels))
+        except (AttributeError, TypeError):
+            pass  # an unchecked stream whose labels are not names and texts
+    return _run(model, _normalized(stream))
+
+
+def _normalized(events):
+    """``(index, kind, label)`` of each event, placed as ``_placed`` places
+    it, with a text as a string and any other label as a QName, whose
+    rendered label is ``str`` of a label that is not one."""
+    for index, kind, label in _placed(events):
+        if kind == CHARS:
+            label = str(label)
+        elif not isinstance(label, QName):
+            label = QName("", str(label))
+        yield index, kind, label
+
+
+def _run(model: Cxvpa, run) -> Verdict:
+    calls, returns, texts = model.calls, model.returns, model.texts
+    q = 0
     stack = []
     index = -1
     for index, kind, label in run:
-        if q is _DONE:
-            return Verdict(False, TRAILING_CONTENT, index)
         if kind == CHARS:
-            hit = int_map.get(q)
-            if hit is None or not predicates[hit[1]].accepts(str(label)):
+            hit = texts[q]
+            if hit is None or not hit[0].accepts(label):
                 return Verdict(False, DATATYPE_MISMATCH, index)
-            q = hit[0]
-            continue
-        label = label.render() if isinstance(label, QName) else str(label)
-        if kind == START:
-            target = call_map.get((q, label))
+            q = hit[1]
+        elif kind == START:
+            target = calls[q].get(label._rendered)
             if target is None:
                 return Verdict(False, UNEXPECTED_ELEMENT, index)
             stack.append(q)
             q = target
         elif kind == END:
-            hit = ret_map.get((stack.pop(), label)) if stack else None
+            hit = returns[stack.pop()].get(label._rendered) if stack else None
             if hit is None or q not in hit[1]:
                 return Verdict(False, UNEXPECTED_END, index)
             q = hit[0]
+            if not stack:
+                break  # the root's return
         else:
             return Verdict(False, UNEXPECTED_ELEMENT, index)
-    if q is _DONE:
-        return ACCEPT
-    return Verdict(False, PREMATURE_EOF, index)
+    else:
+        return Verdict(False, PREMATURE_EOF, index)
+    for index, _kind, _label in run:
+        return Verdict(False, TRAILING_CONTENT, index)
+    return ACCEPT
+
+
+class _Rejected(Exception):
+    """Raised in an expat callback to stop the parse at a rejection."""
+
+
+class Validator:
+    """Push-mode validation of one document, fused with its parse.
+
+    ``feed(chunk)`` parses the next bytes and ``close()`` ends the input.
+    Expat callbacks drive ``validate``'s tables and transition rule: no
+    Event and no stream is built, attributes are read as the sorted
+    ``start(@name), characters(value), end(@name)`` triples that
+    ``parse_document`` emits, and the event index counts them.  Text is
+    buffered only until its run ends, so a whitespace-only run is still
+    dropped.  The checks of ``parse_document`` hold however the input is
+    chunked: UTF-8 only (the first four bytes are held back until all
+    four are seen), the declared encoding, and the DOCTYPE refusal.
+
+    The first rejection ends the document: reading stops there, and
+    ``feed`` and ``close`` return that verdict from then on.  Until then
+    ``feed`` returns ACCEPT, meaning nothing is rejected so far, and
+    ``close`` returns the document's verdict.  A parse error is raised as
+    ``parse_document`` raises it, but only when it comes before any
+    rejection: a document rejected at some event and malformed later is
+    rejected, where ``validate(model, parse_document(raw))`` raises.
+    """
+
+    def __init__(self, model: Cxvpa):
+        calls, returns, texts = model.calls, model.returns, model.texts
+        q = 0
+        stack: list[int] = []
+        index = 0  # of the next event
+        buf: list[str] = []
+        elements, attributes = model._labels_by_expat_name()
+        parser = _expat_parser()
+
+        def flush_text():
+            nonlocal q, index
+            run = "".join(buf)
+            buf.clear()
+            if run.strip(" \t\r\n"):
+                hit = texts[q]
+                if hit is None or not hit[0].accepts(run):
+                    raise _Rejected(DATATYPE_MISMATCH, index)
+                q = hit[1]
+                index += 1
+
+        def on_start(name, attrs):
+            nonlocal q, index
+            if buf:
+                flush_text()
+            target = calls[q].get(elements.get(name))  # None: an unknown name
+            if target is None:
+                raise _Rejected(UNEXPECTED_ELEMENT, index)
+            stack.append(q)
+            q = target
+            index += 1
+            if not attrs:
+                return
+            pairs = [(attributes.get(attrs[i]) or _attribute_key(attrs[i]), attrs[i + 1])
+                     for i in range(0, len(attrs), 2)]
+            pairs.sort()  # by (ns, local), unique within one element
+            for (_ns, _local, label), value in pairs:
+                target = calls[q].get(label)
+                if target is None:
+                    raise _Rejected(UNEXPECTED_ELEMENT, index)
+                hit = texts[target]
+                if hit is None or not hit[0].accepts(value):
+                    raise _Rejected(DATATYPE_MISMATCH, index + 1)
+                back = returns[q].get(label)
+                if back is None or hit[1] not in back[1]:
+                    raise _Rejected(UNEXPECTED_END, index + 2)
+                q = back[0]
+                index += 3
+
+        def on_end(name):
+            nonlocal q, index
+            if buf:
+                flush_text()
+            hit = returns[stack.pop()].get(elements[name])
+            if hit is None or q not in hit[1]:
+                raise _Rejected(UNEXPECTED_END, index)
+            q = hit[0]
+            index += 1
+
+        def on_doctype(*_args):
+            raise _doctype_error(parser)
+
+        parser.StartElementHandler = on_start
+        parser.EndElementHandler = on_end
+        parser.CharacterDataHandler = buf.append
+        parser.StartDoctypeDeclHandler = on_doctype
+        self._parser = parser
+        self._head = b""  # the first bytes, until four are seen
+        self._verdict: Verdict | None = None
+
+    def feed(self, chunk) -> Verdict:
+        """Read the next bytes of the document."""
+        if self._verdict is None:
+            if self._head is not None:
+                self._head += chunk
+                if len(self._head) < 4:
+                    return ACCEPT
+                chunk, self._head = self._head, None
+                _check_head(chunk[:4])
+            self._parse(chunk, False)
+        return self._verdict or ACCEPT
+
+    def close(self) -> Verdict:
+        """End the input; the document's verdict."""
+        if self._verdict is None:
+            if self._head is not None:
+                head, self._head = self._head, None
+                _check_head(head)
+                self._parse(head, False)
+            self._parse(b"", True)
+            # expat ended without an error, so the root element closed
+            # and every event was taken
+            self._verdict = self._verdict or ACCEPT
+        return self._verdict
+
+    def _parse(self, data, final: bool):
+        if self._parser is None:
+            raise ValueError("the document has ended in an error")
+        done = True
+        try:
+            self._parser.Parse(data, final)
+            done = final
+        except _Rejected as stop:
+            self._verdict = Verdict(False, *stop.args)
+        except xml.parsers.expat.ExpatError as exc:
+            raise _malformed(exc) from None
+        finally:
+            if done:
+                # the DOCTYPE handler holds the parser: break the cycle
+                self._parser.StartDoctypeDeclHandler = None
+                self._parser = None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@ document, 3 when an input document failed to parse, 4 for state-file
 problems (missing, unreadable, unwritable or corrupt, scheme or
 datatype-hash mismatch) and for an unreadable or malformed datatype
 definition file.  Argument errors use argparse's conventional exit code 2.
+
+``validate`` reads each input in chunks through the push route
+(``automata.Validator``), and the first rejection ends the document: a
+document rejected at some event is reported ``REJECT`` (exit 1) even when
+it is malformed further on; a parse error that comes before any
+rejection exits 3.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import sys
 
 from . import __version__
 from .automata import (EMPTY_LANGUAGE, AutomatonStructureError, EmptyLanguageError,
-                       build_xvpa, compile_cxvpa, to_dot, validate)
+                       Validator, Verdict, build_xvpa, compile_cxvpa, to_dot)
 from .datatypes import DatatypeFileError, load_datatype_system
 from .events import MalformedXmlError, parse_document
 from .harness import evaluate, read_corpus
@@ -26,6 +32,8 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_PARSE = 3
 EXIT_STATE = 4
+
+CHUNK_BYTES = 64 * 1024  # validate reads its inputs in chunks of this size
 
 
 def main(argv=None) -> int:
@@ -173,18 +181,19 @@ def cmd_validate(args, dts) -> int:
         return EXIT_STATE
     rejected = False
     had_parse_error = False
-    for path, stream in _load_inputs(args.inputs):
-        if stream is None:
+    for path in args.inputs:
+        try:
+            verdict = _validate_file(model, path)
+        except (OSError, MalformedXmlError) as exc:
+            print(f"{path}: parse error: {exc}", file=sys.stderr)
             had_parse_error = True
             reason, index = "malformed-xml", "-"
-        elif model is None:
-            reason, index = EMPTY_LANGUAGE, "-"
         else:
-            verdict = validate(model, stream)
             if verdict.accepted:
                 print(f"{path}\tACCEPT\t-\t-")
                 continue
-            reason, index = verdict.reason, verdict.event_index
+            reason = verdict.reason
+            index = "-" if verdict.event_index is None else verdict.event_index
         rejected = True
         print(f"{path}\tREJECT\t{reason}\t{index}")
     if had_parse_error:
@@ -192,17 +201,38 @@ def cmd_validate(args, dts) -> int:
     return EXIT_REJECT if rejected else EXIT_OK
 
 
+def _validate_file(model, path) -> Verdict:
+    """Validate one file, read in chunks through the push route, which stops
+    reading at the first rejection.  An empty language rejects every
+    document that parses."""
+    with open(path, "rb") as fh:
+        if model is None:
+            parse_document(fh.read())
+            return Verdict(False, EMPTY_LANGUAGE)
+        validator = Validator(model)
+        while chunk := fh.read(CHUNK_BYTES):
+            if not validator.feed(chunk):
+                return validator.close()
+        return validator.close()
+
+
 def cmd_unlearn(args, dts) -> int:
     with StateLock(args.state):
         learner = load_state(args.state, dts)
         had_parse_error = False
+        unlearned = []
         for path, stream in _load_inputs(args.inputs):
             if stream is None:
                 had_parse_error = True
                 continue
-            learner.unlearn(stream)
-            print(f"{path}\tunlearned")
+            try:
+                learner.unlearn(stream)
+            except LearnerError as exc:
+                raise LearnerError(f"{path}: {exc}") from None
+            unlearned.append(path)
         save_state(learner, args.state)
+    for path in unlearned:
+        print(f"{path}\tunlearned")
     return EXIT_PARSE if had_parse_error else EXIT_OK
 
 

@@ -26,7 +26,7 @@ painful to spell as digit alternations.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 MAX_CP = 0x10FFFF
@@ -567,18 +567,30 @@ class Dfa:
 
     @classmethod
     def from_nfa(cls, nfa: _Nfa, start: int, accepts: set[int]) -> "Dfa":
-        def closure(states: frozenset[int]) -> frozenset[int]:
-            seen = set(states)
-            work = list(states)
-            while work:
-                s = work.pop()
-                for t in nfa.eps[s]:
-                    if t not in seen:
-                        seen.add(t)
-                        work.append(t)
-            return frozenset(seen)
+        """Subset construction.  A DFA state is the set of NFA states with a
+        character edge, or accepting, in an epsilon closure: the closure of
+        each NFA state is computed once, and closing a union is the union
+        of the closures.  A state's NFA edges whose targets close to the
+        same set merge into one character set first; each such set finds
+        the atoms it covers by bisection over the merged sets' boundaries,
+        so a state costs its atoms plus its intervals, not their product."""
+        closures: dict[int, frozenset[int]] = {}
 
-        start_set = closure(frozenset([start]))
+        def closure(state: int) -> frozenset[int]:
+            hit = closures.get(state)
+            if hit is None:
+                seen = {state}
+                work = [state]
+                while work:
+                    for t in nfa.eps[work.pop()]:
+                        if t not in seen:
+                            seen.add(t)
+                            work.append(t)
+                hit = closures[state] = frozenset(
+                    t for t in seen if nfa.edges[t] or t in accepts)
+            return hit
+
+        start_set = closure(start)
         index = {start_set: 0}
         tables: list[list[tuple[int, int, int]]] = [[]]
         accepting = set()
@@ -588,20 +600,22 @@ class Dfa:
         while work:
             cur = work.popleft()
             cur_id = index[cur]
-            edges = []
+            moves: dict[frozenset[int], list[Interval]] = {}  # closed target -> its intervals
             for s in cur:
-                edges.extend(nfa.edges[s])
+                for cs, dst in nfa.edges[s]:
+                    moves.setdefault(closure(dst), []).extend(cs)
+            merged = [(cs_normalize(ivs), tgt) for tgt, ivs in moves.items()]
+            bounds = _boundaries(iv for cs, _ in merged for iv in cs)
+            covering: list[list[frozenset[int]]] = [[] for _ in range(len(bounds) - 1)]
+            for cs, tgt in merged:
+                for lo, hi in cs:
+                    for atom in range(bisect_left(bounds, lo), bisect_left(bounds, hi + 1)):
+                        covering[atom].append(tgt)
             rows = []
-            for lo, hi in _atomic_intervals(edges):
-                targets = set()
-                for cs, dst in edges:
-                    for elo, ehi in cs:
-                        if elo <= lo and hi <= ehi:
-                            targets.add(dst)
-                            break
-                if not targets:
+            for atom, tgts in enumerate(covering):
+                if not tgts:
                     continue
-                tgt = closure(frozenset(targets))
+                tgt = tgts[0] if len(tgts) == 1 else frozenset().union(*tgts)
                 if tgt not in index:
                     if len(tables) == MAX_DFA_STATES:
                         raise PatternError(
@@ -611,7 +625,7 @@ class Dfa:
                     if tgt & accepts:
                         accepting.add(index[tgt])
                     work.append(tgt)
-                rows.append((lo, hi, index[tgt]))
+                rows.append((bounds[atom], bounds[atom + 1] - 1, index[tgt]))
             tables[cur_id] = _merge_rows(rows)
         return cls(len(tables), 0, accepting, tables)
 
@@ -680,11 +694,6 @@ def _boundaries(intervals) -> list[int]:
         points.add(lo)
         points.add(hi + 1)
     return sorted(points)
-
-
-def _atomic_intervals(edges):
-    bounds = _boundaries(iv for cs, _ in edges for iv in cs)
-    return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
 
 
 # ---------------------------------------------------------------------------

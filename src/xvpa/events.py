@@ -349,9 +349,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_document expects bytes")
-    head = bytes(data[:4])
-    if head[:2] in (b"\xff\xfe", b"\xfe\xff") or b"\x00" in head:
-        raise EncodingError("only UTF-8 documents are accepted")
+    _check_head(data[:4])
 
     kinds: list[str] = []
     labels: list = []
@@ -360,10 +358,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
     # one name share one object, and no name outlives the streams holding it
     elements: dict[str, QName] = {}
     attributes: dict[str, QName] = {}
-    # newline as separator: a namespace URI can never contain a literal
-    # newline (attribute-value normalization replaces it), spaces it can
-    parser = xml.parsers.expat.ParserCreate(namespace_separator="\n")
-    parser.buffer_text = True
+    parser = _expat_parser()
 
     def flush_text():
         run = "".join(buf)
@@ -392,33 +387,60 @@ def parse_document(data: bytes) -> DocumentEventStream:
         labels.append(elements[name])
 
     def on_doctype(*_args):
-        raise DoctypeRejectedError(
-            "inline DOCTYPE declarations are rejected",
-            parser.ErrorLineNumber or parser.CurrentLineNumber,
-            parser.ErrorColumnNumber or parser.CurrentColumnNumber)
-
-    def on_decl(version, encoding, _standalone):
-        if encoding is not None and encoding.lower() not in ("utf-8",):
-            raise EncodingError(f"declared encoding {encoding!r} is not supported")
+        raise _doctype_error(parser)
 
     parser.StartElementHandler = on_start
     parser.EndElementHandler = on_end
     parser.CharacterDataHandler = buf.append
     parser.StartDoctypeDeclHandler = on_doctype
-    parser.XmlDeclHandler = on_decl
-    parser.ordered_attributes = True
 
     try:
         parser.Parse(bytes(data), True)
     except xml.parsers.expat.ExpatError as exc:
-        raise MalformedXmlError(
-            xml.parsers.expat.errors.messages[exc.code] if hasattr(exc, "code") else str(exc),
-            exc.lineno, exc.offset) from None
+        raise _malformed(exc) from None
     finally:
         # the handlers hold the parser and the parser holds the handlers:
         # without this, the names and texts live until the cyclic collector runs
         parser = None
     return _stream(tuple(kinds), tuple(labels), range(len(kinds)))
+
+
+def _check_head(head: bytes) -> None:
+    """Refuse a document whose first four bytes show it is not UTF-8."""
+    if head[:2] in (b"\xff\xfe", b"\xfe\xff") or b"\x00" in head:
+        raise EncodingError("only UTF-8 documents are accepted")
+
+
+def _expat_parser():
+    """A namespace-aware expat parser that buffers text, reports attributes
+    in document order and refuses a declared encoding other than UTF-8.
+    The caller sets the element, text and DOCTYPE handlers."""
+    # newline as separator: a namespace URI can never contain a literal
+    # newline (attribute-value normalization replaces it), spaces it can
+    parser = xml.parsers.expat.ParserCreate(namespace_separator="\n")
+    parser.buffer_text = True
+    parser.ordered_attributes = True
+    parser.XmlDeclHandler = _check_declaration
+    return parser
+
+
+def _check_declaration(version, encoding, _standalone):
+    if encoding is not None and encoding.lower() not in ("utf-8",):
+        raise EncodingError(f"declared encoding {encoding!r} is not supported")
+
+
+def _doctype_error(parser) -> DoctypeRejectedError:
+    """The error for an inline DOCTYPE, at the parser's position."""
+    return DoctypeRejectedError(
+        "inline DOCTYPE declarations are rejected",
+        parser.ErrorLineNumber or parser.CurrentLineNumber,
+        parser.ErrorColumnNumber or parser.CurrentColumnNumber)
+
+
+def _malformed(exc: xml.parsers.expat.ExpatError) -> MalformedXmlError:
+    return MalformedXmlError(
+        xml.parsers.expat.errors.messages[exc.code] if hasattr(exc, "code") else str(exc),
+        exc.lineno, exc.offset)
 
 
 def _qname(names: dict, name: str, is_attr: bool) -> QName:

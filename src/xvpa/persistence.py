@@ -45,12 +45,18 @@ def _decode_token(token: str) -> str:
     return unquote(token) if "%" in token else token
 
 
+def _decode_tokens(text: str) -> tuple:
+    """The comma-separated tokens of ``text``, unescaped."""
+    tokens = text.split(",")
+    return tuple(map(_decode_token, tokens)) if "%" in text else tuple(tokens)
+
+
 def _decode_context(text: str, mode: str):
     if not text:
         return ()
     if mode == ANCESTOR:
-        return tuple(_decode_token(t) for t in text.split(","))
-    return tuple(tuple(_decode_token(t) for t in seg.split(",")) for seg in text.split("#"))
+        return _decode_tokens(text)
+    return tuple(map(_decode_tokens, text.split("#")))
 
 
 def encode_state(state, mode: str) -> str:
@@ -60,8 +66,7 @@ def encode_state(state, mode: str) -> str:
 
 def decode_state(text: str, mode: str):
     ctx_text, _, sib_text = text.partition("|")
-    sibs = tuple(_decode_token(t) for t in sib_text.split(",")) if sib_text else ()
-    return (_decode_context(ctx_text, mode), sibs)
+    return (_decode_context(ctx_text, mode), _decode_tokens(sib_text) if sib_text else ())
 
 
 def dump_state(learner: Learner) -> str:

@@ -4,7 +4,7 @@ These deliberately avoid the production code paths they check: minimality
 is recomputed by brute force over all datatypes, cardealer conformance is
 a hand-written recursive descent with stdlib regexes, the small-stream
 enumerator produces every well-nested stream within depth/width bounds,
-the accepted-stream witness is a fixpoint of its own over the compiled maps,
+the accepted-stream witness is a fixpoint of its own over the compiled tables,
 module minimization is the pairwise scan that restarts after each fold,
 the datatype-set validator checks each text against every member
 datatype instead of the compiled predicate, the reference predicate of a
@@ -21,8 +21,8 @@ from functools import lru_cache
 from random import Random
 
 from xvpa import events as ev
-from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, validate
-from xvpa.dfa import Dfa, _atomic_intervals, _Nfa
+from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, compile_cxvpa, validate
+from xvpa.dfa import Dfa, _boundaries, _Nfa
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
                          EncodingError, Event, MalformedXmlError, QName)
 from xvpa.weighted import START_STATE
@@ -192,15 +192,34 @@ def enumerate_streams(labels, texts, depth: int, width: int):
 # ---------------------------------------------------------------------------
 # sampling accepted streams from a compiled validator
 
+def named_tables(model):
+    """The compiled tables keyed by state names, read through ``names``:
+    ``(calls, returns, texts)`` with ``calls[(q, element)]`` the callee's
+    entry, ``returns[(popped, element)]`` the target (None for the root's)
+    and the exits that take it, and ``texts[q]`` the target and the
+    datatype set of its predicate."""
+    names = model.names
+    key_of = {predicate: key for key, predicate in model.predicates.items()}
+    calls = {(names[q], c): names[target]
+             for q, row in enumerate(model.calls) for c, target in row.items()}
+    returns = {(names[popped], c): (None if target is None else names[target],
+                                     frozenset(names[x] for x in exits))
+               for popped, row in enumerate(model.returns) for c, (target, exits) in row.items()}
+    texts = {names[q]: (names[hit[1]], key_of[hit[0]])
+             for q, hit in enumerate(model.texts) if hit is not None}
+    return calls, returns, texts
+
+
 def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int = 80):
     """Random walk over a compiled automaton that ends in acceptance: the
     root's call from the start state, then random steps until its return.
     Texts are sampled from the reference predicates."""
+    call_map, ret_map, int_map = named_tables(model)
     calls_by_state = {}
-    for (q, c), target in model.call_map.items():
+    for (q, c), target in call_map.items():
         calls_by_state.setdefault(q, []).append((c, target))
     rets_by_state = {}
-    for (popped, c), (target, exits) in model.ret_map.items():
+    for (popped, c), (target, exits) in ret_map.items():
         for q in exits:
             rets_by_state.setdefault((q, popped), []).append((c, target))
 
@@ -215,7 +234,7 @@ def sample_accepted_stream(model, dts, rng: Random, dfa_sample, max_events: int 
         if not closing or not options:
             for c, target in sorted(calls_by_state.get(state, [])):
                 options.append(("call", c, target))
-            hit = model.int_map.get(state)
+            hit = int_map.get(state)
             if hit is not None and events[-1].kind != ev.CHARS:
                 options.append(("text", *hit))
         if not options:
@@ -241,7 +260,7 @@ def accepted_witness(model, dts, rng: Random | None = None):
     """A stream that ``validate`` accepts on ``model``, or None when it
     accepts none.
 
-    A fixpoint over the compiled maps: ``found[e][(q, text)]`` is a run
+    A fixpoint over the compiled tables: ``found[e][(q, text)]`` is a run
     from entry ``e`` to ``q`` at the same stack height, where ``text``
     says that the run ends in a text, so that no second text follows it.
     A call from ``q`` on ``c`` into entry ``f`` extends a run by any run of
@@ -258,11 +277,12 @@ def accepted_witness(model, dts, rng: Random | None = None):
             texts[key] = next((t for t in samples if t.strip()), samples[0])
         return ev.text(texts[key])
 
+    call_map, ret_map, int_map = named_tables(model)
     calls_of = {}
-    for (q, c), entry in model.call_map.items():
+    for (q, c), entry in call_map.items():
         calls_of.setdefault(q, []).append((c, entry))
     [(root, entry0)] = calls_of.pop(START_STATE)
-    finals = model.ret_map[(START_STATE, root)][1]
+    finals = ret_map[(START_STATE, root)][1]
     found = {entry0: {(entry0, False): []}}
     changed = True
     while changed:
@@ -270,12 +290,12 @@ def accepted_witness(model, dts, rng: Random | None = None):
         for e, runs in list(found.items()):
             for (q, text), run in list(runs.items()):
                 steps = []
-                hit = model.int_map.get(q)
+                hit = int_map.get(q)
                 if hit is not None and not text:
                     steps.append((e, (hit[0], True), run + [text_for(hit[1])]))
                 for c, entry in calls_of.get(q, ()):
                     steps.append((entry, (entry, False), []))
-                    target, exits = model.ret_map.get((q, c), (None, ()))
+                    target, exits = ret_map.get((q, c), (None, ()))
                     for (x, _text), inner in list(found.get(entry, {}).items()):
                         if x in exits:
                             steps.append((e, (target, False),
@@ -310,14 +330,11 @@ def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:
     when some member datatype accepts it.  Equivalent to the compiled
     form; exists as the slow reference route, and shares the validator's
     walk with member-by-member predicates in place of the fused ones."""
-    predicates = {}
-    int_map = {}
-    for mod in dxvpa.modules.values():
-        for src, (dst, dtset) in mod.internals.items():
-            key = frozenset(dtset)
-            predicates.setdefault(key, _AnyOf(dxvpa.dts, key))
-            int_map[src] = (dst, key)
-    return validate(Cxvpa(dxvpa, predicates, int_map), stream)
+    model = compile_cxvpa(dxvpa)
+    any_of = {predicate: _AnyOf(dxvpa.dts, key) for key, predicate in model.predicates.items()}
+    texts = tuple(None if hit is None else (any_of[hit[0]], hit[1]) for hit in model.texts)
+    predicates = {key: any_of[predicate] for key, predicate in model.predicates.items()}
+    return validate(Cxvpa(model.names, model.calls, model.returns, texts, predicates), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +492,13 @@ def reference_predicate(dts, key: frozenset) -> Dfa:
 # ---------------------------------------------------------------------------
 # language queries on DFA pairs: witness strings and random members
 
+def atomic_intervals(edges):
+    """The maximal intervals on which every character set of ``edges``
+    (``(intervals, target)`` pairs) is constant."""
+    bounds = _boundaries(iv for cs, _ in edges for iv in cs)
+    return [(bounds[i], bounds[i + 1] - 1) for i in range(len(bounds) - 1)]
+
+
 def _product_witness(a: Dfa, b: Dfa, want) -> str | None:
     """BFS the product automaton; return the first string whose pair of
     acceptance flags satisfies ``want(acc_a, acc_b)``.  Missing transitions
@@ -497,7 +521,7 @@ def _product_witness(a: Dfa, b: Dfa, want) -> str | None:
             edges.extend((lo, hi) for lo, hi, _ in b.edges(sb))
         if not edges:
             continue
-        for lo, hi in _atomic_intervals([(((l, h),), 0) for l, h in edges]):
+        for lo, hi in atomic_intervals([(((l, h),), 0) for l, h in edges]):
             ta = a.step(sa, lo) if sa is not None else None
             tb = b.step(sb, lo) if sb is not None else None
             if (ta, tb) in seen:
@@ -584,13 +608,29 @@ def reference_parse(data: bytes) -> DocumentEventStream:
     for every start, end and attribute name, each text run tested for
     whitespace character by character, one handler call per expat
     callback.  Same events, same indices, same errors."""
+    out: list[Event] = []
+    _reference_events(data, out)
+    return DocumentEventStream(tuple(out))
+
+
+def events_before_error(data: bytes):
+    """``(events, error)``: the events ``reference_parse`` emits before its
+    first error, and that error, or None when the document parses."""
+    out: list[Event] = []
+    try:
+        _reference_events(data, out)
+    except MalformedXmlError as exc:
+        return out, exc
+    return out, None
+
+
+def _reference_events(data: bytes, out: list) -> None:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_document expects bytes")
     head = bytes(data[:4])
     if head[:2] in (b"\xff\xfe", b"\xfe\xff") or b"\x00" in head:
         raise EncodingError("only UTF-8 documents are accepted")
 
-    out: list[Event] = []
     buf: list[str] = []
     # newline as separator: a namespace URI can never contain a literal
     # newline (attribute-value normalization replaces it), spaces it can
@@ -654,4 +694,3 @@ def reference_parse(data: bytes) -> DocumentEventStream:
         # the handlers hold the parser and the parser holds the handlers:
         # without this, the events live until the cyclic collector runs
         parser = None
-    return DocumentEventStream(tuple(out))

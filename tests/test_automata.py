@@ -596,6 +596,17 @@ def test_validate_raw_event_sequences(cardealer):
     closed = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
               ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer")]
     assert validate(cx, closed).accepted
+    # labels that are not names or texts, in an unchecked stream too: a
+    # name's label is its string, a text is its string
+    named = [ev.Event(e.kind, e.label.render()) for e in closed]
+    assert validate(cx, named).accepted
+    assert validate(cx, ev.DocumentEventStream(named)).accepted
+    year = [ev.Event(e.kind, e.label) for e in ev.parse_document(
+        b"<dealer><newcars/><usedcars><ad><model>m</model><year>1999</year></ad>"
+        b"</usedcars></dealer>")]
+    numeric = [ev.Event(ev.CHARS, 1999, e.index) if e.label == "1999" else e for e in year]
+    assert validate(cx, numeric).accepted
+    assert validate(cx, ev.DocumentEventStream(numeric)).accepted
 
 
 def _verdict_of_every_input_form(cx, stream):

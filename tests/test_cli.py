@@ -136,9 +136,37 @@ def test_parse_error_exit_codes(workdir, capsys):
     capsys.readouterr()
     assert code == EXIT_PARSE
     assert os.path.exists(workdir["state"])  # good documents still learned
+    # malformed before any event is rejected: a parse error
+    early = workdir["dir"] / "early.xml"
+    early.write_bytes(b"<dealer><newcars></dealer><pwned/>")
+    code = run(["validate", workdir["state"], str(early)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PARSE and out == f"{early}\tREJECT\tmalformed-xml\t-\n"
+    # the first rejection ends the document: <oops/> is rejected at event 1,
+    # before the mismatched end tag
     code = run(["validate", workdir["state"], workdir["broken.xml"]])
     out = capsys.readouterr().out
-    assert code == EXIT_PARSE and "malformed-xml" in out
+    assert code == EXIT_REJECT
+    assert out == f"{workdir['broken.xml']}\tREJECT\tunexpected-element\t1\n"
+
+
+def test_validate_reads_documents_larger_than_one_chunk(workdir, capsys):
+    """A document spans several 64 KiB chunks; a rejection in the first
+    one ends it."""
+    ad = b"<ad><model>Astra</model></ad>"
+    two = workdir["dir"] / "two.xml"
+    two.write_bytes(DOC_OK.replace(b"<newcars>", b"<newcars>" + ad))
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"], str(two)])
+    large = workdir["dir"] / "large.xml"
+    large.write_bytes(DOC_OK.replace(b"<newcars>", b"<newcars>" + ad * 10_000))
+    cut = workdir["dir"] / "cut.xml"
+    cut.write_bytes(b"<dealer><pwned/>" + ad * 10_000)  # never closed
+    capsys.readouterr()
+    code = run(["validate", workdir["state"], str(large), str(cut)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == EXIT_REJECT
+    assert lines == [f"{large}\tACCEPT\t-\t-", f"{cut}\tREJECT\tunexpected-element\t1"]
 
 
 def test_state_errors(workdir, capsys):
@@ -188,6 +216,28 @@ def test_learn_unlearn_restores_file_bytes(workdir, capsys):
     capsys.readouterr()
     with open(workdir["state"], "rb") as fh:
         assert fh.read() == before
+
+
+def test_unlearn_reports_only_what_it_saved(workdir, capsys):
+    """Unlearning a document that was never learned fails the whole command:
+    the state file is unchanged, no document is reported unlearned, and the
+    error names the failing path."""
+    never = workdir["dir"] / "never.xml"
+    never.write_bytes(b"<dealer><newcars/><usedcars/></dealer>")
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"], workdir["ok2.xml"]])
+    with open(workdir["state"], "rb") as fh:
+        before = fh.read()
+    capsys.readouterr()
+    code = run(["unlearn", workdir["state"], workdir["ok1.xml"], str(never)])
+    captured = capsys.readouterr()
+    assert code == EXIT_STATE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {never}: ")
+    with open(workdir["state"], "rb") as fh:
+        assert fh.read() == before
+    assert run(["unlearn", workdir["state"], workdir["ok1.xml"]]) == EXIT_OK
+    assert capsys.readouterr().out == f"{workdir['ok1.xml']}\tunlearned\n"
 
 
 def test_sanitize_reporting(workdir, capsys):
@@ -343,6 +393,25 @@ def test_exponential_determinization_in_datatype_file_exits_4_at_once(tmp_path):
     assert proc.returncode == EXIT_STATE
     assert proc.stderr.startswith("error: cannot load datatype definitions: line 3: ")
     assert "more than 4096 states" in proc.stderr
+
+
+def test_scattered_class_in_datatype_file_loads_quickly(tmp_path):
+    """A star over a large scattered character class determinizes in time
+    linear in its intervals: 400 codepoints 7 apart under a star, then a
+    2,048-state suffix, load well within seconds."""
+    scattered = "".join("\\u{%x}" % (0x100 + 7 * i) for i in range(400))
+    path = tmp_path / "dts.txt"
+    path.write_text("version 1\ndatatype top topKind .*\n"
+                    f"datatype d k (.|[{scattered}])*a(a|b){{10}}\nlexorder d top\n")
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xvpa.cli", "--datatypes", str(path), "stats",
+         str(tmp_path / "missing.txt")],
+        capture_output=True, text=True, timeout=120)
+    assert time.monotonic() - start < 15
+    # the definitions loaded; the missing state file is the only error
+    assert proc.returncode == EXIT_STATE
+    assert proc.stderr.startswith("state error: "), proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from xvpa.automata import build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
-from xvpa.dfa import ASCII, MAX_CP, _atomic_intervals
+from xvpa.dfa import ASCII, MAX_CP
 from xvpa.harness import build_cardealer_scenario, cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 
 from .conftest import MASTER_SEED
-from .oracles import brute_force_minimal
+from .oracles import atomic_intervals, brute_force_minimal
 from .samplers import mixed_corpus
 
 CORPUS = mixed_corpus(Random(MASTER_SEED + 70), 300)
@@ -64,7 +64,7 @@ def _reachable_product(dfas) -> set:
         comps = queue.popleft()
         edges = [(((lo, hi),), 0) for d, c in zip(dfas, comps) if c is not None
                  for lo, hi, _dst in d.edges(c)]
-        for lo, _hi in _atomic_intervals(edges):
+        for lo, _hi in atomic_intervals(edges):
             nxt = tuple(None if c is None else d.step(c, lo) for d, c in zip(dfas, comps))
             if nxt not in seen:
                 seen.add(nxt)
