@@ -2,10 +2,11 @@
 
 Commands operate on a durable state file.  Exit codes: 0 on success (and
 all documents accepted for ``validate``), 1 when a validation rejected a
-document, 3 when an input document failed to parse, 4 for state-file
-problems (missing, unreadable, unwritable or corrupt, scheme or
-datatype-hash mismatch) and for an unreadable or malformed datatype
-definition file.  Argument errors use argparse's conventional exit code 2.
+document, 3 when an input document failed to parse or could not be read,
+4 for state-file problems (missing, unreadable, unwritable or corrupt,
+scheme or datatype-hash mismatch) and for an unreadable or malformed
+datatype definition file.  Argument errors use argparse's conventional
+exit code 2.
 
 ``validate`` reads each input in chunks through the push route
 (``automata.Validator``), and the first rejection ends the document: a

@@ -15,12 +15,11 @@ The datatypes and both orders are immutable once loaded.  One lazily
 determinized product of all the datatypes' acceptors classifies a text in
 a single scan, for inference and for every compiled text predicate; its
 states are built on first use, under a lock taken only when a transition
-is new, so concurrent reads stay safe.  Inference depends only on the
-accept mask of the product state a text ends in: a text-cache miss is one
-product scan, and the result is computed once per accept mask and shared
-by every text with that mask.  The text cache keeps only short texts,
-so no large text outlives its document there.  Both inference caches are
-meant for the single thread that learns.
+is new, so concurrent reads stay safe.  Its bounded memo keeps the
+accept mask of each short text, for inference and every predicate, so a
+recurring short text is scanned once.  Inference depends only on that
+mask: its result is computed once per mask and shared by every text with
+that mask, in a table meant for the single thread that learns.
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
 
 TOP = "top"
-
-# the longest text whose inference result the text cache keeps: a longer
-# text is rescanned when it recurs, so the cache never holds a large text
-CACHED_TEXT_MAX = 256
 
 _REF = re.compile(r"\$(?:\{([A-Za-z0-9_]+)\}|([A-Za-z0-9_]+))")
 
@@ -84,8 +79,7 @@ class LexicalDatatypeSystem:
         self._kind_up = _closure_masks(self._kind_index, kind_edges)
         self._validate()
         self.product = ProductDfa(d.dfa for d in datatypes)
-        self._all = (1 << len(datatypes)) - 1
-        self._infer_cache: dict[str, frozenset[str]] = {}
+        self._memo = self.product.memo
         self._by_mask: dict[int, frozenset[str]] = {}
 
     def _validate(self):
@@ -128,11 +122,6 @@ class LexicalDatatypeSystem:
 
     # -- inference pipeline ---------------------------------------------------
 
-    def _accept_mask(self, text: str) -> int:
-        """The datatypes accepting ``text``, as a bitmask, from one scan."""
-        s = self.product.run(text, self._all)
-        return s.accept if s is not None else 0
-
     def minimal_datatypes(self, text: str) -> frozenset[str]:
         """The nonempty antichain of minimal datatypes accepting ``text``.
 
@@ -142,7 +131,7 @@ class LexicalDatatypeSystem:
         The top datatype accepts everything, hence the result is never
         empty.
         """
-        cand = self._accept_mask(text)
+        cand = self.product.accept_mask(text)
         found = []
         for i in self._topo:
             if not cand:
@@ -171,22 +160,16 @@ class LexicalDatatypeSystem:
         """Minimally required datatypes of a text: prefer(minimal(text)).
 
         That is a function of the accept mask the product ends in, so a
-        text-cache miss is one product scan plus one lookup per mask, and
-        every text with that mask shares one result.  Only a new mask
-        computes the definition.  The text cache keeps only texts of at
-        most ``CACHED_TEXT_MAX`` characters.
+        text costs the product's memoized scan plus one lookup per mask,
+        and every text with that mask shares one result.  Only a new mask
+        computes the definition.
         """
-        hit = self._infer_cache.get(text)
-        if hit is not None:
-            return hit
-        mask = self._accept_mask(text)
+        mask = self._memo.get(text)  # the memo's hit path, without a call
+        if mask is None:
+            mask = self.product.accept_mask(text)
         result = self._by_mask.get(mask)
         if result is None:
             result = self._by_mask[mask] = self.prefer(self.minimal_datatypes(text))
-        if len(text) <= CACHED_TEXT_MAX:
-            if len(self._infer_cache) > 100_000:
-                self._infer_cache.clear()
-            self._infer_cache[text] = result
         return result
 
     def maxima(self, types) -> frozenset[str]:

@@ -744,6 +744,9 @@ def refine(initial: dict, edges) -> dict:
 
 ASCII = 128
 
+CACHED_TEXT_MAX = 256  # the longest text the product's memo keeps
+MEMO_MAX = 2**14  # the most texts it keeps; it is cleared when full
+
 
 class _ProductState:
     """One product state: its component states (None where a component is
@@ -777,19 +780,46 @@ class ProductDfa:
     Nothing is built up front: a transition is computed the first time a
     run takes it.  Memory is bounded by the reachable product states and
     their rows (128 ASCII slots plus one slot per atomic interval above
-    ASCII), never by the input.  The dense ASCII row spares ASCII text the
-    bisect over intervals that every codepoint above ASCII takes; on the
-    ASCII workloads of the benchmark, one interval row over the whole
-    range ran measurably slower.  Runs read without locking; a miss takes
-    the lock, and a successor is published only once its masks and rows
-    exist, so concurrent runs are safe.
+    ASCII) and by the memo's, never by the input.  The dense ASCII row
+    spares ASCII text the bisect over intervals that every codepoint above
+    ASCII takes; on the ASCII workloads of the benchmark, one interval row
+    over the whole range ran measurably slower.  Runs read without
+    locking; a miss takes the lock, and a successor is published only once
+    its masks and rows exist, so concurrent runs are safe.
+
+    ``memo`` maps a text of at most ``CACHED_TEXT_MAX`` characters to the
+    accept mask of its full scan, the int its final state holds, so a
+    recurring short text is scanned once.  At ``MEMO_MAX`` texts it is
+    cleared wholesale: 5.2 MiB at most for ASCII texts.  It takes no lock:
+    a dict get, set or clear is atomic, and every value is its text's
+    full-scan mask, so a race can lose entries but never gives a wrong
+    answer, and concurrent stores can pass the bound by at most one entry
+    per further thread until the next store clears it.
     """
 
     def __init__(self, dfas):
         self.dfas = tuple(dfas)
         self.states: dict[tuple, _ProductState] = {}
+        self.memo: dict[str, int] = {}
         self._lock = threading.Lock()
         self.start = self._state(tuple(d.start if d.accepting else None for d in self.dfas))
+
+    def accept_mask(self, text: str, live: int = -1) -> int:
+        """The components accepting ``text``, as a bitmask.  A short text
+        is scanned in full once and then read from the memo; a longer one
+        is run each time, and only until no component in ``live`` (all, by
+        default) is live, so only the bits in ``live`` are exact."""
+        if len(text) > CACHED_TEXT_MAX:
+            s = self.run(text, live)
+            return 0 if s is None else s.accept
+        mask = self.memo.get(text)
+        if mask is None:
+            s = self.run(text, -1)
+            mask = 0 if s is None else s.accept
+            if len(self.memo) >= MEMO_MAX:
+                self.memo.clear()
+            self.memo[text] = mask
+        return mask
 
     def run(self, text: str, mask: int) -> _ProductState | None:
         """The state after ``text``, or None as soon as no component in
@@ -853,15 +883,19 @@ class ProductDfa:
 class ProductPredicate:
     """Membership in the union of the product components named by a mask.
 
-    A run stops at the first character after which none of them is live.
+    A short text is read from the product's memo once it is there; a
+    longer one is run only until none of the components is live.
     """
 
-    __slots__ = ("_run", "mask")
+    __slots__ = ("_memo", "_accept_mask", "mask")
 
     def __init__(self, product: ProductDfa, mask: int):
-        self._run = product.run
+        self._memo = product.memo
+        self._accept_mask = product.accept_mask
         self.mask = mask
 
     def accepts(self, text: str) -> bool:
-        s = self._run(text, self.mask)
-        return s is not None and bool(s.accept & self.mask)
+        mask = self._memo.get(text) if len(text) <= CACHED_TEXT_MAX else None
+        if mask is None:
+            mask = self._accept_mask(text, self.mask)
+        return mask & self.mask != 0

@@ -127,6 +127,8 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
         raise StateFileError(f"bad state header: no {exc} line") from None
     except ValueError as exc:
         raise StateFileError(f"bad state header: {exc}") from None
+    if len(mind_changes) != documents or min(mind_changes, default=0) < 0:
+        raise StateFileError(f"bad state header: documents {documents} with mindchanges {mc}")
     if dts_hash != dts.content_hash:
         if require_hash:
             raise StateFileError(

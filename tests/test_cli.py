@@ -193,6 +193,28 @@ def test_non_utf8_state_file_is_state_error(workdir, capsys):
     assert captured.err.count("state error: cannot read state file") == 2
 
 
+@pytest.mark.parametrize("header", ["documents -4", "mindchanges 3,4,5", "mindchanges 1,-2"])
+def test_inconsistent_state_header_is_state_error(workdir, capsys, header):
+    """A document count or mind-change series that no learner writes exits
+    4: stats prints nothing, and unlearn leaves the file as it was."""
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"], workdir["ok2.xml"]])
+    with open(workdir["state"], encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    key = header.split()[0]
+    edited = "\n".join(header if line.startswith(key + " ") else line for line in lines)
+    with open(workdir["state"], "w", encoding="utf-8") as fh:
+        fh.write(edited)
+    capsys.readouterr()
+    assert run(["stats", workdir["state"]]) == EXIT_STATE
+    assert run(["unlearn", workdir["state"], workdir["ok2.xml"]]) == EXIT_STATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("state error: bad state header") == 2
+    with open(workdir["state"], encoding="utf-8") as fh:
+        assert fh.read() == edited
+
+
 def test_state_path_in_missing_directory_is_state_error(workdir, capsys):
     """learn, unlearn and sanitize lock the state file first; in a directory
     that does not exist that fails, and each exits 4."""

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa.datatypes import (CACHED_TEXT_MAX, DatatypeFileError, LexicalDatatypeSystem,
-                            load_datatype_system)
+from xvpa.datatypes import DatatypeFileError, LexicalDatatypeSystem, load_datatype_system
+from xvpa.dfa import CACHED_TEXT_MAX
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state
@@ -122,7 +122,7 @@ MEMO_CORPUS = mixed_corpus(random.Random(MASTER_SEED + 11), 300)
                  st.sampled_from(MEMO_CORPUS + IDLOG_TEXTS + NON_ASCII)))
 @settings(max_examples=300, deadline=None)
 def test_infer_equals_its_definition_on_a_text_cache_miss(dts, text):
-    dts._infer_cache.pop(text, None)
+    dts.product.memo.pop(text, None)
     assert dts.infer(text) == dts.prefer(dts.minimal_datatypes(text)), text
 
 
@@ -141,7 +141,7 @@ def test_texts_with_one_accept_mask_share_one_result():
     fresh = load_datatype_system()
     by_mask: dict = {}
     for text in IDLOG_TEXTS:
-        by_mask.setdefault(fresh._accept_mask(text), set()).add(text)
+        by_mask.setdefault(fresh.product.accept_mask(text), set()).add(text)
     assert max(len(texts) for texts in by_mask.values()) > 10
     for texts in by_mask.values():
         assert len({id(fresh.infer(text)) for text in texts}) == 1
@@ -172,8 +172,8 @@ def test_learned_state_is_the_same_with_the_definition_as_infer(monkeypatch):
 
 
 def test_a_long_text_leaves_nothing_in_the_text_cache():
-    """Only short texts enter the text cache: learning a document with a
-    1 MB text and dropping its stream retains less than 100 KB."""
+    """Only short texts enter the product's text memo: learning a document
+    with a 1 MB text and dropping its stream retains less than 100 KB."""
     learner = Learner(load_datatype_system(), NamingScheme("ancestor", 1, 2))
     learner.learn(ev.parse_document(b"<r><a>xxxx</a></r>"))
     raw = b"<r><a>" + b"x" * 1_000_000 + b"</a></r>"
@@ -186,7 +186,7 @@ def test_a_long_text_leaves_nothing_in_the_text_cache():
     finally:
         tracemalloc.stop()
     assert retained < 100_000
-    assert max(map(len, learner.dts._infer_cache)) <= CACHED_TEXT_MAX
+    assert max(map(len, learner.dts.product.memo)) <= CACHED_TEXT_MAX
 
 
 # -- order soundness and distinctness ---------------------------------------

@@ -1,25 +1,42 @@
 """The lazy product classifier against its member DFAs: masks at every
-prefix, bounded rows on any input, and concurrent validation."""
+prefix, bounded rows on any input, the text memo, and concurrent
+validation."""
 
+import gc
 import sys
 import threading
+import tracemalloc
 from collections import deque
 from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.automata import build_xvpa, compile_cxvpa, validate
+from xvpa.automata import Validator, build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
-from xvpa.dfa import ASCII, MAX_CP
+from xvpa.dfa import ASCII, CACHED_TEXT_MAX, MAX_CP, MEMO_MAX
+from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 
 from .conftest import MASTER_SEED
 from .oracles import atomic_intervals, brute_force_minimal
 from .samplers import mixed_corpus
+from .test_datatypes import NON_ASCII
+from .test_validator import A12, batch, model_of, push
 
 CORPUS = mixed_corpus(Random(MASTER_SEED + 70), 300)
+ACCEPTED = (True, None, None)
+
+
+def _cut_to(texts, n):
+    """Each nonempty text repeated and cut to ``n`` characters."""
+    return [(t * (n // len(t) + 1))[:n] for t in texts if t]
+
+
+# texts at the memo's length bound and one character over it
+EDGE = [n * "9" for n in (CACHED_TEXT_MAX, CACHED_TEXT_MAX + 1)] + [
+    t for n in (CACHED_TEXT_MAX, CACHED_TEXT_MAX + 1) for t in _cut_to(CORPUS[:30] + NON_ASCII, n)]
 
 
 def _member_run(dfa, live_states, text):
@@ -135,3 +152,147 @@ def test_concurrent_validation_on_a_cold_product(master_seed):
     assert not any(t.is_alive() for t in threads)
     assert all(r == expected for r in results)
     assert len(cold_dts.product.states) == len(sequential_dts.product.states)
+
+
+# -- the text memo ---------------------------------------------------------------
+
+def _member_mask(dts, text) -> int:
+    return sum(1 << i for i, name in enumerate(dts.names()) if dts.accepts(name, text))
+
+
+def _cold(predicate, product, text) -> bool:
+    """The verdict of the early-exit run alone, which reads no memo."""
+    s = product.run(text, predicate.mask)
+    return s is not None and bool(s.accept & predicate.mask)
+
+
+@given(st.one_of(st.text(), st.text(st.characters(min_codepoint=0x80)),
+                 st.sampled_from(CORPUS + NON_ASCII + EDGE)),
+       st.sets(st.integers(0, 40), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_memo_hit_equals_the_cold_run_and_member_dfas(dts, text, picks):
+    """A short text's first answer fills the memo with its full-scan mask,
+    and the answer from the memo then equals the early-exit run and the
+    member DFAs; a text over the bound never enters the memo."""
+    names = dts.names()
+    key = frozenset(names[i % len(names)] for i in picks)
+    predicate = dts.predicate(key)
+    product = dts.product
+    product.memo.pop(text, None)
+    expected = any(dts.accepts(name, text) for name in key)
+    assert predicate.accepts(text) == _cold(predicate, product, text) == expected
+    assert (text in product.memo) == (len(text) <= CACHED_TEXT_MAX)
+    assert predicate.accepts(text) == expected
+    assert product.accept_mask(text) == _member_mask(dts, text)
+
+
+def test_every_predicate_answers_from_the_memo_as_its_members():
+    """Every single-datatype predicate and every predicate of a compiled
+    cardealer model, on the mixed corpus, non-ASCII texts and texts of 256
+    and 257 characters, with a warm memo."""
+    dts = load_datatype_system()
+    learner = Learner(dts, NamingScheme("ancestor", 1, 2))
+    for doc in generate(cardealer_grammar(), 50, MASTER_SEED):
+        learner.learn(doc)
+    compiled = compile_cxvpa(build_xvpa(learner.snapshot(), dts)).predicates
+    assert len(compiled) >= 2
+    predicates = [(frozenset([name]), dts.predicate([name])) for name in dts.names()]
+    predicates += compiled.items()
+    texts = CORPUS + NON_ASCII + EDGE
+    for text in texts:
+        dts.product.accept_mask(text)
+    assert all((text in dts.product.memo) == (len(text) <= CACHED_TEXT_MAX) for text in texts)
+    for key, predicate in predicates:
+        for text in texts:
+            expected = any(dts.accepts(name, text) for name in key)
+            assert predicate.accepts(text) == _cold(predicate, dts.product, text) == expected, \
+                (sorted(key), text)
+
+
+def _text_model(dts):
+    """A model whose ``<a>`` holds NMTOKENS, so a long run of letters and
+    many distinct short texts are all accepted."""
+    return model_of(dts, A12, [b"<r><a>hello world</a></r>", b"<r><a>t1 x</a><a>t2 y</a></r>"])
+
+
+def test_a_long_validated_text_leaves_nothing_in_the_memo():
+    """Validating a 1 MB text through the batch route and through
+    ``Validator`` adds nothing to the memo, and dropping the document
+    retains less than 100 KB."""
+    dts = load_datatype_system()
+    model = _text_model(dts)
+    raw = b"<r><a>" + b"x" * 1_000_000 + b"</a></r>"
+    routes = {"batch": lambda doc: batch(model, doc),
+              "push": lambda doc: push(model, [doc[at:at + 65536]
+                                               for at in range(0, len(doc), 65536)])}
+    for name, route in routes.items():
+        assert route(b"<r><a>xxxx</a></r>") == ACCEPTED  # the states a run of x takes
+        memo = dict(dts.product.memo)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert route(raw) == ACCEPTED, name
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 100_000, name
+        assert dts.product.memo == memo, name
+
+
+def test_the_memo_never_outgrows_its_bound():
+    """Validating and learning more distinct short texts than the memo's
+    bound clears it wholesale, and it never holds more than the bound."""
+    dts = load_datatype_system()
+    model = _text_model(dts)
+    memo = dts.product.memo
+    elements = [b"<a>t%d x</a>" % i for i in range(MEMO_MAX + 1000)]
+    sizes = []
+    validator = Validator(model)
+    for chunk in [b"<r>", *elements, b"</r>"]:
+        assert validator.feed(chunk)
+        sizes.append(len(memo))
+    assert validator.close()
+    assert max(sizes) <= MEMO_MAX and sizes[-1] < max(sizes)
+    raw = b"<r>" + b"".join(elements[::-1]) + b"</r>"
+    assert validate(model, parse_document(raw))
+    assert len(memo) <= MEMO_MAX
+    Learner(dts, A12).learn(parse_document(raw))
+    assert len(memo) <= MEMO_MAX
+
+
+def test_concurrent_stores_keep_the_memo_bound_and_its_answers():
+    """Four threads answering more distinct short texts than the memo's
+    bound on one product, with frequent thread switches, get every answer
+    right, and the memo never holds more than its bound plus one entry for
+    each thread beyond the first (a switch between the bound check and the
+    store)."""
+    dts = load_datatype_system()
+    predicate = dts.predicate(["unsignedShort", "NMTOKENS"])
+    memo = dts.product.memo
+    per_thread = MEMO_MAX // 3
+    failures = []
+    barrier = threading.Barrier(4)
+
+    def work(i):
+        barrier.wait()
+        for n in range(per_thread):
+            number = str(i * per_thread + n)
+            if not predicate.accepts(number) or predicate.accepts(number + "!"):
+                failures.append(number)
+            if len(memo) > MEMO_MAX + 3:
+                failures.append(len(memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures, failures[:5]
