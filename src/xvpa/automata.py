@@ -30,8 +30,8 @@ from itertools import repeat
 from types import MappingProxyType
 
 from .dfa import ProductPredicate, refine
-from .events import (CHARS, END, START, DocumentEventStream, QName, _check_head,
-                     _doctype_error, _expat_parser, _malformed, _placed)
+from .events import (CHARS, END, START, DocumentEventStream, _check_head, _doctype_error,
+                     _expat_parser, _malformed)
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -132,7 +132,8 @@ class Cxvpa:
     start module's entry; its return, taken by the start module's exits,
     empties the stack and has no target (None).  No module call or return
     is keyed by the start state.  ``predicates`` maps each datatype set to
-    its one predicate.
+    its one predicate.  ``expat_names`` holds each call's label by the expat
+    name that renders to it, for the push route (``_expat_names``).
     """
 
     def __init__(self, names, calls, returns, texts, predicates):
@@ -141,14 +142,7 @@ class Cxvpa:
         self.returns: tuple[dict[str, tuple[int | None, frozenset[int]]], ...] = returns
         self.texts: tuple[tuple[ProductPredicate, int] | None, ...] = texts
         self.predicates: dict[frozenset, ProductPredicate] = predicates
-        self._by_expat_name: tuple[dict, dict] | None = None
-
-    def _labels_by_expat_name(self) -> tuple[dict, dict]:
-        """``_expat_names`` of the calls, made on the push route's first
-        use."""
-        if self._by_expat_name is None:
-            self._by_expat_name = _expat_names(self.calls)
-        return self._by_expat_name
+        self.expat_names: tuple[dict, dict] = _expat_names(calls)
 
 
 def _expat_names(calls) -> tuple[dict, dict]:
@@ -459,7 +453,7 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     product grows its states as texts need them."""
     modules = dxvpa.modules
     m0 = modules[dxvpa.m0]
-    ids = _Numbering({START_STATE: 0})
+    ids = {START_STATE: 0}
     for mod in modules.values():
         for q in mod.states:
             ids[q] = len(ids)
@@ -496,52 +490,30 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
                  predicates)
 
 
-class _Numbering(dict):
-    """State name -> id; a name outside every module's states (a popped
-    name that a fold rewrote) is numbered where it first occurs."""
-
-    def __missing__(self, q):
-        i = self[q] = len(self)
-        return i
-
-
 _NO_MOVES = MappingProxyType({})
 
 
-def validate(model: Cxvpa, stream) -> Verdict:
+def validate(model: Cxvpa, stream: DocumentEventStream) -> Verdict:
     """Single-pass run over a document event stream.
 
-    Accepts a DocumentEventStream, whose kind, label and index sequences
-    are read directly and no Event is built, or any other iterable of
-    events (a raw sequence, e.g. an open-ended feed), where an unplaced
-    event (index -1) takes the index after its predecessor's.  The run
-    starts in the start state (0) with an empty stack, so the root element
-    is its first call, and each event is one lookup in the state's call,
-    return or text table, keyed by the QName's rendered label; a text is
-    checked once against the state's predicate.  The stream is accepted
-    when it ends just after the root's return, which empties the stack.
-    Failures become verdicts, never exceptions; cost is linear in event
-    count plus total text length.  ``Validator`` drives the same tables
-    and rule from expat callbacks.
+    Reads the stream's kind and label tuples directly and builds no Event;
+    an event's index is its position.  The run starts in the start state
+    (0) with an empty stack, so the root element is its first call, and
+    each event is one lookup in the state's call, return or text table,
+    keyed by the QName's rendered label; a text is checked once against the
+    state's predicate.  The stream is accepted when it ends just after the
+    root's return, which empties the stack.  A rejection is a verdict, never
+    an exception; cost is linear in event count plus total text length.
+    Anything but a DocumentEventStream, or an unchecked one whose labels
+    are not names and texts, raises TypeError.  ``Validator`` drives the
+    same tables and rule from expat callbacks.
     """
-    if isinstance(stream, DocumentEventStream):
-        try:
-            return _run(model, zip(stream.indices, stream.kinds, stream.labels))
-        except (AttributeError, TypeError):
-            pass  # an unchecked stream whose labels are not names and texts
-    return _run(model, _normalized(stream))
-
-
-def _normalized(events):
-    """``(index, kind, label)`` of each event, placed as ``_placed`` places
-    it, with a text as a string and any other label as a QName, whose
-    rendered label is ``str`` of a label that is not one."""
-    for index, kind, label in _placed(events):
-        if kind == CHARS:
-            label = str(label)
-        elif not isinstance(label, QName):
-            label = QName("", str(label))
-        yield index, kind, label
+    if not isinstance(stream, DocumentEventStream):
+        raise TypeError("validate requires a DocumentEventStream")
+    try:
+        return _run(model, zip(stream.indices, stream.kinds, stream.labels))
+    except (AttributeError, TypeError) as exc:
+        raise TypeError("stream labels are not names and texts") from exc
 
 
 def _run(model: Cxvpa, run) -> Verdict:
@@ -609,7 +581,7 @@ class Validator:
         stack: list[int] = []
         index = 0  # of the next event
         buf: list[str] = []
-        elements, attributes = model._labels_by_expat_name()
+        elements, attributes = model.expat_names
         parser = _expat_parser()
 
         def flush_text():

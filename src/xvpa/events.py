@@ -11,10 +11,10 @@ Whitespace-only character runs between element tags are discarded before
 coalescing; surviving adjacent text becomes a single characters event, so a
 stream never contains two consecutive characters events.
 
-A stream is compact: three parallel sequences hold each event's kind,
-label and index (a ``range`` for a parsed stream), and ``Event`` objects
-are built only when the stream is iterated.  Validation and learning read
-the sequences directly, so the route from bytes to verdict builds none.
+A stream is compact: two parallel tuples hold each event's kind and
+label, an event's index is its position, and ``Event`` objects are built
+only when the stream is iterated.  Validation and learning read the tuples
+directly, so the route from bytes to verdict builds none.
 
 Names are shared within one stream: ``parse_document`` makes one QName
 per distinct element name and one per distinct attribute name of a
@@ -153,29 +153,31 @@ def text(value: str) -> Event:
 class DocumentEventStream:
     """A validated, immutable sequence of events for one document.
 
-    The events are stored as three parallel sequences: ``kinds``,
-    ``labels`` and ``indices`` (a ``range`` when the indices are 0..n-1).
-    Iterating the stream, or reading ``events``, builds the ``Event``
+    The events are stored as two parallel tuples, ``kinds`` and ``labels``;
+    an event's index is its position, and ``indices`` is the ``range`` of
+    them.  Iterating the stream, or reading ``events``, builds the ``Event``
     objects on demand and keeps none of them.  Equality and hashing are
-    those of the event sequence.  ``DocumentEventStream(events)`` stores
-    the given events without checking them, an unplaced one (index -1)
-    placed just after its predecessor; use ``stream_from_events`` for a
-    checked stream.
+    those of the event sequence.  ``DocumentEventStream(events)`` stores the
+    given events' kinds and labels without checking them, at their
+    positions; use ``stream_from_events`` for a checked stream.
     """
 
-    __slots__ = ("kinds", "labels", "indices")
+    __slots__ = ("kinds", "labels")
 
     def __init__(self, events=()):
-        placed = tuple(_placed(events))
-        _set_indices(self, tuple(p[0] for p in placed))
-        _set_kinds(self, tuple(p[1] for p in placed))
-        _set_labels(self, tuple(p[2] for p in placed))
+        events = tuple(events)
+        _set_kinds(self, tuple(e.kind for e in events))
+        _set_labels(self, tuple(e.label for e in events))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def indices(self) -> range:
+        return range(len(self.kinds))
 
     @property
     def events(self) -> tuple[Event, ...]:
@@ -190,17 +192,16 @@ class DocumentEventStream:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.kinds == other.kinds and self.labels == other.labels
-                and tuple(self.indices) == tuple(other.indices))
+        return self.kinds == other.kinds and self.labels == other.labels
 
     def __hash__(self):
-        return hash((self.kinds, self.labels, tuple(self.indices)))
+        return hash((self.kinds, self.labels))
 
     def __repr__(self):
         return f"DocumentEventStream(events={self.events!r})"
 
     def __reduce__(self):
-        return _stream, (self.kinds, self.labels, self.indices)
+        return _stream, (self.kinds, self.labels)
 
     def debug_lines(self):
         """Line-oriented debug form: ``K label`` with K in {S,E,C}."""
@@ -219,47 +220,31 @@ class DocumentEventStream:
 
 _set_kinds = DocumentEventStream.kinds.__set__
 _set_labels = DocumentEventStream.labels.__set__
-_set_indices = DocumentEventStream.indices.__set__
 
 
-def _stream(kinds: tuple, labels: tuple, indices) -> DocumentEventStream:
-    """A stream of the given sequences, taken as they are."""
+def _stream(kinds: tuple, labels: tuple) -> DocumentEventStream:
+    """A stream of the given tuples, taken as they are."""
     self = _new(DocumentEventStream)
     _set_kinds(self, kinds)
     _set_labels(self, labels)
-    _set_indices(self, indices)
     return self
-
-
-def _placed(events):
-    """``(index, kind, label)`` of each event; an unplaced event (index -1)
-    takes the index after its predecessor's."""
-    index = -1
-    for e in events:
-        index = e.index if e.index >= 0 else index + 1
-        yield index, e.kind, e.label
 
 
 def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
     """Build a stream from raw events, checking every stream invariant.
 
-    With ``reindex=True`` the events are renumbered 0..n-1; otherwise
-    events must either all be unplaced (index -1, numbered here) or carry
-    strictly increasing indices.
+    The events are numbered 0..n-1.  With ``reindex=True`` the indices they
+    carry are ignored; otherwise each must be unplaced (-1) or its position,
+    and any other raises ``InvariantViolation``.
     """
     events = list(events)
-    if reindex or all(e.index < 0 for e in events):
-        indices = range(len(events))
-    else:
-        last = -1
-        for e in events:
-            if e.index <= last:
-                raise InvariantViolation("stream-index not strictly increasing", e.index)
-            last = e.index
-        indices = tuple(e.index for e in events)
-
+    if not reindex:
+        for pos, e in enumerate(events):
+            if e.index != pos and e.index != -1:
+                raise InvariantViolation("event index is not its position", pos,
+                                         f"index {e.index}")
     _check_invariants(events)
-    return _stream(tuple(e.kind for e in events), tuple(e.label for e in events), indices)
+    return _stream(tuple(e.kind for e in events), tuple(e.label for e in events))
 
 
 def _check_invariants(events):
@@ -402,7 +387,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
         # the handlers hold the parser and the parser holds the handlers:
         # without this, the names and texts live until the cyclic collector runs
         parser = None
-    return _stream(tuple(kinds), tuple(labels), range(len(kinds)))
+    return _stream(tuple(kinds), tuple(labels))
 
 
 def _check_head(head: bytes) -> None:
@@ -517,7 +502,7 @@ def serialize_xml(stream, declaration: bool = False) -> str:
             out.append(_render_text(str(label)))
             i += 1
         else:  # start of an attribute outside a tag cannot occur in valid streams
-            raise InvariantViolation("attribute event outside a start tag", stream.indices[i])
+            raise InvariantViolation("attribute event outside a start tag", i)
     return "".join(out)
 
 

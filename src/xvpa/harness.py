@@ -292,8 +292,7 @@ def inject_attack(doc: DocumentEventStream, kind: str, seed: int) -> DocumentEve
 
 
 def _rebuild(evts) -> DocumentEventStream:
-    return ev.stream_from_events(
-        [Event(e.kind, e.label, -1) for e in evts], reindex=True)
+    return ev.stream_from_events(evts, reindex=True)
 
 
 def _replace_text(evts, position, new_text) -> DocumentEventStream:

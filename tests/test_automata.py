@@ -591,35 +591,28 @@ def test_validate_raw_event_sequences(cardealer):
         ([ev.start("dealer"), ev.start("newcars"), ev.end("dealer")], UNEXPECTED_END, 2),
     ]
     for events, reason, index in cases:
-        verdict = validate(cx, events)
+        verdict = validate(cx, ev.DocumentEventStream(events))
         assert (verdict.accepted, verdict.reason, verdict.event_index) == (False, reason, index)
     closed = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
               ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer")]
-    assert validate(cx, closed).accepted
-    # labels that are not names or texts, in an unchecked stream too: a
-    # name's label is its string, a text is its string
+    assert validate(cx, ev.DocumentEventStream(closed)).accepted
+    # labels that are not names and texts: a name's label as its string, a
+    # text as a number
     named = [ev.Event(e.kind, e.label.render()) for e in closed]
-    assert validate(cx, named).accepted
-    assert validate(cx, ev.DocumentEventStream(named)).accepted
     year = [ev.Event(e.kind, e.label) for e in ev.parse_document(
         b"<dealer><newcars/><usedcars><ad><model>m</model><year>1999</year></ad>"
         b"</usedcars></dealer>")]
-    numeric = [ev.Event(ev.CHARS, 1999, e.index) if e.label == "1999" else e for e in year]
-    assert validate(cx, numeric).accepted
-    assert validate(cx, ev.DocumentEventStream(numeric)).accepted
+    numeric = [ev.Event(ev.CHARS, 1999) if e.label == "1999" else e for e in year]
+    for events in (named, numeric):
+        with pytest.raises(TypeError):
+            validate(cx, ev.DocumentEventStream(events))
 
 
-def _verdict_of_every_input_form(cx, stream):
-    """The one verdict of a stream, of its events as a list and as an iterator."""
-    verdict = validate(cx, stream)
-    assert validate(cx, list(stream)) == verdict == validate(cx, iter(stream))
-    return verdict
-
-
-def test_validate_input_forms_agree(cardealer, master_seed):
-    """A stream reads its kind, label and index sequences, any other input
-    reads events: both give one verdict on parsed corpus documents,
-    structural-wrapping mutants and truncated event prefixes."""
+def test_validate_reads_only_streams(cardealer, master_seed):
+    """A list or an iterator of events raises TypeError.  On parsed corpus
+    documents, structural-wrapping mutants and truncated event prefixes, a
+    prefix is rejected where its whole stream is, or else runs out at its
+    last event."""
     docs, _dx, cx = cardealer
     rng = random.Random(master_seed + 71)
     parsed = [ev.parse_document(ev.serialize_xml(d).encode()) for d in docs]
@@ -632,36 +625,45 @@ def test_validate_input_forms_agree(cardealer, master_seed):
         mutants.append(ev.parse_document(ev.serialize_xml(mutant).encode()))
     reasons = set()
     for stream in parsed + mutants:
-        reasons.add(_verdict_of_every_input_form(cx, stream).reason)
+        verdict = validate(cx, stream)
+        reasons.add(verdict.reason)
         events = list(stream)
+        for form in (events, iter(stream)):
+            with pytest.raises(TypeError):
+                validate(cx, form)
         for cut in rng.sample(range(len(events)), 4):
-            prefix = _verdict_of_every_input_form(cx, ev.DocumentEventStream(events[:cut]))
-            assert prefix == validate(cx, events[:cut])
+            prefix = validate(cx, ev.DocumentEventStream(events[:cut]))
+            if not verdict.accepted and verdict.event_index < cut:
+                assert prefix == verdict
+            else:
+                assert (prefix.reason, prefix.event_index) == (PREMATURE_EOF, cut - 1)
             reasons.add(prefix.reason)
     assert {None, UNEXPECTED_ELEMENT, PREMATURE_EOF} <= reasons
 
 
-def test_validate_reports_the_index_a_gapped_stream_holds(cardealer):
-    """A stream whose indices have gaps reports the rejected event's own
-    index, in every input form."""
+def test_validate_reports_the_event_position(cardealer):
+    """An event's index is its position: events carrying other indices are
+    refused unless renumbered, and a rejection names the rejected event's
+    position in every stream that holds it."""
     _docs, _dx, cx = cardealer
-    raw = (b"<dealer><newcars/><usedcars><ad><model>Astra</model>"
-           b"<year>20x5</year></ad></usedcars></dealer>")
-    position = validate(cx, ev.parse_document(raw)).event_index
-    gapped = ev.stream_from_events([ev.Event(e.kind, e.label, 3 * i + 2)
-                                    for i, e in enumerate(ev.parse_document(raw))])
-    assert tuple(gapped.indices) == tuple(range(2, 3 * len(gapped), 3))
-    verdict = _verdict_of_every_input_form(cx, gapped)
-    assert (verdict.reason, verdict.event_index) == (DATATYPE_MISMATCH, 3 * position + 2)
-    truncated = list(gapped)[:position]
-    assert validate(cx, truncated) == validate(cx, ev.DocumentEventStream(truncated))
-    assert validate(cx, truncated).event_index == 3 * position - 1
-    # an unplaced event (index -1) follows its predecessor in every form
-    for events, index in (([ev.start("dealer"), ev.start("garage")], 1),
-                          ([ev.Event(ev.START, ev.QName("", "dealer"), 5), ev.start("garage")], 6)):
-        stream = ev.DocumentEventStream(events)
-        assert _verdict_of_every_input_form(cx, stream) == validate(cx, events)
-        assert validate(cx, events).event_index == index
+    stream = ev.parse_document(b"<dealer><newcars/><usedcars><ad><model>Astra</model>"
+                               b"<year>20x5</year></ad></usedcars></dealer>")
+    position = stream.labels.index("20x5")
+    verdict = validate(cx, stream)
+    assert (verdict.reason, verdict.event_index) == (DATATYPE_MISMATCH, position)
+    gapped = [ev.Event(e.kind, e.label, 3 * e.index + 2) for e in stream]
+    with pytest.raises(ev.InvariantViolation) as info:
+        ev.stream_from_events(gapped)
+    assert info.value.index == 0
+    renumbered = ev.stream_from_events(gapped, reindex=True)
+    assert renumbered == stream and validate(cx, renumbered) == verdict
+    # an unchecked stream places each event at its position too
+    assert validate(cx, ev.DocumentEventStream(gapped)) == verdict
+    truncated = validate(cx, ev.DocumentEventStream(gapped[:position]))
+    assert (truncated.reason, truncated.event_index) == (PREMATURE_EOF, position - 1)
+    unknown = ev.DocumentEventStream([ev.Event(ev.START, ev.QName("", "dealer"), 5),
+                                      ev.start("garage")])
+    assert validate(cx, unknown).event_index == 1
 
 
 def test_validate_is_deterministic(cardealer):
@@ -709,7 +711,7 @@ def test_validator_total_over_random_event_sequences(cardealer, master_seed):
               lambda r: ev.text(r.choice(["5", "", "1999Z"]))]
     for _ in range(1500):
         events = [rng.choice(makers)(rng) for _ in range(rng.randint(0, 12))]
-        verdict = validate(cx, events)
+        verdict = validate(cx, ev.DocumentEventStream(events))
         assert isinstance(verdict.accepted, bool)
         if not verdict.accepted:
             assert verdict.reason is not None

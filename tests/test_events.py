@@ -187,8 +187,13 @@ def test_events_are_built_on_demand_and_compare_as_before():
     assert again == stream and hash(again) == hash(stream) and again.events == stream.events
     assert stream_from_events(list(stream)) == stream
     assert stream != ev.DocumentEventStream(stream.events[:-1])
-    gapped = stream_from_events([ev.Event(e.kind, e.label, 2 * e.index) for e in stream])
-    assert gapped != stream and gapped.indices == tuple(range(0, 2 * len(stream), 2))
+    # an event's index is its position: any other is refused, or renumbered
+    gapped = [ev.Event(e.kind, e.label, 2 * e.index) for e in stream]
+    with pytest.raises(InvariantViolation) as info:
+        stream_from_events(gapped)
+    assert info.value.index == 1 and "not its position" in str(info.value)
+    assert stream_from_events(gapped, reindex=True) == stream
+    assert ev.DocumentEventStream(gapped) == stream
     assert pickle.loads(pickle.dumps(stream)) == stream
     with pytest.raises(FrozenInstanceError):
         stream.kinds = ()

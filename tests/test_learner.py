@@ -153,25 +153,26 @@ def test_unlearn_never_learned_fails_without_mutation(dts):
     assert dump_state(learner) == before
 
 
-def test_gapped_stream_learns_alike_and_fails_at_its_own_index(dts):
-    """The learner reads a stream's indices: a stream whose indices have
-    gaps learns the same state, and an unlearn failure names the index the
-    stream holds, not the event's position."""
+def test_renumbered_stream_learns_alike_and_fails_at_the_event_position(dts):
+    """An event's index is its position: events carrying other indices are
+    refused unless renumbered, a renumbered stream learns the same state,
+    and an unlearn failure names the failing event's position."""
     def gapped(raw):
-        return ev.stream_from_events([ev.Event(e.kind, e.label, 10 * i + 7)
-                                      for i, e in enumerate(doc(raw))])
+        return [ev.Event(e.kind, e.label, 10 * e.index + 7) for e in doc(raw)]
 
+    with pytest.raises(ev.InvariantViolation):
+        ev.stream_from_events(gapped(b"<r><x>5</x></r>"))
     learner = Learner(dts, A11)
-    learner.learn(gapped(b"<r><x>5</x></r>"))
+    learner.learn(ev.stream_from_events(gapped(b"<r><x>5</x></r>"), reindex=True))
     plain = Learner(dts, A11)
     plain.learn(doc(b"<r><x>5</x></r>"))
     assert dump_state(learner) == dump_state(plain)
     with pytest.raises(MissingTransitionError) as failure:
-        learner.unlearn(gapped(b"<r><zzz/></r>"))
-    assert failure.value.index == 17  # the start of zzz, at position 1
+        learner.unlearn(ev.stream_from_events(gapped(b"<r><zzz/></r>"), reindex=True))
+    assert failure.value.index == 1  # the start of zzz
     with pytest.raises(MissingTransitionError) as failure:
-        learner.unlearn(gapped(b"<r><x>cc</x></r>"))
-    assert failure.value.index == 27  # the text, at position 2
+        learner.unlearn(ev.stream_from_events(gapped(b"<r><x>cc</x></r>"), reindex=True))
+    assert failure.value.index == 2  # the text
 
 
 def test_unlearn_underflow_fails_without_mutation(dts):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, Validator, build_xvpa,
                            compile_cxvpa, validate)
-from xvpa.events import (DoctypeRejectedError, EncodingError, MalformedXmlError,
-                         parse_document, serialize_xml)
+from xvpa.events import (DocumentEventStream, DoctypeRejectedError, EncodingError,
+                         MalformedXmlError, parse_document, serialize_xml)
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
 
@@ -133,7 +133,7 @@ def assert_push_consistent(model, raw, rng):
         elif got[0]:
             assert error is None and got == batch(model, raw)
         else:
-            assert got == outcome(validate(model, events))
+            assert got == outcome(validate(model, DocumentEventStream(events)))
 
 
 def corrupted_copies(raw, rng, count):
