@@ -743,6 +743,7 @@ def refine(initial: dict, edges) -> dict:
 # lazily determinized product
 
 ASCII = 128
+CHUNK = 64  # a run tests liveness once per this many characters
 
 CACHED_TEXT_MAX = 256  # the longest text the product's memo keeps
 MEMO_MAX = 2**14  # the most texts it keeps; it is cleared when full
@@ -752,20 +753,20 @@ class _ProductState:
     """One product state: its component states (None where a component is
     dead), the accept and live bitmasks, and its transition rows.
 
-    ``ascii`` holds the successor of each ASCII codepoint; ``wide`` is
-    None until a codepoint above ASCII arrives, then the state's atomic
-    intervals above ASCII (the merged boundaries of its components'
-    intervals) as ``(los, successors)``.  A successor slot is None until a
-    run first needs it.
+    ``next`` maps each ASCII character a run has taken from this state to
+    its successor; ``wide`` is None until a codepoint above ASCII arrives,
+    then the state's atomic intervals above ASCII (the merged boundaries
+    of its components' intervals) as ``(los, successors)``, a successor
+    slot being None until a run first needs it.
     """
 
-    __slots__ = ("comps", "accept", "live", "ascii", "wide")
+    __slots__ = ("comps", "accept", "live", "next", "wide")
 
     def __init__(self, comps, accept, live):
         self.comps = comps
         self.accept = accept
         self.live = live
-        self.ascii = [None] * ASCII
+        self.next: dict[str, _ProductState] = {}
         self.wide = None
 
 
@@ -779,11 +780,14 @@ class ProductDfa:
 
     Nothing is built up front: a transition is computed the first time a
     run takes it.  Memory is bounded by the reachable product states and
-    their rows (128 ASCII slots plus one slot per atomic interval above
-    ASCII) and by the memo's, never by the input.  The dense ASCII row
-    spares ASCII text the bisect over intervals that every codepoint above
-    ASCII takes; on the ASCII workloads of the benchmark, one interval row
-    over the whole range ran measurably slower.  Runs read without
+    their rows (one dict entry per ASCII character taken, at most 128,
+    plus one slot per atomic interval above ASCII) and by the memo's,
+    never by the input.  A run reads a chunk of ASCII text with one dict
+    lookup per character, as a lazy DFA cache does; only a chunk holding
+    a codepoint above ASCII pays for ``ord`` and the bisect over
+    intervals.  Those codepoints stay out of the dict, so that a row
+    grows with its members' intervals and not with the alphabet of the
+    input (CJK text alone has thousands of characters).  Runs read without
     locking; a miss takes the lock, and a successor is published only once
     its masks and rows exist, so concurrent runs are safe.
 
@@ -822,29 +826,46 @@ class ProductDfa:
         return mask
 
     def run(self, text: str, mask: int) -> _ProductState | None:
-        """The state after ``text``, or None as soon as no component in
-        ``mask`` is live."""
+        """The state after ``text``, or None once no component in ``mask``
+        is live.  The text is read in chunks of ``CHUNK`` characters and
+        liveness tested after each, so a dead run stops within ``CHUNK``
+        characters of the one that killed it.  An ASCII chunk steps by
+        ``next`` alone; a chunk holding any codepoint above ASCII bisects
+        ``wide`` for those."""
         s = self.start
-        for ch in text:
-            cp = ord(ch)
-            if cp < ASCII:
-                t = s.ascii[cp]
+        for at in range(0, len(text), CHUNK):
+            chunk = text[at:at + CHUNK]
+            if chunk.isascii():
+                chars = iter(chunk)
+                while True:
+                    try:
+                        for ch in chars:
+                            s = s.next[ch]
+                        break
+                    except KeyError:
+                        s = self._miss(s, ch)
             else:
-                wide = s.wide
-                t = wide and wide[1][bisect_right(wide[0], cp) - 1]
-            if t is None:
-                t = self._miss(s, cp)
-            s = t
+                for ch in chunk:
+                    cp = ord(ch)
+                    if cp < ASCII:
+                        t = s.next.get(ch)
+                    else:
+                        wide = s.wide
+                        t = wide and wide[1][bisect_right(wide[0], cp) - 1]
+                    if t is None:
+                        t = self._miss(s, ch)
+                    s = t
             if not s.live & mask:
                 return None
         return s
 
-    def _miss(self, s: _ProductState, cp: int) -> _ProductState:
+    def _miss(self, s: _ProductState, ch: str) -> _ProductState:
+        cp = ord(ch)
         with self._lock:
             if cp < ASCII:
-                t = s.ascii[cp]
+                t = s.next.get(ch)
                 if t is None:
-                    t = s.ascii[cp] = self._successor(s, cp)
+                    t = s.next[ch] = self._successor(s, cp)
                 return t
             if s.wide is None:
                 s.wide = self._partition(s)
@@ -884,7 +905,8 @@ class ProductPredicate:
     """Membership in the union of the product components named by a mask.
 
     A short text is read from the product's memo once it is there; a
-    longer one is run only until none of the components is live.
+    longer one is run only until, at the end of a ``CHUNK``, none of the
+    components is live.
     """
 
     __slots__ = ("_memo", "_accept_mask", "mask")

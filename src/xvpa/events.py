@@ -453,10 +453,10 @@ def serialize_xml(stream, declaration: bool = False) -> str:
     whitespace as character references so values survive attribute-value
     normalization on re-parse.  Namespaced names get generated prefixes
     declared on the root element; the XML namespace keeps its predeclared
-    ``xml`` prefix.
+    ``xml`` prefix.  Anything but a DocumentEventStream raises TypeError.
     """
     if not isinstance(stream, DocumentEventStream):
-        stream = DocumentEventStream(stream)
+        raise TypeError("serialize_xml requires a DocumentEventStream")
     kinds, labels = stream.kinds, stream.labels
     namespaces = sorted({label.ns for label in labels
                          if isinstance(label, QName) and label.ns} - {_XML_NAMESPACE})

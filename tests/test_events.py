@@ -293,6 +293,16 @@ def test_serialize_parse_round_trip(events):
     assert parse_document(xml_text.encode("utf-8")) == stream
 
 
+def test_serialize_reads_only_streams():
+    """A list or an iterator of events raises TypeError, as in validate
+    and learning; the stream they came from serializes."""
+    stream = parse_document(b'<a x="1"><b>t</b></a>')
+    for form in (list(stream), iter(stream), ()):
+        with pytest.raises(TypeError):
+            serialize_xml(form)
+    assert parse_document(serialize_xml(stream).encode()) == stream
+
+
 # -- hypothesis: the parser against the reference parser ---------------------
 
 _XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}

@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from collections import deque
+from functools import cache
 from random import Random
 
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from xvpa.automata import Validator, build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
-from xvpa.dfa import ASCII, CACHED_TEXT_MAX, MAX_CP, MEMO_MAX
+from xvpa.dfa import (ASCII, CACHED_TEXT_MAX, CHUNK, MAX_CP, MEMO_MAX, Dfa, ProductDfa,
+                      ProductPredicate)
 from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
@@ -39,36 +41,110 @@ EDGE = [n * "9" for n in (CACHED_TEXT_MAX, CACHED_TEXT_MAX + 1)] + [
     t for n in (CACHED_TEXT_MAX, CACHED_TEXT_MAX + 1) for t in _cut_to(CORPUS[:30] + NON_ASCII, n)]
 
 
-def _member_run(dfa, live_states, text):
-    """(accepts, live) of one member DFA after ``text``, by its own steps."""
-    state = dfa.start
+def _member_state(dfa, text):
+    """One member DFA's state after ``text``, by its own steps; None, as
+    in a product state, once it is dead."""
+    state = dfa.start if dfa.accepting else None
     for ch in text:
-        state = dfa.step(state, ord(ch))
         if state is None:
-            return False, False
-    return state in dfa.accepting, state in live_states
+            break
+        state = dfa.step(state, ord(ch))
+    return state
+
+
+@cache
+def _coaccessible(dfa) -> set:
+    return dfa._coaccessible()
+
+
+def _assert_member_masks(dts, prefix):
+    """The product state after ``prefix``: its accept and live masks and
+    its component states are the member DFAs'."""
+    names = dts.names()
+    s = dts.product.run(prefix, -1)
+    accept, live = (s.accept, s.live) if s is not None else (0, 0)
+    for i, name in enumerate(names):
+        dfa = dts.datatypes[name].dfa
+        state = _member_state(dfa, prefix)
+        assert bool(accept >> i & 1) == (state in dfa.accepting), (name, prefix)
+        assert bool(live >> i & 1) == (state in _coaccessible(dfa)), (name, prefix)
+        assert s is None or s.comps[i] == state, (name, prefix)
+    return s
 
 
 @given(st.one_of(st.text(), st.sampled_from(CORPUS)),
        st.sets(st.integers(0, 40), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_product_masks_equal_member_dfas(dts, text, picks):
-    product = dts.product
     names = dts.names()
-    dfas = [dts.datatypes[name].dfa for name in names]
-    lives = [dfa._coaccessible() for dfa in dfas]
-    everything = (1 << len(names)) - 1
     for end in range(len(text) + 1):
-        prefix = text[:end]
-        s = product.run(prefix, everything)
-        accept, live = (s.accept, s.live) if s is not None else (0, 0)
-        for i, (dfa, live_states) in enumerate(zip(dfas, lives)):
-            member_accepts, member_live = _member_run(dfa, live_states, prefix)
-            assert bool(accept >> i & 1) == member_accepts, (names[i], prefix)
-            assert bool(live >> i & 1) == member_live, (names[i], prefix)
+        _assert_member_masks(dts, text[:end])
     key = frozenset(names[i % len(names)] for i in picks)
     expected = any(dts.accepts(name, text) for name in key)
     assert dts.predicate(key).accepts(text) == expected, (sorted(key), text)
+
+
+# pieces that keep many datatypes live, and runs of either kind of character,
+# repeated to any length up to 300
+_PIECES = st.one_of(st.sampled_from(CORPUS + NON_ASCII), st.text("0123456789", max_size=90),
+                    st.text(st.characters(max_codepoint=ASCII - 1), max_size=90),
+                    st.text(st.characters(min_codepoint=ASCII), max_size=30))
+_MIXED = st.builds(lambda pieces, n: "".join(_cut_to(["".join(pieces)], n)),
+                   st.lists(_PIECES, min_size=1, max_size=8), st.integers(0, 300))
+
+
+@given(_MIXED, st.integers(0, 40))
+@settings(max_examples=150, deadline=None)
+def test_chunked_run_masks_at_chunk_edges(dts, text, pick):
+    """Texts that mix ASCII chunks with chunks above ASCII: at prefix
+    lengths next to each multiple of ``CHUNK``, the run's masks are the
+    member DFAs', and a run for one datatype gives None exactly when that
+    datatype is dead."""
+    one = pick % len(dts.names())
+    ends = {len(text)} | {end for k in range(0, len(text) + CHUNK, CHUNK)
+                          for end in (k - 1, k, k + 1) if 0 <= end <= len(text)}
+    for end in sorted(ends):
+        prefix = text[:end]
+        s = _assert_member_masks(dts, prefix)
+        alone = dts.product.run(prefix, 1 << one)
+        if not prefix or s is not None and s.live >> one & 1:
+            assert alone is s, (one, prefix)
+        else:
+            assert alone is None, (one, prefix)
+
+
+def _rows(product) -> dict:
+    """Each product state's filled transitions: ASCII characters taken and
+    lower bounds of the intervals above ASCII taken."""
+    return {comps: (set(s.next), s.wide and {lo for lo, t in zip(*s.wide) if t is not None})
+            for comps, s in product.states.items()}
+
+
+def test_a_dead_run_reads_at_most_a_chunk_past_its_dead_character():
+    """A predicate whose datatype dies at some character stops within
+    ``CHUNK`` characters of it, in an ASCII or a mixed chunk and at every
+    offset into a chunk: characters placed ``CHUNK`` or more past it grow
+    no product state and fill no row."""
+    dfas = [Dfa.from_pattern("x*"), Dfa.from_pattern("[x-y\\u{e9}]*z*")]
+    tail = "z" * CACHED_TEXT_MAX + "\u00fc"  # each would take a new state
+    assert len(_run_all(dfas, "y" + tail).states) > len(_run_all(dfas, "y").states)
+    for filler in ("y" * CHUNK, "y\u00e9" * CHUNK):
+        for dead in range(2 * CHUNK + 1):
+            head = "x" * dead + filler[:CHUNK]  # x* dies at head[dead]
+            product = ProductDfa(dfas)
+            assert not ProductPredicate(product, 1).accepts(head + tail)
+            assert product.run(head + tail, 1) is None
+            taken, whole = _rows(product), _rows(_run_all(dfas, head))
+            assert taken.keys() <= whole.keys(), (filler, dead)
+            for comps, (chars, wide) in taken.items():
+                assert chars <= whole[comps][0] and (wide or set()) <= (whole[comps][1] or set())
+
+
+def _run_all(dfas, text) -> ProductDfa:
+    """A fresh product after scanning ``text`` until every member is dead."""
+    product = ProductDfa(dfas)
+    product.run(text, -1)
+    return product
 
 
 def _reachable_product(dfas) -> set:
@@ -104,7 +180,8 @@ def test_product_memory_is_bounded_by_member_intervals():
     reachable = _reachable_product([dts.datatypes[name].dfa for name in dts.names()])
     assert set(product.states) <= reachable
     for comps, s in product.states.items():
-        assert s.comps == comps and len(s.ascii) == ASCII
+        assert s.comps == comps and len(s.next) <= ASCII
+        assert all(len(ch) == 1 and ord(ch) < ASCII for ch in s.next)
         if s.wide is None:
             continue
         los, successors = s.wide
