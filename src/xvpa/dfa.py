@@ -783,13 +783,14 @@ class ProductDfa:
     their rows (one dict entry per ASCII character taken, at most 128,
     plus one slot per atomic interval above ASCII) and by the memo's,
     never by the input.  A run reads a chunk of ASCII text with one dict
-    lookup per character, as a lazy DFA cache does; only a chunk holding
-    a codepoint above ASCII pays for ``ord`` and the bisect over
-    intervals.  Those codepoints stay out of the dict, so that a row
-    grows with its members' intervals and not with the alphabet of the
-    input (CJK text alone has thousands of characters).  Runs read without
-    locking; a miss takes the lock, and a successor is published only once
-    its masks and rows exist, so concurrent runs are safe.
+    lookup per character, as a lazy DFA cache does; a chunk holding a
+    codepoint above ASCII tests each character, and only those above
+    ASCII pay for ``ord`` and the bisect over intervals.  Those
+    codepoints stay out of the dict, so that a row grows with its
+    members' intervals and not with the alphabet of the input (CJK text
+    alone has thousands of characters).  Runs read without locking; a
+    miss takes the lock, and a successor is published only once its masks
+    and rows exist, so concurrent runs are safe.
 
     ``memo`` maps a text of at most ``CACHED_TEXT_MAX`` characters to the
     accept mask of its full scan, the int its final state holds, so a
@@ -846,15 +847,19 @@ class ProductDfa:
                         s = self._miss(s, ch)
             else:
                 for ch in chunk:
-                    cp = ord(ch)
-                    if cp < ASCII:
-                        t = s.next.get(ch)
+                    if ch < "\x80":  # ASCII
+                        try:
+                            s = s.next[ch]
+                            continue
+                        except KeyError:
+                            pass
                     else:
                         wide = s.wide
-                        t = wide and wide[1][bisect_right(wide[0], cp) - 1]
-                    if t is None:
-                        t = self._miss(s, ch)
-                    s = t
+                        t = wide and wide[1][bisect_right(wide[0], ord(ch)) - 1]
+                        if t is not None:
+                            s = t
+                            continue
+                    s = self._miss(s, ch)
             if not s.live & mask:
                 return None
         return s
