@@ -116,7 +116,7 @@ def test_chunked_run_masks_at_chunk_edges(dts, text, pick):
 def _rows(product) -> dict:
     """Each product state's filled transitions: ASCII characters taken and
     lower bounds of the intervals above ASCII taken."""
-    return {comps: (set(s.next), s.wide and {lo for lo, t in zip(*s.wide) if t is not None})
+    return {comps: (set(s.next), {lo for lo, t in zip(*(s.wide or ((), ()))) if t is not None})
             for comps, s in product.states.items()}
 
 
@@ -137,7 +137,7 @@ def test_a_dead_run_reads_at_most_a_chunk_past_its_dead_character():
             taken, whole = _rows(product), _rows(_run_all(dfas, head))
             assert taken.keys() <= whole.keys(), (filler, dead)
             for comps, (chars, wide) in taken.items():
-                assert chars <= whole[comps][0] and (wide or set()) <= (whole[comps][1] or set())
+                assert chars <= whole[comps][0] and wide <= whole[comps][1], (filler, dead)
 
 
 def _run_all(dfas, text) -> ProductDfa:
