@@ -30,8 +30,8 @@ from itertools import repeat
 from types import MappingProxyType
 
 from .dfa import ProductPredicate, refine
-from .events import (CHARS, END, START, DocumentEventStream, _check_head, _doctype_error,
-                     _expat_parser, _malformed)
+from .events import (CHARS, END, START, DocumentEventStream, QName, _check_head,
+                     _doctype_error, _expat_parser, _malformed)
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -157,18 +157,13 @@ def _expat_names(calls) -> tuple[dict, dict]:
         ns, _, local = bare[1:].rpartition("}") if bare.startswith("{") else ("", "", bare)
         name = f"{ns}\n{local}" if ns else local
         # the name must split back into (ns, local) and render to the label
-        if name.rpartition("\n")[::2] != (ns, local) or _render(ns, local) != bare:
+        if name.rpartition("\n")[::2] != (ns, local) or QName(ns, local).render() != bare:
             continue
         if bare is label:
             elements[name] = label
         else:
             attributes[name] = (ns, local, label)
     return elements, attributes
-
-
-def _render(ns: str, local: str) -> str:
-    """A name's label, as ``QName.render`` renders an element's."""
-    return "{%s}%s" % (ns, local) if ns else local
 
 
 def _attribute_key(name: str) -> tuple[str, str, None]:

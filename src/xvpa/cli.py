@@ -4,9 +4,10 @@ Commands operate on a durable state file.  Exit codes: 0 on success (and
 all documents accepted for ``validate``), 1 when a validation rejected a
 document, 3 when an input document failed to parse or could not be read,
 4 for state-file problems (missing, unreadable, unwritable or corrupt,
-scheme or datatype-hash mismatch) and for an unreadable or malformed
-datatype definition file.  Argument errors use argparse's conventional
-exit code 2.
+scheme or datatype-hash mismatch), for an unreadable or malformed
+datatype definition file, and for an output file (``export-dot --out``,
+``eval --report``) that cannot be written.  Argument errors, among them
+an ``eval -k`` or ``-l`` below 1, use argparse's conventional exit code 2.
 
 ``validate`` reads each input in chunks through the push route
 (``automata.Validator``), and the first rejection ends the document: a
@@ -102,11 +103,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="learn a corpus directory and report detection metrics")
     p.add_argument("corpus", help="directory with train/, test/normal/, test/attack/<kind>/")
     p.add_argument("--mode", choices=["ancestor", "ancestor-sibling"], default="ancestor")
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("-l", type=int, default=2)
+    p.add_argument("-k", type=_positive_int, default=1)
+    p.add_argument("-l", type=_positive_int, default=2)
     p.add_argument("--report", default=None, help="write the TSV report here")
     p.set_defaults(func=cmd_eval)
     return parser
+
+
+def _positive_int(value: str) -> int:
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    return int(value)
+
+
+def _write_output(path: str | None, text: str) -> int:
+    """Write a command's output to ``path``, or to stdout when there is no
+    path: EXIT_OK, or EXIT_STATE with a message when it cannot be written."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_STATE
+    return EXIT_OK
 
 
 def _parse_init(tokens):
@@ -276,13 +298,7 @@ def cmd_export_dot(args, dts) -> int:
     except (EmptyLanguageError, AutomatonStructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STATE
-    dot = to_dot(dxvpa, compiled=args.compiled)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
-    return EXIT_OK
+    return _write_output(args.out, to_dot(dxvpa, compiled=args.compiled))
 
 
 def cmd_eval(args, dts) -> int:
@@ -305,8 +321,7 @@ def cmd_eval(args, dts) -> int:
     report = evaluate(model, corpus)
     print(report.summary())
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_tsv())
+        return _write_output(args.report, report.to_tsv())
     return EXIT_OK
 
 

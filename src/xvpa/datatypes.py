@@ -11,15 +11,17 @@ Everything is loaded from a versioned definition file (see
 the lexical spaces; its content hash travels with persisted learner state
 so that models and definitions cannot drift apart silently.
 
-The datatypes and both orders are immutable once loaded.  One lazily
-determinized product of all the datatypes' acceptors classifies a text in
-a single scan, for inference and for every compiled text predicate; its
-states are built on first use, under a lock taken only when a transition
-is new, so concurrent reads stay safe.  Its bounded memo keeps the
-accept mask of each short text, for inference and every predicate, so a
-recurring short text is scanned once.  Inference depends only on that
-mask: its result is computed once per mask and shared by every text with
-that mask, in a table meant for the single thread that learns.
+The datatypes and both orders are immutable once loaded.  Each order is
+held only as closure bitmasks, so the minimal, preferred and maximal
+members of a set are mask operations.  One lazily determinized product of
+all the datatypes' acceptors classifies a text in a single scan, for
+inference and for every compiled text predicate; its states are built on
+first use, under a lock taken only when a transition is new, so concurrent
+reads stay safe.  Its bounded memo keeps the accept mask of each short
+text, for inference and every predicate, so a recurring short text is
+scanned once.  Inference depends only on that mask: its result is computed
+once per mask and shared by every text with that mask, in a table meant
+for the single thread that learns.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ class LexicalDatatypeSystem:
     ``lex_lt(a, b)`` is the strict subsumption order (transitive closure of
     the definition file's edges).  It is sound (every edge is a true
     language inclusion, checked by the test suite) but deliberately not
-    complete; minimality is always relative to this declared order.
+    complete; minimality is always relative to this declared order.  Both
+    orders are closure bitmasks per datatype: ``_up`` in the lexical order
+    and ``_kind_above``, the datatypes of strictly higher kinds.
     """
 
     def __init__(self, datatypes, lex_edges, kind_edges, version, content_hash):
@@ -70,7 +74,8 @@ class LexicalDatatypeSystem:
         self._names = [d.name for d in datatypes]
         self.lex_edges = tuple(lex_edges)
         self._up = _closure_masks(self._index, lex_edges)
-        self._topo = _topological(self._names, lex_edges)
+        if any(up >> i & 1 for i, up in enumerate(self._up)):
+            raise DatatypeFileError("lexical order is cyclic")
         kinds = sorted({d.kind for d in datatypes})
         self._kind_index = {k: i for i, k in enumerate(kinds)}
         for a, b in kind_edges:
@@ -78,6 +83,10 @@ class LexicalDatatypeSystem:
                 raise DatatypeFileError(f"kind order mentions unknown kind {a!r}/{b!r}")
         self._kind_up = _closure_masks(self._kind_index, kind_edges)
         self._validate()
+        kind_of = [self._kind_index[d.kind] for d in datatypes]
+        # per kind, the datatypes of strictly higher kinds
+        above = [sum(1 << i for i, k in enumerate(kind_of) if up >> k & 1) for up in self._kind_up]
+        self._kind_above = [above[k] for k in kind_of]
         self.product = ProductDfa(d.dfa for d in datatypes)
         self._memo = self.product.memo
         self._by_mask: dict[int, frozenset[str]] = {}
@@ -104,57 +113,46 @@ class LexicalDatatypeSystem:
     def kind_of(self, name: str) -> str:
         return self.datatypes[name].kind
 
-    def accepts(self, name: str, text: str) -> bool:
-        """Membership of ``text`` in the lexical space of ``name``."""
-        return self.datatypes[name].dfa.accepts(text)
-
     def predicate(self, names) -> ProductPredicate:
         """Membership in the union of the named lexical spaces, run on the
         shared product."""
-        return ProductPredicate(self.product, sum(1 << self._index[name] for name in names))
+        return ProductPredicate(self.product, self._mask(names))
 
     def lex_lt(self, a: str, b: str) -> bool:
         """Strict lexical subsumption per the declared order."""
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
 
-    def kind_lt(self, a: str, b: str) -> bool:
-        return bool(self._kind_up[self._kind_index[a]] & (1 << self._kind_index[b]))
+    def _mask(self, names) -> int:
+        """The bitmask of a collection of datatype names."""
+        return sum(1 << self._index[name] for name in set(names))
+
+    def _unshadowed(self, mask: int, up: list[int]) -> frozenset[str]:
+        """The members of ``mask`` that lie in no member's up-set."""
+        shadow = 0
+        for i in _bits(mask):
+            shadow |= up[i]
+        return frozenset(self._names[i] for i in _bits(mask & ~shadow))
 
     # -- inference pipeline ---------------------------------------------------
 
     def minimal_datatypes(self, text: str) -> frozenset[str]:
         """The nonempty antichain of minimal datatypes accepting ``text``.
 
-        One product scan gives the mask of accepting datatypes.  Walking
-        them in topological order of the subsumption order prunes the
-        up-set of every match, so each one kept is minimal by construction.
-        The top datatype accepts everything, hence the result is never
-        empty.
+        One product scan gives the mask of accepting datatypes.  A match
+        is kept exactly when it lies in no match's lexical up-set, that
+        is, when no other match is below it.  The top datatype accepts
+        everything, hence the result is never empty.
         """
-        cand = self.product.accept_mask(text)
-        found = []
-        for i in self._topo:
-            if not cand:
-                break
-            bit = 1 << i
-            if cand & bit:
-                found.append(self._names[i])
-                cand &= ~(bit | self._up[i])
-        return frozenset(found)
+        return self._unshadowed(self.product.accept_mask(text), self._up)
 
     def prefer(self, types) -> frozenset[str]:
         """Drop every member whose kind is strictly above another member's
         kind.  Input must be nonempty; the result stays a nonempty
         antichain of the lexical order."""
-        types = set(types)
-        if not types:
+        mask = self._mask(types)
+        if not mask:
             raise ValueError("prefer() requires a nonempty set")
-        dropped = set()
-        for a in types:
-            for b in types:
-                if a != b and self.kind_lt(self.kind_of(a), self.kind_of(b)):
-                    dropped.add(b)
-        return frozenset(types - dropped)
+        return self._unshadowed(mask, self._kind_above)
 
     def infer(self, text: str) -> frozenset[str]:
         """Minimally required datatypes of a text: prefer(minimal(text)).
@@ -173,12 +171,10 @@ class LexicalDatatypeSystem:
         return result
 
     def maxima(self, types) -> frozenset[str]:
-        """Maximal elements of a datatype set w.r.t. lexical subsumption."""
-        types = set(types)
-        return frozenset(
-            a for a in types
-            if not any(a != b and self.lex_lt(a, b) for b in types)
-        )
+        """Maximal elements of a datatype set w.r.t. lexical subsumption:
+        the members whose up-set misses the set."""
+        mask = self._mask(types)
+        return frozenset(self._names[i] for i in _bits(mask) if not self._up[i] & mask)
 
     def merge(self, left, right) -> frozenset[str]:
         """Aggregate two inferred antichains: the maxima of their union.
@@ -284,45 +280,23 @@ def default_system() -> LexicalDatatypeSystem:
 
 
 def _closure_masks(index: dict[str, int], edges) -> list[int]:
-    """Strict transitive closure as per-node bitmasks of reachable nodes."""
-    n = len(index)
-    direct = [0] * n
+    """Transitive closure as per-node bitmasks of the nodes reachable by
+    one or more edges, by Warshall's algorithm on bitmask rows.  A node's
+    own bit is set exactly when it lies on a cycle."""
+    rows = [0] * len(index)
     for a, b in edges:
-        direct[index[a]] |= 1 << index[b]
-    masks = [0] * n
-    for i in range(n):
-        seen = 0
-        work = [j for j in range(n) if direct[i] & (1 << j)]
-        while work:
-            j = work.pop()
-            bit = 1 << j
-            if seen & bit:
-                continue
-            seen |= bit
-            work.extend(k for k in range(n) if direct[j] & (1 << k) and not seen & (1 << k))
-        masks[i] = seen
-    return masks
+        rows[index[a]] |= 1 << index[b]
+    for k in range(len(rows)):
+        bit = 1 << k
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | rows[k]
+    return rows
 
 
-def _topological(names, edges) -> list[int]:
-    """Indices in topological order: subsumed datatypes before subsuming."""
-    index = {name: i for i, name in enumerate(names)}
-    out: dict[int, list[int]] = {i: [] for i in range(len(names))}
-    indeg = [0] * len(names)
-    for a, b in edges:
-        out[index[a]].append(index[b])
-        indeg[index[b]] += 1
-    queue = sorted(i for i in range(len(names)) if indeg[i] == 0)
-    order = []
-    while queue:
-        i = queue.pop(0)
-        order.append(i)
-        ready = []
-        for j in out[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-        queue = sorted(queue + ready)
-    if len(order) != len(names):
-        raise DatatypeFileError("lexical order is cyclic")
-    return order
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

@@ -237,9 +237,10 @@ class _Parser:
         return ("set", cs_single(ch))
 
     def escape(self):
-        ch = self.take()
-        if ch == "n" and self.src.startswith("um{", self.pos):
-            self.pos += 3
+        """An escape outside a class: ``\\num{lo,hi}``, or any escape a
+        class admits, decoded by ``class_escape``."""
+        if self.src.startswith("num{", self.pos):
+            self.pos += 4
             lo = self.int_until(",")
             self.take()
             hi = self.int_until("}")
@@ -247,14 +248,8 @@ class _Parser:
             if hi < lo:
                 self.error(r"bad \num bounds")
             return ("num", lo, hi)
-        if ch == "d":
-            return ("set", DIGIT_CS)
-        if ch == "u":
-            cp = self.codepoint()
-            return ("set", ((cp, cp),))
-        if ch in _ESCAPES:
-            return ("set", cs_single(_ESCAPES[ch]))
-        return ("set", cs_single(ch))
+        item = self.class_escape()
+        return ("set", item if isinstance(item, tuple) else ((item, item),))
 
     def codepoint(self) -> int:
         if self.take() != "{":
@@ -533,8 +528,7 @@ class Dfa:
         return state in self.accepting
 
     def edges(self, state: int):
-        for lo, hi, dst in zip(self._los[state], self._his[state], self._dst[state]):
-            yield lo, hi, dst
+        return zip(self._los[state], self._his[state], self._dst[state])
 
     def is_universal(self) -> bool:
         """Whether every string is accepted: every reachable state accepts

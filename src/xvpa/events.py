@@ -31,7 +31,7 @@ may be parsed concurrently.
 from __future__ import annotations
 
 import xml.parsers.expat
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 START = "start"
 END = "end"
@@ -91,51 +91,23 @@ class QName:
         return self._rendered
 
 
+@dataclass(frozen=True, slots=True)
 class Event:
     """One stream event.  ``label`` is a QName for start/end events, the
     text for characters events (or an inferred datatype set after the
     datatyped mapping).  ``index`` is the position in the stream; -1 marks
     an event not yet placed in a stream.
 
-    Immutable, hashable and equal by value, like a frozen dataclass of the
-    three fields, but slotted.  A stream holds no events: iterating it
-    builds one per event, which the caller may keep or drop.
+    Immutable, hashable and equal by value.  A stream holds no events:
+    iterating it builds one per event, which the caller may keep or drop.
     """
 
-    __slots__ = ("kind", "label", "index", "__weakref__")
-
-    def __new__(cls, kind: str, label: object, index: int = -1):
-        self = _new(cls)
-        _set_kind(self, kind)
-        _set_label(self, label)
-        _set_index(self, index)
-        return self
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.label, self.index) == (other.kind, other.label, other.index)
-
-    def __hash__(self):
-        return hash((self.kind, self.label, self.index))
-
-    def __repr__(self):
-        return f"Event(kind={self.kind!r}, label={self.label!r}, index={self.index!r})"
-
-    def __reduce__(self):
-        return Event, (self.kind, self.label, self.index)
+    kind: str
+    label: object
+    index: int = -1
 
 
 _new = object.__new__
-_set_kind = Event.kind.__set__
-_set_label = Event.label.__set__
-_set_index = Event.index.__set__
 
 
 def start(name, ns="", is_attr=False) -> Event:
@@ -150,6 +122,7 @@ def text(value: str) -> Event:
     return Event(CHARS, value)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DocumentEventStream:
     """A validated, immutable sequence of events for one document.
 
@@ -162,18 +135,13 @@ class DocumentEventStream:
     positions; use ``stream_from_events`` for a checked stream.
     """
 
-    __slots__ = ("kinds", "labels")
+    kinds: tuple
+    labels: tuple
 
     def __init__(self, events=()):
         events = tuple(events)
         _set_kinds(self, tuple(e.kind for e in events))
         _set_labels(self, tuple(e.label for e in events))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @property
     def indices(self) -> range:
@@ -188,14 +156,6 @@ class DocumentEventStream:
 
     def __len__(self):
         return len(self.kinds)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.kinds == other.kinds and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.kinds, self.labels))
 
     def __repr__(self):
         return f"DocumentEventStream(events={self.events!r})"

@@ -238,14 +238,13 @@ class Learner:
         tables = [{key: (dst, w - 1) for key, (dst, w) in table.items() if w > 1}
                   for table in (v.calls, v.ints, v.rets)]
         entered = {e[0] for e in _matched_reach(*tables)}
-        candidate = WeightedVpa()
-        candidate.calls, candidate.ints, candidate.rets = tables
+        states: dict = {}
         for table in tables:
             for dst, w in table.values():
                 if dst[0] in entered:
-                    candidate.states[dst] = candidate.states.get(dst, 0) + w
-        candidate.finals = {q: candidate.states[q] for q in v.finals if q in candidate.states}
-        candidate = candidate.trimmed(self.dts)
+                    states[dst] = states.get(dst, 0) + w
+        finals = {q: states[q] for q in v.finals if q in states}
+        candidate = WeightedVpa(states, finals, *tables).trimmed(self.dts)
         try:
             build_xvpa(candidate, self.dts, False)
         except (EmptyLanguageError, AutomatonStructureError):

@@ -18,7 +18,7 @@ snapshots are fresh objects, treated as immutable, and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 StateName = tuple  # (context, siblings)
 
@@ -37,6 +37,7 @@ class SnapshotStats:
     total_weight: int
 
 
+@dataclass(slots=True)
 class WeightedVpa:
     """One table per counter.
 
@@ -45,16 +46,15 @@ class WeightedVpa:
       * ints:      ``(source, datatype) -> (target, count)``; all datatypes
         of one source share its target (a datatype choice)
       * rets:      ``(source, element, popped) -> (target, count)``
+
+    Equal when every table is; mutable, so not hashable.
     """
 
-    __slots__ = ("states", "finals", "calls", "ints", "rets")
-
-    def __init__(self):
-        self.states: dict[StateName, int] = {}
-        self.finals: dict[StateName, int] = {}
-        self.calls: dict[tuple, tuple[StateName, int]] = {}
-        self.ints: dict[tuple, tuple[StateName, int]] = {}
-        self.rets: dict[tuple, tuple[StateName, int]] = {}
+    states: dict[StateName, int] = field(default_factory=dict)
+    finals: dict[StateName, int] = field(default_factory=dict)
+    calls: dict[tuple, tuple[StateName, int]] = field(default_factory=dict)
+    ints: dict[tuple, tuple[StateName, int]] = field(default_factory=dict)
+    rets: dict[tuple, tuple[StateName, int]] = field(default_factory=dict)
 
     # -- summaries -----------------------------------------------------------
 
@@ -78,29 +78,16 @@ class WeightedVpa:
         mutated; raw counters keep subsumed entries so unlearning stays
         exact.
         """
-        snap = WeightedVpa()
-        snap.states = dict(self.states)
-        snap.finals = dict(self.finals)
-        counted = snap.states.keys() | {START_STATE}
-        snap.calls = {key: entry for key, entry in self.calls.items()
-                      if key[0] in counted and entry[0] in counted}
-        snap.rets = {key: entry for key, entry in self.rets.items()
-                     if key[0] in counted and key[2] in counted and entry[0] in counted}
+        counted = self.states.keys() | {START_STATE}
         by_src: dict[StateName, set[str]] = {}
         for (src, dt), (dst, _w) in self.ints.items():
             if src in counted and dst in counted:
                 by_src.setdefault(src, set()).add(dt)
-        for src, dtset in by_src.items():
-            for dt in dts.maxima(dtset):
-                snap.ints[(src, dt)] = self.ints[(src, dt)]
-        return snap
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightedVpa):
-            return NotImplemented
-        return (self.states == other.states and self.finals == other.finals
-                and self.calls == other.calls and self.ints == other.ints
-                and self.rets == other.rets)
-
-    def __hash__(self):
-        raise TypeError("WeightedVpa is not hashable")
+        return WeightedVpa(
+            states=dict(self.states), finals=dict(self.finals),
+            calls={key: entry for key, entry in self.calls.items()
+                   if key[0] in counted and entry[0] in counted},
+            ints={(src, dt): self.ints[(src, dt)]
+                  for src, dtset in by_src.items() for dt in dts.maxima(dtset)},
+            rets={key: entry for key, entry in self.rets.items()
+                  if key[0] in counted and key[2] in counted and entry[0] in counted})

@@ -28,13 +28,57 @@ from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventS
 from xvpa.weighted import START_STATE
 
 
+def member_accepts(dts, name: str, text: str) -> bool:
+    """Membership of ``text`` in the lexical space of ``name``, by that
+    datatype's own DFA rather than the shared product."""
+    return dts.datatypes[name].dfa.accepts(text)
+
+
 def brute_force_minimal(dts, text: str) -> frozenset:
     """Test every datatype, keep the accepting ones with no strictly
     smaller accepting datatype."""
-    accepted = [n for n in dts.names() if dts.accepts(n, text)]
-    return frozenset(
-        a for a in accepted
-        if not any(b != a and dts.lex_lt(b, a) for b in accepted))
+    return pairwise_minimal(dts, [n for n in dts.names() if member_accepts(dts, n, text)])
+
+
+def pairwise_minimal(dts, types) -> frozenset:
+    """The members of ``types`` with no other member below them, pair by
+    pair through ``lex_lt``."""
+    types = set(types)
+    return frozenset(a for a in types if not any(b != a and dts.lex_lt(b, a) for b in types))
+
+
+def pairwise_maxima(dts, types) -> frozenset:
+    """The members of ``types`` with no other member above them, pair by
+    pair through ``lex_lt``."""
+    types = set(types)
+    return frozenset(a for a in types if not any(b != a and dts.lex_lt(a, b) for b in types))
+
+
+def kinds_above(path: str) -> dict[str, set[str]]:
+    """Each kind's strictly higher kinds: the transitive closure, by
+    fixpoint, of the ``kindorder`` lines of a definition file."""
+    above: dict[str, set[str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.split()
+            if fields[:1] == ["kindorder"]:
+                above.setdefault(fields[1], set()).add(fields[2])
+    changed = True
+    while changed:
+        changed = False
+        for ups in above.values():
+            more = set().union(*(above.get(k, ()) for k in ups)) - ups
+            changed |= bool(more)
+            ups |= more
+    return above
+
+
+def pairwise_prefer(dts, above: dict[str, set[str]], types) -> frozenset:
+    """The members of ``types`` whose kind lies above no member's kind,
+    pair by pair through the kind closure ``above``."""
+    types = set(types)
+    return frozenset(b for b in types
+                     if not any(dts.kind_of(b) in above.get(dts.kind_of(a), ()) for a in types))
 
 
 def is_antichain(dts, types) -> bool:
@@ -322,7 +366,7 @@ class _AnyOf:
         self.dtset = dtset
 
     def accepts(self, text_: str) -> bool:
-        return any(self.dts.accepts(name, text_) for name in self.dtset)
+        return any(member_accepts(self.dts, name, text_) for name in self.dtset)
 
 
 def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:

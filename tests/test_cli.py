@@ -380,6 +380,38 @@ def test_eval_malformed_training_document_is_parse_error(tmp_path, capsys):
     assert os.path.join(corpus, "train", "1.xml") in err
 
 
+def _cli(*args):
+    return subprocess.run([sys.executable, "-m", "xvpa.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("option", ["-k", "-l"])
+def test_eval_scheme_bound_below_one_is_usage_error(tmp_path, option):
+    """-k 0 or -l 0 names no scheme: argparse's usage error (exit 2), not a
+    traceback and the "rejected" code."""
+    proc = _cli("eval", _corpus(tmp_path, [b"<a>5</a>"]), option, "0")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"xvpa eval: error: argument {option}: '0' is not a positive integer")
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_report_in_missing_directory_is_output_error(tmp_path):
+    target = tmp_path / "missing" / "r.tsv"
+    proc = _cli("eval", _corpus(tmp_path, [b"<a>5</a>"]), "--report", str(target))
+    assert proc.returncode == EXIT_STATE
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_export_dot_to_missing_directory_is_output_error(workdir, tmp_path):
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"]])
+    target = tmp_path / "missing" / "x.dot"
+    proc = _cli("export-dot", workdir["state"], "--out", str(target))
+    assert proc.returncode == EXIT_STATE
+    assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_huge_repetition_in_datatype_file_exits_4_at_once(tmp_path):
     """A repetition count that would unroll to a huge automaton is refused
     while the file is read, so the command exits 4 within seconds."""

@@ -1,23 +1,27 @@
 """Lexical datatype system: point values, inference pipeline, order laws."""
 
 import gc
+import itertools
 import random
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa.datatypes import DatatypeFileError, LexicalDatatypeSystem, load_datatype_system
+from xvpa.datatypes import (DEFAULT_PATH, DatatypeFileError, LexicalDatatypeSystem,
+                            load_datatype_system)
 from xvpa.dfa import CACHED_TEXT_MAX
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state
 
 from .conftest import MASTER_SEED
-from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, sample_string,
-                      subset_counterexample)
+from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, kinds_above,
+                      member_accepts, pairwise_maxima, pairwise_minimal, pairwise_prefer,
+                      sample_string, subset_counterexample)
 from .samplers import SAMPLERS, mixed_corpus, sample
 from .test_automata import _load_benchmark_workloads
 
@@ -56,9 +60,9 @@ def test_datatype_inventory(dts):
 
 
 def test_accepts_point_values(dts):
-    assert dts.accepts("boolean", "true")
-    assert dts.accepts("top", "anything at all \x00")
-    assert not dts.accepts("gYear", "20x5")
+    assert member_accepts(dts, "boolean", "true")
+    assert member_accepts(dts, "top", "anything at all \x00")
+    assert not member_accepts(dts, "gYear", "20x5")
 
 
 def test_minimal_datatypes_point_values(dts):
@@ -239,7 +243,7 @@ def test_samplers_cover_their_datatypes(dts, master_seed):
     for name in dts.names():
         for _ in range(200):
             value = sample(name, rng)
-            assert dts.accepts(name, value), (name, value)
+            assert member_accepts(dts, name, value), (name, value)
 
 
 # -- minimality pipeline vs brute force --------------------------------------
@@ -252,13 +256,35 @@ def test_pruning_equals_brute_force_on_corpus(dts, master_seed):
         assert fast, "minimal set must be nonempty"
         assert is_antichain(dts, fast), (text, fast)
         for name in fast:
-            assert dts.accepts(name, text)
+            assert member_accepts(dts, name, text)
 
 
 @given(st.text(max_size=14))
 @settings(max_examples=300, deadline=None)
 def test_pruning_equals_brute_force_hypothesis(dts, text):
     assert dts.minimal_datatypes(text) == brute_force_minimal(dts, text)
+
+
+def test_mask_orders_equal_pairwise_definitions(dts, master_seed, monkeypatch):
+    """maxima, prefer and minimal_datatypes equal their pairwise
+    definitions on every set of 1-3 datatypes and on 2,000 seeded random
+    sets, and a generator with repeated names gives the same results as a
+    set.  minimal_datatypes reads its set as the product's accept mask."""
+    names = dts.names()
+    above = kinds_above(DEFAULT_PATH)
+    rng = random.Random(master_seed + 6)
+    sets = [set(c) for size in (1, 2, 3) for c in itertools.combinations(names, size)]
+    sets += [set(rng.sample(names, rng.randint(1, len(names)))) for _ in range(2000)]
+    mask = 0
+    monkeypatch.setattr(dts, "product", types.SimpleNamespace(accept_mask=lambda _text: mask))
+    for members in sets:
+        mask = sum(1 << names.index(n) for n in members)
+        assert dts.minimal_datatypes("") == pairwise_minimal(dts, members), members
+        maxima, preferred = pairwise_maxima(dts, members), pairwise_prefer(dts, above, members)
+        assert dts.maxima(members) == maxima, members
+        assert dts.prefer(members) == preferred, members
+        assert dts.maxima(n for n in [*members, *members]) == maxima
+        assert dts.prefer(n for n in [*members, *members]) == preferred
 
 
 def test_infer_outputs_remain_antichains(dts, master_seed):
@@ -295,8 +321,8 @@ def test_aggregate_covers_both_inputs(dts, master_seed):
         for name in set(a) | set(b):
             for _ in range(20):
                 s = sample(name, rng)
-                if dts.accepts(name, s):
-                    assert any(dts.accepts(x, s) for x in merged), (name, s, merged)
+                if member_accepts(dts, name, s):
+                    assert any(member_accepts(dts, x, s) for x in merged), (name, s, merged)
 
 
 def test_content_hash_matches_file(dts):
@@ -317,6 +343,11 @@ MALFORMED_DEFINITIONS = {
     "not-utf8": (_HEAD + b"# caf\xe9\n", "line 3: not UTF-8 text"),
     "cyclic-lexorder": (_HEAD + b"datatype a k a\ndatatype b k b\n"
                         b"lexorder a b\nlexorder b a\nlexorder a top\n", "lexical order is cyclic"),
+    "self-loop-lexorder": (_HEAD + b"datatype a k a\nlexorder a a\nlexorder a top\n",
+                           "lexical order is cyclic"),
+    "three-cycle-lexorder": (_HEAD + b"datatype a k a\ndatatype b k b\ndatatype c k c\n"
+                             b"lexorder a b\nlexorder b c\nlexorder c a\nlexorder a top\n",
+                             "lexical order is cyclic"),
     "cyclic-kindorder": (_HEAD + b"datatype a k a\nlexorder a top\n"
                          b"kindorder k topKind\nkindorder topKind k\n",
                          "kind order has a cycle through"),

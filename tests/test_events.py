@@ -1,5 +1,6 @@
 """Document event stream parsing, invariants, and serialization."""
 
+import copy
 import gc
 import pickle
 import sys
@@ -197,6 +198,20 @@ def test_events_are_built_on_demand_and_compare_as_before():
     assert pickle.loads(pickle.dumps(stream)) == stream
     with pytest.raises(FrozenInstanceError):
         stream.kinds = ()
+
+
+def test_event_round_trips_and_stays_frozen():
+    """An Event survives pickle and deepcopy equal and with its hash, keeps
+    its repr, and refuses assignment to any field."""
+    event = ev.Event(START, QName("urn:x", "a", True), 3)
+    for again in (pickle.loads(pickle.dumps(event)), copy.deepcopy(event)):
+        assert again == event and hash(again) == hash(event)
+    assert repr(event) == ("Event(kind='start', label=QName(ns='urn:x', local='a', "
+                           "is_attr=True), index=3)")
+    assert repr(ev.text("5")) == "Event(kind='chars', label='5', index=-1)"
+    for field in ("kind", "label", "index"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(event, field, None)
 
 
 def test_parse_determinism():

@@ -22,7 +22,7 @@ from xvpa.harness import build_cardealer_scenario, cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
 
 from .conftest import MASTER_SEED
-from .oracles import atomic_intervals, brute_force_minimal
+from .oracles import atomic_intervals, brute_force_minimal, member_accepts
 from .samplers import mixed_corpus
 from .test_datatypes import NON_ASCII
 from .test_validator import A12, batch, model_of, push
@@ -80,7 +80,7 @@ def test_product_masks_equal_member_dfas(dts, text, picks):
     for end in range(len(text) + 1):
         _assert_member_masks(dts, text[:end])
     key = frozenset(names[i % len(names)] for i in picks)
-    expected = any(dts.accepts(name, text) for name in key)
+    expected = any(member_accepts(dts, name, text) for name in key)
     assert dts.predicate(key).accepts(text) == expected, (sorted(key), text)
 
 
@@ -171,10 +171,10 @@ def test_product_memory_is_bounded_by_member_intervals():
     dts = load_datatype_system()
     product = dts.product
     text = "".join(chr(cp) for cp in range(0, MAX_CP + 1, 97))
-    xml_chars = "".join(ch for ch in text if dts.accepts("string", ch))
+    xml_chars = "".join(ch for ch in text if member_accepts(dts, "string", ch))
     for key in ({"top"}, {"string", "token"}, {"top", "gYear"}):
         for t in (text, xml_chars):
-            assert dts.predicate(key).accepts(t) == any(dts.accepts(n, t) for n in key)
+            assert dts.predicate(key).accepts(t) == any(member_accepts(dts, n, t) for n in key)
     assert dts.minimal_datatypes(text) == {"top"}
     assert dts.minimal_datatypes(xml_chars) == brute_force_minimal(dts, xml_chars) == {"token"}
     reachable = _reachable_product([dts.datatypes[name].dfa for name in dts.names()])
@@ -234,7 +234,7 @@ def test_concurrent_validation_on_a_cold_product(master_seed):
 # -- the text memo ---------------------------------------------------------------
 
 def _member_mask(dts, text) -> int:
-    return sum(1 << i for i, name in enumerate(dts.names()) if dts.accepts(name, text))
+    return sum(1 << i for i, name in enumerate(dts.names()) if member_accepts(dts, name, text))
 
 
 def _cold(predicate, product, text) -> bool:
@@ -256,7 +256,7 @@ def test_memo_hit_equals_the_cold_run_and_member_dfas(dts, text, picks):
     predicate = dts.predicate(key)
     product = dts.product
     product.memo.pop(text, None)
-    expected = any(dts.accepts(name, text) for name in key)
+    expected = any(member_accepts(dts, name, text) for name in key)
     assert predicate.accepts(text) == _cold(predicate, product, text) == expected
     assert (text in product.memo) == (len(text) <= CACHED_TEXT_MAX)
     assert predicate.accepts(text) == expected
@@ -281,7 +281,7 @@ def test_every_predicate_answers_from_the_memo_as_its_members():
     assert all((text in dts.product.memo) == (len(text) <= CACHED_TEXT_MAX) for text in texts)
     for key, predicate in predicates:
         for text in texts:
-            expected = any(dts.accepts(name, text) for name in key)
+            expected = any(member_accepts(dts, name, text) for name in key)
             assert predicate.accepts(text) == _cold(predicate, dts.product, text) == expected, \
                 (sorted(key), text)
 
