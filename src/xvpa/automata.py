@@ -348,21 +348,23 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
     returns go into its survivor's table, a return that pops a state named
     in a folded module mapped through the pairing, or dropped when the
     pairing does not cover it (the folded module never takes it).
-    Refinement costs O(m log n) for n states and m edges; the rest is
-    linear.  The input is not mutated.
+    Refinement costs O(m log n) for n states and m edges, and is skipped
+    when no element has two modules; the rest is linear.  The input is not
+    mutated.
     """
     modules = dxvpa.modules
     labels: dict[StateName, list[str]] = {}  # a state's call elements
     for mod in modules.values():
         for q, c in mod.calls:
             labels.setdefault(q, []).append(c)
-    block = _blocks(modules, labels)
+    shared = len({mod.element for mod in modules.values()}) < len(modules)
+    block = _blocks(modules, labels) if shared else {}  # else every class has one member
 
     survivor: dict[tuple, tuple] = {}
     classes: dict[tuple, tuple] = {}
     for key in sorted(modules, key=repr):
         mod = modules[key]
-        survivor[key] = classes.setdefault((mod.element, block[mod.entry]), key)
+        survivor[key] = classes.setdefault((mod.element, block.get(mod.entry)), key)
     pairing: dict[StateName, StateName] = {}  # folded state -> survivor state
     for key, mod in modules.items():
         if survivor[key] != key:

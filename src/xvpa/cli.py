@@ -7,7 +7,8 @@ document, 3 when an input document failed to parse or could not be read,
 scheme or datatype-hash mismatch), for an unreadable or malformed
 datatype definition file, and for an output file (``export-dot --out``,
 ``eval --report``) that cannot be written.  Argument errors, among them
-an ``eval -k`` or ``-l`` below 1, use argparse's conventional exit code 2.
+an ``eval -k`` or ``-l`` below 1 and a bad ``learn --init`` value, use
+argparse's conventional exit code 2.
 
 ``validate`` reads each input in chunks through the push route
 (``automata.Validator``), and the first rejection ends the document: a
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="learn documents into a state file")
     p.add_argument("state")
     p.add_argument("inputs", nargs="*")
-    p.add_argument("--init", nargs="+", metavar="KEY=VALUE", default=None,
+    p.add_argument("--init", nargs="+", metavar="KEY=VALUE", default=None, action=_InitAction,
                    help="create the state file first; keys: mode=<ancestor|"
                         "ancestor-sibling> k=<int> l=<int>")
     p.set_defaults(func=cmd_learn)
@@ -131,24 +132,25 @@ def _write_output(path: str | None, text: str) -> int:
     return EXIT_OK
 
 
-def _parse_init(tokens):
-    """Split --init tokens into a scheme and spilled-over input paths.
+class _InitAction(argparse.Action):
+    """Split --init tokens into a scheme and the input paths that argparse's
+    greedy nargs took after ``--init mode=... k=... l=...``; a bad value is
+    a usage error (exit 2), raised before any file is touched."""
 
-    argparse's greedy nargs would otherwise swallow the input files that
-    follow ``--init mode=... k=... l=...`` on the command line.
-    """
-    options = {"mode": "ancestor", "k": "1", "l": "1"}
-    spill = []
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not spill and sep and key in options:
-            options[key] = value
-        else:
-            spill.append(token)
-    try:
-        return NamingScheme(options["mode"], int(options["k"]), int(options["l"])), spill
-    except ValueError as exc:
-        raise StateFileError(f"bad --init options: {exc}") from None
+    def __call__(self, parser, namespace, tokens, option_string=None):
+        options = {"mode": "ancestor", "k": "1", "l": "1"}
+        spill = []
+        for token in tokens:
+            key, sep, value = token.partition("=")
+            if not spill and sep and key in options:
+                options[key] = value
+            else:
+                spill.append(token)
+        try:
+            scheme = NamingScheme(options["mode"], int(options["k"]), int(options["l"]))
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, f"bad value: {exc}") from None
+        setattr(namespace, self.dest, (scheme, spill))
 
 
 def _load_inputs(paths):
@@ -172,7 +174,7 @@ def cmd_learn(args, dts) -> int:
             if os.path.exists(args.state):
                 raise StateFileError(
                     f"{args.state} already exists; --init would discard it")
-            scheme, spill = _parse_init(args.init)
+            scheme, spill = args.init
             inputs = spill + inputs
             learner = Learner(dts, scheme)
         else:

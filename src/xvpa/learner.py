@@ -94,7 +94,8 @@ def ret_name(scheme: NamingScheme, q: StateName, popped: StateName, element: str
 
 
 class Learner:
-    """Persistent learner state: weighted VPA, scheme, and bookkeeping."""
+    """Persistent learner state: weighted VPA, scheme, and bookkeeping (the
+    mind-change series of a loaded state stays text until something reads it)."""
 
     def __init__(self, dts, scheme: NamingScheme):
         self.dts = dts
@@ -102,8 +103,24 @@ class Learner:
         self.dts_hash = dts.content_hash
         self.vpa = WeightedVpa()
         self.documents_learned = 0
-        self.mind_changes: list[int] = []
+        self.mind_changes = []
         self.sanitized = False
+
+    @property
+    def mind_changes(self) -> list[int]:
+        """Mind changes per document; a loaded series is parsed on first read."""
+        if isinstance(self._mind_changes, str):
+            self._mind_changes = list(map(int, self._mind_changes.split(",")))
+        return self._mind_changes
+
+    @mind_changes.setter
+    def mind_changes(self, series) -> None:  # a list, or a checked series text
+        self._mind_changes = series
+
+    def mind_change_text(self) -> str:
+        """The series as a state file holds it; unread, as it was loaded."""
+        mc = self._mind_changes
+        return mc if isinstance(mc, str) else ",".join(map(str, mc))
 
     # -- learning -------------------------------------------------------------
 

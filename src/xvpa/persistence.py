@@ -5,7 +5,9 @@ sanitized flag, document count, mind-change series) followed by sorted
 ``state`` / ``final`` / ``call`` / ``int`` / ``ret`` lines with their
 counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
-restores the previous file exactly.
+restores the previous file exactly.  Loading checks the mind-change series
+in one pass, refusing tokens ``dump_state`` never writes, and keeps its text
+for the learner to parse when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
@@ -18,6 +20,7 @@ an advisory lock next to the state file.
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from urllib.parse import quote, unquote
 
@@ -41,14 +44,10 @@ def _encode_context(ctx, mode: str) -> str:
     return "#".join(",".join(_encode_token(t) for t in seg) for seg in ctx)
 
 
-def _decode_token(token: str) -> str:
-    return unquote(token) if "%" in token else token
-
-
 def _decode_tokens(text: str) -> tuple:
     """The comma-separated tokens of ``text``, unescaped."""
     tokens = text.split(",")
-    return tuple(map(_decode_token, tokens)) if "%" in text else tuple(tokens)
+    return tuple(map(unquote, tokens)) if "%" in text else tuple(tokens)
 
 
 def _decode_context(text: str, mode: str):
@@ -81,7 +80,7 @@ def dump_state(learner: Learner) -> str:
         f"datatypes {learner.dts_hash}",
         f"sanitized {1 if learner.sanitized else 0}",
         f"documents {learner.documents_learned}",
-        "mindchanges " + (",".join(str(m) for m in learner.mind_changes) or "-"),
+        "mindchanges " + (learner.mind_change_text() or "-"),
     ]
     v = learner.vpa
     body = []
@@ -121,14 +120,13 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
         scheme = NamingScheme(mode, int(header["k"]), int(header["l"]))
         dts_hash = header["datatypes"]
         documents = int(header.get("documents", "0"))
-        mc = header.get("mindchanges", "-")
-        mind_changes = [] if mc == "-" else [int(x) for x in mc.split(",")]
     except KeyError as exc:
         raise StateFileError(f"bad state header: no {exc} line") from None
     except ValueError as exc:
         raise StateFileError(f"bad state header: {exc}") from None
-    if len(mind_changes) != documents or min(mind_changes, default=0) < 0:
-        raise StateFileError(f"bad state header: documents {documents} with mindchanges {mc}")
+    mc = header.get("mindchanges", "-")
+    if not (documents == 0 if mc == "-" else _canonical_series("," + mc, documents)):
+        raise StateFileError(f"bad state header: documents {documents} with mindchanges {mc!r:.40}")
     if dts_hash != dts.content_hash:
         if require_hash:
             raise StateFileError(
@@ -139,16 +137,11 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     learner.dts_hash = dts_hash
     learner.sanitized = header.get("sanitized", "0") == "1"
     learner.documents_learned = documents
-    learner.mind_changes = mind_changes
+    learner.mind_changes = [] if mc == "-" else mc  # parsed on first read
 
     v = learner.vpa
-    decoded: dict[str, tuple] = {}
-
-    def dec(token):
-        q = decoded.get(token)
-        if q is None:
-            q = decoded[token] = decode_state(token, mode)
-        return q
+    decoded: dict[str, tuple] = {}  # a state token's name: get(token) or dec(token)
+    get, dec = decoded.get, lambda t: decoded.setdefault(t, decode_state(t, mode))
 
     int_to: dict[tuple, tuple] = {}  # the shared target of a text source
     try:
@@ -158,42 +151,47 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
             fields = line.split(" ")
             tag = fields[0]
             if tag == "state":
-                v.states[dec(fields[1])] = _counter(fields[2])
+                w = v.states[get(fields[1]) or dec(fields[1])] = int(fields[2])
             elif tag == "final":
-                v.finals[dec(fields[1])] = _counter(fields[2])
-            elif tag == "call":
-                src, label, dst, w = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), _counter(fields[4])
-                key = (src, label)
-                if v.calls.get(key, (dst,))[0] != dst:
-                    raise StateFileError(f"conflicting call transition {line!r}")
-                v.calls[key] = (dst, w)
+                w = v.finals[get(fields[1]) or dec(fields[1])] = int(fields[2])
             elif tag == "int":
-                src, dt, dst, w = dec(fields[1]), fields[2], dec(fields[3]), _counter(fields[4])
+                src, dt, dst = get(fields[1]) or dec(fields[1]), fields[2], get(fields[3]) or dec(fields[3])
                 if int_to.setdefault(src, dst) != dst:
                     raise StateFileError(f"conflicting text transition {line!r}")
                 if dt not in dts:
                     raise StateFileError(f"unknown datatype {dt!r} in state file")
-                v.ints[(src, dt)] = (dst, w)
-            elif tag == "ret":
-                src, label, popped, dst = dec(fields[1]), _decode_token(fields[2]), dec(fields[3]), dec(fields[4])
-                w = _counter(fields[5])
-                key = (src, label, popped)
-                if v.rets.get(key, (dst,))[0] != dst:
-                    raise StateFileError(f"conflicting return transition {line!r}")
-                v.rets[key] = (dst, w)
+                v.ints[(src, dt)] = (dst, w := int(fields[4]))
+            elif tag == "call" or tag == "ret":
+                src, label = get(fields[1]) or dec(fields[1]), fields[2]
+                label = unquote(label) if "%" in label else label
+                if tag == "call":
+                    table, key, entry = v.calls, (src, label), (get(fields[3]) or dec(fields[3]), int(fields[4]))
+                else:
+                    table, key = v.rets, (src, label, get(fields[3]) or dec(fields[3]))
+                    entry = (get(fields[4]) or dec(fields[4]), int(fields[5]))
+                old = table.setdefault(key, entry)  # one hash of the key when it is new
+                if old is not entry:
+                    if old[0] != entry[0]:
+                        raise StateFileError(f"conflicting {'call' if tag == 'call' else 'return'} "
+                                             f"transition {line!r}")
+                    table[key] = entry
+                w = entry[1]
             else:
                 raise StateFileError(f"unknown entry {line!r}")
+            if w < 1:  # dump_state writes no counter below 1
+                raise StateFileError(f"corrupt state entry: counter {w} below 1")
     except (IndexError, ValueError) as exc:
         raise StateFileError(f"corrupt state entry: {exc}") from None
     return learner
 
 
-def _counter(token: str) -> int:
-    """A counter field; ``dump_state`` writes none below 1."""
-    w = int(token)
-    if w < 1:
-        raise ValueError(f"counter {w} below 1")
-    return w
+def _canonical_series(text: str, documents: int) -> bool:
+    """Whether ``text`` is ``documents`` comma-led integers as ``dump_state``
+    writes them: ASCII digits, no empty token, no leading zero.  One pass at
+    C speed; no object per entry."""
+    return (text.isascii() and not text.encode().translate(None, b"0123456789,")
+            and ",," not in text and not text.endswith(",")
+            and re.search(",0[0-9]", text) is None and text.count(",") == documents)
 
 
 def save_state(learner: Learner, path: str) -> None:

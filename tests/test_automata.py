@@ -359,6 +359,18 @@ def test_minimize_matches_pairwise_on_recursive_grammar(dts, scheme, depth, widt
     assert_minimize_matches_pairwise(dts, scheme, [ev.parse_document(r) for r in train])
 
 
+@pytest.mark.parametrize("scheme", [A11, A12], ids=["ancestor-l1", "ancestor-l2"])
+def test_minimize_matches_pairwise_on_idlog(dts, scheme):
+    """No element of the log grammar has two modules, so minimize skips
+    refinement; the result must still be the pairwise scan's."""
+    docs = _load_benchmark_workloads().IdlogSource(1).batch(200)
+    learner = learn_corpus(dts, scheme, [ev.parse_document(r) for r in docs])
+    raw = build_xvpa(learner.snapshot(), dts, minimize_modules=False)
+    elements = [mod.element for mod in raw.modules.values()]
+    assert len(set(elements)) == len(elements) > 1
+    assert_same_automaton(minimize(raw), minimize_pairwise(raw))
+
+
 def _tree_events(tree):
     label, body = tree
     out = [ev.start(label)]

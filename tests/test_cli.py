@@ -509,3 +509,19 @@ def test_malformed_datatype_file_is_state_error(tmp_path, workdir, capsys, name)
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load datatype definitions: ") and message in err
     assert "Traceback" not in err and not os.path.exists(workdir["state"])
+
+
+@pytest.mark.parametrize("value, message", [
+    ("k=0", "locality bounds k and l must be >= 1"),
+    ("mode=bogus", "unknown naming mode 'bogus'"),
+    ("k=x", "invalid literal for int() with base 10: 'x'"),
+], ids=["k=0", "mode=bogus", "k=x"])
+def test_learn_bad_init_value_is_usage_error(workdir, value, message):
+    """A bad --init value names no scheme: argparse's usage error (exit 2),
+    raised before the state file is locked, so no file is left behind."""
+    proc = _cli("learn", workdir["state"], "--init", value, workdir["ok1.xml"])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"xvpa learn: error: argument --init: bad value: {message}")
+    assert "Traceback" not in proc.stderr
+    assert sorted(os.listdir(workdir["dir"])) == ["bad.xml", "broken.xml", "ok1.xml", "ok2.xml"]

@@ -118,11 +118,51 @@ def _with_counter(tag, value):
                         for l in t.split("\n")),
     _with_counter("state", -3),
     _with_counter("ret", 0),
+    # series tokens dump_state never writes, several of which int() accepts
+    *(lambda t, series=series: "\n".join(f"mindchanges {series}" if l.startswith("mindchanges ")
+                                          else l for l in t.split("\n"))
+      for series in ["01,1", "+1,1", "1, 1", "1,,1", "1,", ",1", "1_0,1", "\u0661,1", "", "-"]),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))
     with pytest.raises(StateFileError):
         parse_state(mutate(text), dts)
+
+
+@pytest.mark.parametrize("tag", ["call", "ret"])
+def test_repeated_transition_lines(dts, tag):
+    """A repeated call or return key loads when its target agrees (the last
+    counter wins) and is corrupt when the target differs."""
+    text = dump_state(trained_learner(dts, n=2))
+    entries = [l.split(" ") for l in text.splitlines() if l.startswith(tag + " ")]
+    first = entries[0]
+    other = next(e[-2] for e in entries if e[-2] != first[-2])
+    loaded = parse_state(text + " ".join(first[:-1] + ["7"]) + "\n", dts)
+    table = loaded.vpa.calls if tag == "call" else loaded.vpa.rets
+    assert sorted(w for _, w in table.values()).count(7) == 1
+    with pytest.raises(StateFileError, match="conflicting"):
+        parse_state(text + " ".join(first[:-2] + [other, "7"]) + "\n", dts)
+
+
+def test_loaded_series_is_parsed_on_first_use(dts):
+    """A long series is checked on load and kept as text: an untouched
+    learner saves it back byte-identically, and learning or unlearning
+    parses it first."""
+    learner = trained_learner(dts, n=2)
+    doc = ev.parse_document(b"<dealer/>")
+    series = [i % 97 for i in range(100_000)]
+    text = dump_state(learner).replace(
+        "documents 2\n", f"documents {len(series)}\n").replace(
+        "mindchanges " + ",".join(map(str, learner.mind_changes)),
+        "mindchanges " + ",".join(map(str, series)))
+    loaded = parse_state(text, dts)
+    assert dump_state(loaded) == text
+    loaded.learn(doc)
+    assert loaded.mind_changes[:-1] == series and len(loaded.mind_changes) == len(series) + 1
+    assert loaded.mind_change_series() == loaded.mind_changes
+    loaded.unlearn(doc)
+    assert loaded.mind_change_series() == series
+    assert dump_state(loaded) == text
 
 
 _EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "alter"]),
