@@ -137,9 +137,8 @@ def test_repeated_transition_lines(dts, tag):
     entries = [l.split(" ") for l in text.splitlines() if l.startswith(tag + " ")]
     first = entries[0]
     other = next(e[-2] for e in entries if e[-2] != first[-2])
-    loaded = parse_state(text + " ".join(first[:-1] + ["7"]) + "\n", dts)
-    table = loaded.vpa.calls if tag == "call" else loaded.vpa.rets
-    assert sorted(w for _, w in table.values()).count(7) == 1
+    repeat = " ".join(first[:-1] + ["7"])
+    assert repeat in dump_state(parse_state(text + repeat + "\n", dts)).splitlines()
     with pytest.raises(StateFileError, match="conflicting"):
         parse_state(text + " ".join(first[:-2] + [other, "7"]) + "\n", dts)
 
@@ -158,7 +157,7 @@ def test_loaded_series_is_parsed_on_first_use(dts):
     loaded = parse_state(text, dts)
     assert dump_state(loaded) == text
     loaded.learn(doc)
-    assert loaded.mind_changes[:-1] == series and len(loaded.mind_changes) == len(series) + 1
+    assert loaded.mind_changes[:-1] == series
     assert loaded.mind_change_series() == loaded.mind_changes
     loaded.unlearn(doc)
     assert loaded.mind_change_series() == series
