@@ -18,7 +18,7 @@ for i, doc in enumerate(docs):
     changes = learner.learn(doc)
     if changes or i < 5:
         print(f"  step {i + 1:2d}: {changes} mind changes")
-print(f"mind-change series: {learner.mind_change_series()}")
+print(f"mind-change series: {learner.mind_changes}")
 
 dxvpa = build_xvpa(learner.snapshot(), dts)
 print(f"\n{len(dxvpa.modules)} modules (start: {' '.join(dxvpa.m0)}):")

@@ -7,10 +7,9 @@ internal transitions carry datatype choices.  Congruent modules for the
 same element are folded.
 Compilation numbers the states once and lays the transitions out as
 integer tables keyed by rendered element labels; it replaces each state's
-datatype choice by a single predicate: the bitmask of its members over
-the datatype system's shared, lazily built product of all lexical
-acceptors, so validation checks every text exactly once and compilation
-builds no automaton.
+datatype choice by one int, the bitmask of its members over the datatype
+system's shared, lazily built product of all lexical acceptors, so one
+``accept_mask`` call checks each text and compilation builds no automaton.
 
 Validation has one transition rule over those tables, run two ways:
 ``validate`` loops over a parsed event stream, and ``Validator`` runs the
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
 
-from .dfa import ProductPredicate, refine
+from .dfa import refine
 from .events import (CHARS, END, START, DocumentEventStream, QName, _check_head,
                      _doctype_error, _expat_parser, _malformed)
 from .weighted import START_STATE, StateName, WeightedVpa
@@ -113,8 +112,8 @@ class Dxvpa:
 
 
 class Cxvpa:
-    """Predicate-transition automaton for one-pass validation, on integer
-    states.
+    """Table-driven automaton for one-pass validation, on integer states,
+    whose text transitions are bitmasks over the datatype product.
 
     ``compile_cxvpa`` numbers the dXVPA's states once; ``names[i]`` is the
     ``StateName`` of state ``i``, and state 0 is the start state.  Three
@@ -125,23 +124,26 @@ class Cxvpa:
       ``p``, to ``(target, exits)``: the state the one module that takes
       that return resumes in, and the ids of that module's exits, the only
       states that take it;
-    * ``texts[q]`` is ``(predicate, target)``, every datatype choice fused
-      into one predicate, or None.
+    * ``texts[q]`` is ``(mask, target)``, every datatype choice fused into
+      one bitmask over the datatype product, or None.
 
     The root element is an ordinary call from the start state into the
     start module's entry; its return, taken by the start module's exits,
     empties the stack and has no target (None).  No module call or return
     is keyed by the start state.  ``predicates`` maps each datatype set to
-    its one predicate.  ``expat_names`` holds each call's label by the expat
-    name that renders to it, for the push route (``_expat_names``).
+    its mask.  A text takes ``texts[q]`` when ``accept_mask(text, mask) &
+    mask`` is nonzero, ``accept_mask`` being the product's.  ``expat_names``
+    holds each call's label by the expat name that renders to it, for the
+    push route (``_expat_names``).
     """
 
-    def __init__(self, names, calls, returns, texts, predicates):
+    def __init__(self, names, calls, returns, texts, predicates, accept_mask):
         self.names: tuple[StateName, ...] = names
         self.calls: tuple[dict[str, int], ...] = calls
         self.returns: tuple[dict[str, tuple[int | None, frozenset[int]]], ...] = returns
-        self.texts: tuple[tuple[ProductPredicate, int] | None, ...] = texts
-        self.predicates: dict[frozenset, ProductPredicate] = predicates
+        self.texts: tuple[tuple[int, int] | None, ...] = texts
+        self.predicates: dict[frozenset, int] = predicates
+        self.accept_mask = accept_mask
         self.expat_names: tuple[dict, dict] = _expat_names(calls)
 
 
@@ -445,9 +447,9 @@ def _pairing(modules: dict, labels: dict, n: Module, m: Module) -> dict:
 def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     """Number the dXVPA's states once and build the integer tables of
     ``Cxvpa`` from its modules in one pass.  Every datatype choice becomes
-    one predicate: the mask of its members over the datatype system's
-    shared product, one per distinct set.  No automaton is built; the
-    product grows its states as texts need them."""
+    the mask of its members over the datatype system's shared product,
+    one per distinct set.  No automaton is built; the product grows its
+    states as texts need them."""
     modules = dxvpa.modules
     m0 = modules[dxvpa.m0]
     ids = {START_STATE: 0}
@@ -458,7 +460,7 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     calls: dict[int, dict] = {0: {dxvpa.root_element: ids[m0.entry]}}
     returns: dict[int, dict] = {}
     texts: dict[int, tuple] = {}
-    predicates: dict[frozenset, ProductPredicate] = {}
+    predicates: dict[frozenset, int] = {}
     for mod in modules.values():
         for (q, c), callee in mod.calls.items():
             q = ids[q]
@@ -476,15 +478,15 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
             else:
                 returns[popped] = {c: (ids[target], exits)}
         for src, (dst, dtset) in mod.internals.items():
-            predicate = predicates.get(dtset)
-            if predicate is None:
-                predicate = predicates[dtset] = dxvpa.dts.predicate(dtset)
-            texts[ids[src]] = (predicate, ids[dst])
+            mask = predicates.get(dtset)
+            if mask is None:
+                mask = predicates[dtset] = dxvpa.dts.mask(dtset)
+            texts[ids[src]] = (mask, ids[dst])
     states = range(len(ids))
     none = repeat(_NO_MOVES)
     return Cxvpa(tuple(ids), tuple(map(calls.get, states, none)),
                  tuple(map(returns.get, states, none)), tuple(map(texts.get, states)),
-                 predicates)
+                 predicates, dxvpa.dts.product.accept_mask)
 
 
 _NO_MOVES = MappingProxyType({})
@@ -498,7 +500,7 @@ def validate(model: Cxvpa, stream: DocumentEventStream) -> Verdict:
     (0) with an empty stack, so the root element is its first call, and
     each event is one lookup in the state's call, return or text table,
     keyed by the QName's rendered label; a text is checked once against the
-    state's predicate.  The stream is accepted when it ends just after the
+    state's mask.  The stream is accepted when it ends just after the
     root's return, which empties the stack.  A rejection is a verdict, never
     an exception; cost is linear in event count plus total text length.
     Anything but a DocumentEventStream, or an unchecked one whose labels
@@ -514,14 +516,14 @@ def validate(model: Cxvpa, stream: DocumentEventStream) -> Verdict:
 
 
 def _run(model: Cxvpa, run) -> Verdict:
-    calls, returns, texts = model.calls, model.returns, model.texts
+    calls, returns, texts, accept = model.calls, model.returns, model.texts, model.accept_mask
     q = 0
     stack = []
     index = -1
     for index, kind, label in run:
         if kind == CHARS:
             hit = texts[q]
-            if hit is None or not hit[0].accepts(label):
+            if hit is None or not accept(label, hit[0]) & hit[0]:
                 return Verdict(False, DATATYPE_MISMATCH, index)
             q = hit[1]
         elif kind == START:
@@ -573,7 +575,7 @@ class Validator:
     """
 
     def __init__(self, model: Cxvpa):
-        calls, returns, texts = model.calls, model.returns, model.texts
+        calls, returns, texts, accept = model.calls, model.returns, model.texts, model.accept_mask
         q = 0
         stack: list[int] = []
         index = 0  # of the next event
@@ -587,7 +589,7 @@ class Validator:
             buf.clear()
             if run.strip(" \t\r\n"):
                 hit = texts[q]
-                if hit is None or not hit[0].accepts(run):
+                if hit is None or not accept(run, hit[0]) & hit[0]:
                     raise _Rejected(DATATYPE_MISMATCH, index)
                 q = hit[1]
                 index += 1
@@ -612,7 +614,7 @@ class Validator:
                 if target is None:
                     raise _Rejected(UNEXPECTED_ELEMENT, index)
                 hit = texts[target]
-                if hit is None or not hit[0].accepts(value):
+                if hit is None or not accept(value, hit[0]) & hit[0]:
                     raise _Rejected(DATATYPE_MISMATCH, index + 1)
                 back = returns[q].get(label)
                 if back is None or hit[1] not in back[1]:

@@ -283,8 +283,7 @@ def cmd_stats(args, dts) -> int:
     print(f"transitions\t{stats.transitions}")
     print(f"finals\t{stats.finals}")
     print(f"total-weight\t{stats.total_weight}")
-    series = learner.mind_change_series()
-    print("mind-changes\t" + (",".join(map(str, series)) if series else "-"))
+    print("mind-changes\t" + (learner.mind_change_text() or "-"))
     try:
         dxvpa = build_xvpa(learner.snapshot(), dts)
         print(f"modules\t{len(dxvpa.modules)}")

@@ -15,10 +15,10 @@ The datatypes and both orders are immutable once loaded.  Each order is
 held only as closure bitmasks, so the minimal, preferred and maximal
 members of a set are mask operations.  One lazily determinized product of
 all the datatypes' acceptors classifies a text in a single scan, for
-inference and for every compiled text predicate; its states are built on
-first use, under a lock taken only when a transition is new, so concurrent
-reads stay safe.  Its bounded memo keeps the accept mask of each short
-text, for inference and every predicate, so a recurring short text is
+inference and for every compiled text check, a bitmask of datatypes
+(``mask``); its states are built on first use, under a lock taken only
+when a transition is new, so concurrent reads stay safe.  Its bounded memo
+keeps the accept mask of each short text, so a recurring short text is
 scanned once.  Inference depends only on that mask: its result is computed
 once per mask and shared by every text with that mask, in a table meant
 for the single thread that learns.
@@ -31,7 +31,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from .dfa import Dfa, ProductDfa, ProductPredicate
+from .dfa import Dfa, ProductDfa
 
 ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
@@ -88,7 +88,6 @@ class LexicalDatatypeSystem:
         above = [sum(1 << i for i, k in enumerate(kind_of) if up >> k & 1) for up in self._kind_up]
         self._kind_above = [above[k] for k in kind_of]
         self.product = ProductDfa(d.dfa for d in datatypes)
-        self._memo = self.product.memo
         self._by_mask: dict[int, frozenset[str]] = {}
 
     def _validate(self):
@@ -113,17 +112,13 @@ class LexicalDatatypeSystem:
     def kind_of(self, name: str) -> str:
         return self.datatypes[name].kind
 
-    def predicate(self, names) -> ProductPredicate:
-        """Membership in the union of the named lexical spaces, run on the
-        shared product."""
-        return ProductPredicate(self.product, self._mask(names))
-
     def lex_lt(self, a: str, b: str) -> bool:
         """Strict lexical subsumption per the declared order."""
         return bool(self._up[self._index[a]] & (1 << self._index[b]))
 
-    def _mask(self, names) -> int:
-        """The bitmask of a collection of datatype names."""
+    def mask(self, names) -> int:
+        """The bitmask of a collection of datatype names; a text is in their
+        union when ``product.accept_mask(text, mask) & mask`` is nonzero."""
         return sum(1 << self._index[name] for name in set(names))
 
     def _unshadowed(self, mask: int, up: list[int]) -> frozenset[str]:
@@ -149,7 +144,7 @@ class LexicalDatatypeSystem:
         """Drop every member whose kind is strictly above another member's
         kind.  Input must be nonempty; the result stays a nonempty
         antichain of the lexical order."""
-        mask = self._mask(types)
+        mask = self.mask(types)
         if not mask:
             raise ValueError("prefer() requires a nonempty set")
         return self._unshadowed(mask, self._kind_above)
@@ -162,9 +157,7 @@ class LexicalDatatypeSystem:
         and every text with that mask shares one result.  Only a new mask
         computes the definition.
         """
-        mask = self._memo.get(text)  # the memo's hit path, without a call
-        if mask is None:
-            mask = self.product.accept_mask(text)
+        mask = self.product.accept_mask(text)
         result = self._by_mask.get(mask)
         if result is None:
             result = self._by_mask[mask] = self.prefer(self.minimal_datatypes(text))
@@ -173,7 +166,7 @@ class LexicalDatatypeSystem:
     def maxima(self, types) -> frozenset[str]:
         """Maximal elements of a datatype set w.r.t. lexical subsumption:
         the members whose up-set misses the set."""
-        mask = self._mask(types)
+        mask = self.mask(types)
         return frozenset(self._names[i] for i in _bits(mask) if not self._up[i] & mask)
 
     def merge(self, left, right) -> frozenset[str]:

@@ -1,12 +1,12 @@
 """Regular-language machinery over Unicode codepoints.
 
-Lexical spaces of datatypes and the text predicates of compiled validators
-are plain regular languages.  This module supplies everything needed to
-treat them as first-class objects: a small pattern dialect, Thompson NFA
-construction, subset-construction determinization, DFA minimization by
-``refine`` (which also folds the modules of automata) and membership, and
-a lazily determinized product of several DFAs that classifies a text
-against all of them in one scan.
+Lexical spaces of datatypes are plain regular languages.  This module
+supplies everything needed to treat them as first-class objects: a small
+pattern dialect, Thompson NFA construction, subset-construction
+determinization, DFA minimization by ``refine`` (which also folds the
+modules of automata) and membership, and a lazily determinized product of
+several DFAs whose ``accept_mask`` classifies a text against all of them
+in one scan, for inference and every compiled text check.
 
 Character sets are kept as sorted, disjoint, inclusive codepoint intervals
 so that full Unicode classes (e.g. XML NameChar) stay tiny.
@@ -899,24 +899,3 @@ class ProductDfa:
         los = [ASCII] + [p for p in bounds if ASCII < p <= MAX_CP]
         return los, [None] * len(los)
 
-
-class ProductPredicate:
-    """Membership in the union of the product components named by a mask.
-
-    A short text is read from the product's memo once it is there; a
-    longer one is run only until, at the end of a ``CHUNK``, none of the
-    components is live.
-    """
-
-    __slots__ = ("_memo", "_accept_mask", "mask")
-
-    def __init__(self, product: ProductDfa, mask: int):
-        self._memo = product.memo
-        self._accept_mask = product.accept_mask
-        self.mask = mask
-
-    def accepts(self, text: str) -> bool:
-        mask = self._memo.get(text) if len(text) <= CACHED_TEXT_MAX else None
-        if mask is None:
-            mask = self._accept_mask(text, self.mask)
-        return mask & self.mask != 0

@@ -95,7 +95,7 @@ def ret_name(scheme: NamingScheme, q: StateName, popped: StateName, element: str
 
 class Learner:
     """Persistent learner state: weighted VPA, scheme, and bookkeeping (the
-    mind-change series of a loaded state stays text until something reads it)."""
+    mind-change series is kept as text, parsed only when something reads it)."""
 
     def __init__(self, dts, scheme: NamingScheme):
         self.dts = dts
@@ -103,24 +103,24 @@ class Learner:
         self.dts_hash = dts.content_hash
         self.vpa = WeightedVpa()
         self.documents_learned = 0
-        self.mind_changes = []
+        self._segments: list[str] = []  # the mind-change series (mind_change_text)
         self.sanitized = False
 
     @property
     def mind_changes(self) -> list[int]:
-        """Mind changes per document; a loaded series is parsed on first read."""
-        if isinstance(self._mind_changes, str):
-            self._mind_changes = list(map(int, self._mind_changes.split(",")))
-        return self._mind_changes
+        """Mind changes per document, parsed from the series text."""
+        text = self.mind_change_text()
+        return list(map(int, text.split(","))) if text else []
 
     @mind_changes.setter
     def mind_changes(self, series) -> None:  # a list, or a checked series text
-        self._mind_changes = series
+        text = series if isinstance(series, str) else ",".join(map(str, series))
+        self._segments = [text] if text else []
 
     def mind_change_text(self) -> str:
-        """The series as a state file holds it; unread, as it was loaded."""
-        mc = self._mind_changes
-        return mc if isinstance(mc, str) else ",".join(map(str, mc))
+        """The series as a state file holds it, from comma-joined segments:
+        the text set or loaded, then one per document learned since."""
+        return ",".join(self._segments)
 
     # -- learning -------------------------------------------------------------
 
@@ -144,7 +144,7 @@ class Learner:
                 else:
                     table[key] = (old[0], old[1] + count)
         self.documents_learned += 1
-        self.mind_changes.append(changes)
+        self._segments.append(str(changes))
         return changes
 
     # -- unlearning -----------------------------------------------------------
@@ -187,8 +187,10 @@ class Learner:
             else:
                 table[key] = count if target is None else (target, count)
         self.documents_learned -= 1
-        if self.mind_changes:
-            self.mind_changes.pop()
+        if self._segments:
+            head = self._segments.pop().rpartition(",")[0]  # drop the last entry
+            if head:
+                self._segments.append(head)
 
     def _run(self, stream: DocumentEventStream):
         """The keys a document's run takes in each counter table.
@@ -278,9 +280,6 @@ class Learner:
     def snapshot(self) -> WeightedVpa:
         """Trimmed, immutable view of the current automaton."""
         return self.vpa.trimmed(self.dts)
-
-    def mind_change_series(self) -> list[int]:
-        return list(self.mind_changes)
 
     def _check_input(self, stream):
         if not isinstance(stream, DocumentEventStream):

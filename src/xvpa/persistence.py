@@ -5,9 +5,11 @@ sanitized flag, document count, mind-change series) followed by sorted
 ``state`` / ``final`` / ``call`` / ``int`` / ``ret`` lines with their
 counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
-restores the previous file exactly.  Loading checks the mind-change series
-in one pass, refusing tokens ``dump_state`` never writes, and keeps its text
-for the learner to parse when something reads it.
+restores the previous file exactly.  Loading refuses every header value
+``dump_state`` never writes: a ``sanitized`` flag other than 0 or 1, and a
+count or series token that is not canonical ASCII decimal.  It checks the
+mind-change series in one pass and hands its text to the learner, which
+parses it only when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
@@ -28,6 +30,7 @@ from .learner import ANCESTOR, Learner, NamingScheme
 
 FORMAT_NAME = "xvpa-state"
 FORMAT_VERSION = "1"
+_COUNT = re.compile("0|[1-9][0-9]*")  # a count as dump_state writes it
 
 
 class StateFileError(ValueError):
@@ -115,6 +118,10 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
         else:
             body_at = i
             break
+    for key in ("k", "l", "documents", "sanitized"):  # only values dump_state writes
+        value = header.get(key, "0")
+        if not (value in ("0", "1") if key == "sanitized" else _COUNT.fullmatch(value)):
+            raise StateFileError(f"bad state header: {key} {value!r}")
     try:
         mode = header["mode"]
         scheme = NamingScheme(mode, int(header["k"]), int(header["l"]))
@@ -137,7 +144,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     learner.dts_hash = dts_hash
     learner.sanitized = header.get("sanitized", "0") == "1"
     learner.documents_learned = documents
-    learner.mind_changes = [] if mc == "-" else mc  # parsed on first read
+    learner.mind_changes = [] if mc == "-" else mc  # kept as text
 
     v = learner.vpa
     decoded: dict[str, tuple] = {}  # a state token's name: get(token) or dec(token)

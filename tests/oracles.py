@@ -7,7 +7,7 @@ enumerator produces every well-nested stream within depth/width bounds,
 the accepted-stream witness is a fixpoint of its own over the compiled tables,
 module minimization is the pairwise scan that restarts after each fold,
 the datatype-set validator checks each text against every member
-datatype instead of the compiled predicate, the reference predicate of a
+datatype instead of the compiled mask, the reference predicate of a
 datatype set is the determinized, minimized union of its members' DFAs,
 DFA pairs are compared by a breadth-first search of their product for
 a witness string, and the reference parser makes a new name object for
@@ -241,9 +241,9 @@ def named_tables(model):
     ``(calls, returns, texts)`` with ``calls[(q, element)]`` the callee's
     entry, ``returns[(popped, element)]`` the target (None for the root's)
     and the exits that take it, and ``texts[q]`` the target and the
-    datatype set of its predicate."""
+    datatype set of its mask."""
     names = model.names
-    key_of = {predicate: key for key, predicate in model.predicates.items()}
+    key_of = {mask: key for key, mask in model.predicates.items()}
     calls = {(names[q], c): names[target]
              for q, row in enumerate(model.calls) for c, target in row.items()}
     returns = {(names[popped], c): (None if target is None else names[target],
@@ -357,28 +357,25 @@ def accepted_witness(model, dts, rng: Random | None = None):
 # ---------------------------------------------------------------------------
 # validation by datatype sets
 
-class _AnyOf:
-    """Stands in for a compiled predicate: a text is accepted when some
-    member datatype accepts it."""
+def member_accept_mask(dts):
+    """A stand-in for the product's ``accept_mask``: the datatypes in
+    ``live`` whose own DFA accepts the text, tested one by one."""
+    names = dts.names()
 
-    def __init__(self, dts, dtset):
-        self.dts = dts
-        self.dtset = dtset
-
-    def accepts(self, text_: str) -> bool:
-        return any(member_accepts(self.dts, name, text_) for name in self.dtset)
+    def accept_mask(text: str, live: int = -1) -> int:
+        return sum(1 << i for i, name in enumerate(names)
+                   if live >> i & 1 and member_accepts(dts, name, text))
+    return accept_mask
 
 
 def validate_dxvpa(dxvpa: Dxvpa, stream) -> Verdict:
     """Datatype-set semantics: a text moves along the internal transition
     when some member datatype accepts it.  Equivalent to the compiled
     form; exists as the slow reference route, and shares the validator's
-    walk with member-by-member predicates in place of the fused ones."""
+    walk with member-by-member DFA runs in place of the product."""
     model = compile_cxvpa(dxvpa)
-    any_of = {predicate: _AnyOf(dxvpa.dts, key) for key, predicate in model.predicates.items()}
-    texts = tuple(None if hit is None else (any_of[hit[0]], hit[1]) for hit in model.texts)
-    predicates = {key: any_of[predicate] for key, predicate in model.predicates.items()}
-    return validate(Cxvpa(model.names, model.calls, model.returns, texts, predicates), stream)
+    return validate(Cxvpa(model.names, model.calls, model.returns, model.texts,
+                          model.predicates, member_accept_mask(dxvpa.dts)), stream)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +524,7 @@ def union_dfas(dfas) -> Dfa:
 
 @lru_cache(maxsize=None)
 def reference_predicate(dts, key: frozenset) -> Dfa:
-    """The compiled predicate of a datatype set, as one DFA: the member's
+    """The language a datatype set's mask checks, as one DFA: the member's
     own DFA for a single datatype, else the union of the members'."""
     members = [dts.datatypes[name].dfa for name in sorted(key)]
     return members[0] if len(members) == 1 else union_dfas(members)

@@ -1,4 +1,4 @@
-"""dXVPA generation, module folding, predicate compilation, validation."""
+"""dXVPA generation, module folding, text-mask compilation, validation."""
 
 import importlib.util
 import os
@@ -506,22 +506,23 @@ def test_fold_leaves_no_return_naming_a_removed_state(dts):
 def test_year_predicate_accepts_both_members(cardealer, dts):
     _docs, _dx, cx = cardealer
     key = frozenset({"gYear", "gYearMonth"})
-    predicate = cx.predicates[key]
+    mask = cx.predicates[key]
     for text in ("2015", "0999", "2015Z", "2015-09", "1999-01Z", "-2015"):
-        assert predicate.accepts(text), text
+        assert cx.accept_mask(text, mask) & mask, text
     for text in ("20x5", "2015-13", "15", "", "x"):
-        assert not predicate.accepts(text), text
+        assert not cx.accept_mask(text, mask) & mask, text
 
 
 def test_single_datatype_predicate_equals_member(dts, master_seed):
-    """A one-member predicate selects that member's bit alone and agrees
-    with the member's DFA on its own strings and on every other kind."""
+    """A one-member mask selects that member's bit alone and its check
+    agrees with the member's DFA on its own strings and on every other
+    kind."""
     learner = learn_corpus(dts, A11, [ev.parse_document(b"<m>false</m>")])
     cx = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
     (key,) = cx.predicates
     assert key == frozenset({"boolean"})
-    predicate = cx.predicates[key]
-    assert predicate.mask == 1 << dts.names().index("boolean")
+    mask = cx.predicates[key]
+    assert mask == 1 << dts.names().index("boolean")
     rng = random.Random(master_seed + 12)
     boolean = dts.datatypes["boolean"].dfa
     texts = [sample_string(boolean, rng) for _ in range(50)]
@@ -529,21 +530,21 @@ def test_single_datatype_predicate_equals_member(dts, master_seed):
     assert any(member_accepts(dts, "boolean", t) for t in texts)
     assert not all(member_accepts(dts, "boolean", t) for t in texts)
     for text in texts:
-        assert predicate.accepts(text) == boolean.accepts(text), text
+        assert bool(cx.accept_mask(text, mask) & mask) == boolean.accepts(text), text
 
 
 def test_predicate_membership_cross_check(cardealer, dts, master_seed):
-    """1000 random strings: predicate acceptance iff acceptance by at
-    least one member datatype."""
+    """1000 random strings: a mask's check accepts iff at least one member
+    datatype accepts."""
     _docs, _dx, cx = cardealer
     rng = random.Random(master_seed + 11)
     pool = sorted(dts.names())
-    for key, predicate in cx.predicates.items():
+    for key, mask in cx.predicates.items():
         for _ in range(1000 // max(1, len(cx.predicates))):
             name = rng.choice(pool)
             text = sample(name, rng)
             expected = any(member_accepts(dts, member, text) for member in key)
-            assert predicate.accepts(text) == expected, (key, text)
+            assert bool(cx.accept_mask(text, mask) & mask) == expected, (key, text)
 
 
 # -- validation ----------------------------------------------------------------
@@ -693,7 +694,7 @@ def test_dxvpa_route_agrees_on_corpus(cardealer):
 
 def test_equivalence_on_small_stream_enumeration(dts):
     """Exhaustive depth<=2/width<=2 streams: datatype-set semantics and
-    predicate semantics agree everywhere (the acceptance suite runs the
+    compiled-mask semantics agree everywhere (the acceptance suite runs the
     full depth-3/width-3 enumeration)."""
     train = [
         ev.parse_document(b"<a><b>5</b></a>"),

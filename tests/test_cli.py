@@ -8,7 +8,9 @@ import time
 import pytest
 
 from xvpa.cli import EXIT_OK, EXIT_PARSE, EXIT_REJECT, EXIT_STATE, main
+from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, write_corpus
+from xvpa.learner import Learner, NamingScheme
 
 from .test_datatypes import MALFORMED_DEFINITIONS
 
@@ -262,6 +264,25 @@ def test_unlearn_reports_only_what_it_saved(workdir, capsys):
     assert capsys.readouterr().out == f"{workdir['ok1.xml']}\tunlearned\n"
 
 
+def test_unlearn_refuses_a_corrupt_sanitized_flag(workdir, capsys):
+    """A ``sanitized`` value that ``dump_state`` never writes is a corrupt
+    state, not an unsanitized one: unlearn exits 4 and changes nothing."""
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
+         workdir["ok1.xml"], workdir["ok2.xml"]])
+    with open(workdir["state"], encoding="utf-8") as fh:
+        edited = fh.read().replace("sanitized 0\n", "sanitized 1 \n")
+    assert "sanitized 1 \n" in edited
+    with open(workdir["state"], "w", encoding="utf-8") as fh:
+        fh.write(edited)
+    capsys.readouterr()
+    assert run(["unlearn", workdir["state"], workdir["ok2.xml"]]) == EXIT_STATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "state error: bad state header: sanitized '1 '\n"
+    with open(workdir["state"], encoding="utf-8") as fh:
+        assert fh.read() == edited
+
+
 def test_sanitize_reporting(workdir, capsys):
     run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
          workdir["ok1.xml"]])
@@ -302,7 +323,7 @@ def test_sanitize_refused_model_is_not_applicable(workdir, capsys):
             assert fh.read() == edited
 
 
-def test_stats_reports_modules(workdir, capsys):
+def test_stats_reports_modules(workdir, capsys, dts):
     run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2",
          workdir["ok1.xml"], workdir["ok2.xml"]])
     capsys.readouterr()
@@ -310,6 +331,14 @@ def test_stats_reports_modules(workdir, capsys):
     out = capsys.readouterr().out
     assert "modules\t7" in out
     assert "documents-learned\t2" in out
+    learner = Learner(dts, NamingScheme("ancestor", 1, 2))
+    first, second = (learner.learn(parse_document(raw)) for raw in (DOC_OK, DOC_OK2))
+    assert f"mind-changes\t{first},{second}\n" in out
+    run(["unlearn", workdir["state"], workdir["ok2.xml"]])
+    run(["unlearn", workdir["state"], workdir["ok1.xml"]])
+    capsys.readouterr()
+    assert run(["stats", workdir["state"]]) == EXIT_OK
+    assert "mind-changes\t-\n" in capsys.readouterr().out
 
 
 def test_stats_after_learning_fifty_generated_documents(tmp_path, capsys, master_seed):

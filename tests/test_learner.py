@@ -69,7 +69,7 @@ def test_learn_single_empty_element_mind_changes(dts):
     learner = Learner(dts, A11)
     assert learner.learn(doc(b"<a/>")) == 5
     assert learner.learn(doc(b"<a/>")) == 0
-    assert learner.mind_change_series() == [5, 0]
+    assert learner.mind_changes == [5, 0]
     assert learner.documents_learned == 2
 
 
@@ -98,7 +98,7 @@ def test_mind_changes_zero_iff_nothing_new(dts):
 
 
 def test_fresh_state_has_empty_series(dts):
-    assert Learner(dts, A11).mind_change_series() == []
+    assert Learner(dts, A11).mind_changes == []
 
 
 def test_zero_mind_change_window_means_stable_snapshot(dts):
@@ -108,7 +108,7 @@ def test_zero_mind_change_window_means_stable_snapshot(dts):
     for d in docs:
         learner.learn(d)
         snaps.append(structure(learner.snapshot()))
-    series = learner.mind_change_series()
+    series = learner.mind_changes
     assert series[1:] == [0, 0]
     for i in range(1, len(docs)):
         if series[i] == 0:

@@ -122,6 +122,12 @@ def _with_counter(tag, value):
     *(lambda t, series=series: "\n".join(f"mindchanges {series}" if l.startswith("mindchanges ")
                                           else l for l in t.split("\n"))
       for series in ["01,1", "+1,1", "1, 1", "1,,1", "1,", ",1", "1_0,1", "\u0661,1", "", "-"]),
+    # header values dump_state never writes: a sanitized flag other than 0
+    # or 1, and counts that int() reads but that are not canonical decimal
+    *(lambda t, line=line: "\n".join(line if l.split(" ", 1)[0] == line.split(" ", 1)[0] else l
+                                      for l in t.split("\n"))
+      for line in ["sanitized 1 ", "sanitized yes", "sanitized 2", "sanitized ",
+                   "k 01", "k +1", "k  1", "k 1 ", "l 02", "documents 02", "documents \uff12"]),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))
@@ -145,23 +151,36 @@ def test_repeated_transition_lines(dts, tag):
 
 def test_loaded_series_is_parsed_on_first_use(dts):
     """A long series is checked on load and kept as text: an untouched
-    learner saves it back byte-identically, and learning or unlearning
-    parses it first."""
+    learner saves it back byte-identically, learning appends one entry and
+    unlearning drops the last one, past the loaded entries too, and only a
+    read of ``mind_changes`` parses it."""
     learner = trained_learner(dts, n=2)
+    trained = generate(cardealer_grammar(), 2, 99)
     doc = ev.parse_document(b"<dealer/>")
     series = [i % 97 for i in range(100_000)]
-    text = dump_state(learner).replace(
-        "documents 2\n", f"documents {len(series)}\n").replace(
-        "mindchanges " + ",".join(map(str, learner.mind_changes)),
-        "mindchanges " + ",".join(map(str, series)))
+
+    def state(entries):
+        return dump_state(learner).replace(
+            "documents 2\n", f"documents {len(entries)}\n").replace(
+            "mindchanges " + ",".join(map(str, learner.mind_changes)),
+            "mindchanges " + ",".join(map(str, entries)))
+
+    text = state(series)
     loaded = parse_state(text, dts)
     assert dump_state(loaded) == text
-    loaded.learn(doc)
-    assert loaded.mind_changes[:-1] == series
-    assert loaded.mind_change_series() == loaded.mind_changes
+    changes = [loaded.learn(doc), loaded.learn(doc)]
+    assert loaded.mind_changes == series + changes
     loaded.unlearn(doc)
-    assert loaded.mind_change_series() == series
+    loaded.unlearn(doc)
+    assert loaded.mind_changes == series
     assert dump_state(loaded) == text
+    loaded.unlearn(trained[1])
+    assert loaded.mind_changes == series[:-1]
+    loaded.learn(doc)
+    assert loaded.mind_changes == series[:-1] + changes[:1]
+    loaded.unlearn(doc)
+    loaded.unlearn(trained[0])
+    assert dump_state(loaded).splitlines()[5:8] == state(series[:-2]).splitlines()[5:8]
 
 
 _EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "alter"]),

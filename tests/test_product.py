@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from xvpa.automata import Validator, build_xvpa, compile_cxvpa, validate
 from xvpa.datatypes import load_datatype_system
-from xvpa.dfa import (ASCII, CACHED_TEXT_MAX, CHUNK, MAX_CP, MEMO_MAX, Dfa, ProductDfa,
-                      ProductPredicate)
+from xvpa.dfa import ASCII, CACHED_TEXT_MAX, CHUNK, MAX_CP, MEMO_MAX, Dfa, ProductDfa
 from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, cardealer_grammar, generate
 from xvpa.learner import Learner, NamingScheme
@@ -81,7 +80,8 @@ def test_product_masks_equal_member_dfas(dts, text, picks):
         _assert_member_masks(dts, text[:end])
     key = frozenset(names[i % len(names)] for i in picks)
     expected = any(member_accepts(dts, name, text) for name in key)
-    assert dts.predicate(key).accepts(text) == expected, (sorted(key), text)
+    mask = dts.mask(key)
+    assert bool(dts.product.accept_mask(text, mask) & mask) == expected, (sorted(key), text)
 
 
 # pieces that keep many datatypes live, and runs of either kind of character,
@@ -121,7 +121,7 @@ def _rows(product) -> dict:
 
 
 def test_a_dead_run_reads_at_most_a_chunk_past_its_dead_character():
-    """A predicate whose datatype dies at some character stops within
+    """A text check whose datatype dies at some character stops within
     ``CHUNK`` characters of it, in an ASCII or a mixed chunk and at every
     offset into a chunk: characters placed ``CHUNK`` or more past it grow
     no product state and fill no row."""
@@ -132,7 +132,7 @@ def test_a_dead_run_reads_at_most_a_chunk_past_its_dead_character():
         for dead in range(2 * CHUNK + 1):
             head = "x" * dead + filler[:CHUNK]  # x* dies at head[dead]
             product = ProductDfa(dfas)
-            assert not ProductPredicate(product, 1).accepts(head + tail)
+            assert not product.accept_mask(head + tail, 1) & 1
             assert product.run(head + tail, 1) is None
             taken, whole = _rows(product), _rows(_run_all(dfas, head))
             assert taken.keys() <= whole.keys(), (filler, dead)
@@ -173,8 +173,10 @@ def test_product_memory_is_bounded_by_member_intervals():
     text = "".join(chr(cp) for cp in range(0, MAX_CP + 1, 97))
     xml_chars = "".join(ch for ch in text if member_accepts(dts, "string", ch))
     for key in ({"top"}, {"string", "token"}, {"top", "gYear"}):
+        mask = dts.mask(key)
         for t in (text, xml_chars):
-            assert dts.predicate(key).accepts(t) == any(member_accepts(dts, n, t) for n in key)
+            assert bool(product.accept_mask(t, mask) & mask) == any(member_accepts(dts, n, t)
+                                                                    for n in key)
     assert dts.minimal_datatypes(text) == {"top"}
     assert dts.minimal_datatypes(xml_chars) == brute_force_minimal(dts, xml_chars) == {"token"}
     reachable = _reachable_product([dts.datatypes[name].dfa for name in dts.names()])
@@ -237,10 +239,10 @@ def _member_mask(dts, text) -> int:
     return sum(1 << i for i, name in enumerate(dts.names()) if member_accepts(dts, name, text))
 
 
-def _cold(predicate, product, text) -> bool:
+def _cold(mask, product, text) -> bool:
     """The verdict of the early-exit run alone, which reads no memo."""
-    s = product.run(text, predicate.mask)
-    return s is not None and bool(s.accept & predicate.mask)
+    s = product.run(text, mask)
+    return s is not None and bool(s.accept & mask)
 
 
 @given(st.one_of(st.text(), st.text(st.characters(min_codepoint=0x80)),
@@ -253,37 +255,37 @@ def test_memo_hit_equals_the_cold_run_and_member_dfas(dts, text, picks):
     member DFAs; a text over the bound never enters the memo."""
     names = dts.names()
     key = frozenset(names[i % len(names)] for i in picks)
-    predicate = dts.predicate(key)
+    mask = dts.mask(key)
     product = dts.product
     product.memo.pop(text, None)
     expected = any(member_accepts(dts, name, text) for name in key)
-    assert predicate.accepts(text) == _cold(predicate, product, text) == expected
+    assert bool(product.accept_mask(text, mask) & mask) == _cold(mask, product, text) == expected
     assert (text in product.memo) == (len(text) <= CACHED_TEXT_MAX)
-    assert predicate.accepts(text) == expected
+    assert bool(product.accept_mask(text, mask) & mask) == expected
     assert product.accept_mask(text) == _member_mask(dts, text)
 
 
 def test_every_predicate_answers_from_the_memo_as_its_members():
-    """Every single-datatype predicate and every predicate of a compiled
-    cardealer model, on the mixed corpus, non-ASCII texts and texts of 256
-    and 257 characters, with a warm memo."""
+    """Every single-datatype mask and every mask of a compiled cardealer
+    model, on the mixed corpus, non-ASCII texts and texts of 256 and 257
+    characters, with a warm memo."""
     dts = load_datatype_system()
     learner = Learner(dts, NamingScheme("ancestor", 1, 2))
     for doc in generate(cardealer_grammar(), 50, MASTER_SEED):
         learner.learn(doc)
     compiled = compile_cxvpa(build_xvpa(learner.snapshot(), dts)).predicates
     assert len(compiled) >= 2
-    predicates = [(frozenset([name]), dts.predicate([name])) for name in dts.names()]
-    predicates += compiled.items()
+    masks = [(frozenset([name]), dts.mask([name])) for name in dts.names()]
+    masks += compiled.items()
     texts = CORPUS + NON_ASCII + EDGE
     for text in texts:
         dts.product.accept_mask(text)
     assert all((text in dts.product.memo) == (len(text) <= CACHED_TEXT_MAX) for text in texts)
-    for key, predicate in predicates:
+    for key, mask in masks:
         for text in texts:
             expected = any(member_accepts(dts, name, text) for name in key)
-            assert predicate.accepts(text) == _cold(predicate, dts.product, text) == expected, \
-                (sorted(key), text)
+            assert bool(dts.product.accept_mask(text, mask) & mask) == \
+                _cold(mask, dts.product, text) == expected, (sorted(key), text)
 
 
 def _text_model(dts):
@@ -346,7 +348,8 @@ def test_concurrent_stores_keep_the_memo_bound_and_its_answers():
     each thread beyond the first (a switch between the bound check and the
     store)."""
     dts = load_datatype_system()
-    predicate = dts.predicate(["unsignedShort", "NMTOKENS"])
+    mask = dts.mask(["unsignedShort", "NMTOKENS"])
+    accept_mask = dts.product.accept_mask
     memo = dts.product.memo
     per_thread = MEMO_MAX // 3
     failures = []
@@ -356,7 +359,7 @@ def test_concurrent_stores_keep_the_memo_bound_and_its_answers():
         barrier.wait()
         for n in range(per_thread):
             number = str(i * per_thread + n)
-            if not predicate.accepts(number) or predicate.accepts(number + "!"):
+            if not accept_mask(number, mask) & mask or accept_mask(number + "!", mask) & mask:
                 failures.append(number)
             if len(memo) > MEMO_MAX + 3:
                 failures.append(len(memo))

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, Validator, build_xvpa,
-                           compile_cxvpa, validate)
-from xvpa.events import (DocumentEventStream, DoctypeRejectedError, EncodingError,
+from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, Cxvpa, Validator,
+                           build_xvpa, compile_cxvpa, validate)
+from xvpa.events import (CHARS, DocumentEventStream, DoctypeRejectedError, EncodingError,
                          MalformedXmlError, parse_document, serialize_xml)
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
@@ -185,6 +185,48 @@ def test_push_matches_batch_on_cardealer(cardealer, master_seed):
     rng = random.Random(master_seed + 81)
     verdicts = {assert_push_matches_batch(model, raw, rng) for raw in docs}
     assert (True, None, None) in verdicts and len(verdicts) > 2
+
+
+def test_every_text_is_checked_exactly_once(dts, cardealer, master_seed):
+    """Normals, attacks and attribute values, through ``validate`` and
+    through ``Validator`` fed at random cuts: the texts that
+    ``accept_mask`` is called with are the document's characters events up
+    to and including the verdict's event, in order, each once.  A text in a
+    state with no text transition is rejected unchecked."""
+    model, docs = cardealer
+    attributed = model_of(dts, A11, [b'<a x="1" y="b"><b>t</b></a>'])
+    # (model, document, whether the verdict's event is a text left unchecked)
+    cases = [(model, raw, False) for raw in docs]
+    cases += [(model, b"<dealer><newcars>x</newcars><usedcars/></dealer>", True),
+              (attributed, b'<a y="b" x="2"><b>t u</b></a>', False),
+              (attributed, b'<a x="q" y="b"><b>t</b></a>', False),
+              (attributed, b'<a x="1" y="b"><b>t</b>t</a>', True),
+              (attributed, b'<a x="1" y="b"><c/></a>', False)]
+    checked = []
+    rng = random.Random(master_seed + 85)
+    reasons = set()
+    for target, raw, unchecked in cases:
+        def accept_mask(text, live=-1, target=target):
+            checked.append(text)
+            return target.accept_mask(text, live)
+
+        recording = Cxvpa(target.names, target.calls, target.returns, target.texts,
+                          target.predicates, accept_mask)
+        stream = parse_document(raw)
+        verdict = validate(target, stream)
+        reasons.add(verdict.reason)
+        end = len(stream) if verdict.event_index is None else verdict.event_index
+        want = [label for index, kind, label in zip(stream.indices, stream.kinds, stream.labels)
+                if kind == CHARS and index <= end]
+        if unchecked:
+            assert verdict.reason == DATATYPE_MISMATCH and stream.kinds[end] == CHARS
+            want.pop()
+        checked.clear()
+        assert validate(recording, stream) == verdict and checked == want, raw
+        for chunks in chunkings(raw, rng, count=2):
+            checked.clear()
+            assert push(recording, chunks) == outcome(verdict) and checked == want, chunks
+    assert reasons == {None, DATATYPE_MISMATCH, UNEXPECTED_ELEMENT}
 
 
 @pytest.mark.parametrize("scheme", [AS22, A12], ids=["ancestor-sibling-2-2", "ancestor-1-2"])
