@@ -86,29 +86,15 @@ class Module:
     returns: dict = field(default_factory=dict)
 
 
+@dataclass(eq=False)
 class Dxvpa:
-    """Datatyped modular automaton over a lexical datatype system."""
+    """Datatyped modular automaton over a lexical datatype system, as
+    ``build_xvpa`` makes and checks it."""
 
-    def __init__(self, modules, m0, root_element, dts):
-        self.modules: dict[tuple, Module] = modules
-        self.m0 = m0
-        self.root_element = root_element
-        self.dts = dts
-        self._check_structure()
-
-    def _check_structure(self):
-        internal_targets = set()
-        for key, mod in self.modules.items():
-            if mod.entry not in mod.states:
-                raise AutomatonStructureError(f"module {key!r} lacks its entry state")
-            internal_targets.update(dst for dst, _ in mod.internals.values())
-        # mixed content: the unique datatype-choice successor is structural
-        # (internals is a map); no return may target such a successor
-        for mod in self.modules.values():
-            for target in mod.returns.values():
-                if target in internal_targets:
-                    raise AutomatonStructureError(
-                        "return transition targets a datatype-choice successor")
+    modules: dict[tuple, Module]
+    m0: tuple
+    root_element: str
+    dts: object
 
 
 class Cxvpa:
@@ -191,9 +177,9 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     module, is a structure error: a learner never makes one, since the
     callee and the target are functions of the popped state and element.
     (A crossed return would come alive when minimize folds its module
-    into the callee's class.)
-    Each transition map is read once, so the cost is linear in the
-    snapshot.
+    into the callee's class.)  So is a return that targets a text's
+    successor (mixed content).  Each transition map is read once, so the
+    cost is linear in the snapshot.
     """
     root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:
@@ -221,6 +207,8 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
 
     # transitions, partitioned by source module; a text target lies in the
     # source's module, a return target in the popped state's
+    entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
+    entry_elements[m0].add(root_element)
     for (q, c), (dst, _w) in snapshot.calls.items():
         if q == START_STATE:
             continue
@@ -228,6 +216,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         if mod is None or dst[0] not in modules:
             raise _outside_modules((q, c, dst))
         mod.calls[(q, c)] = dst[0]
+        entry_elements[dst[0]].add(c)
     choices: dict[StateName, tuple] = {}
     for (src, dt), (dst, _w) in snapshot.ints.items():
         choices.setdefault(src, (dst, set()))[1].add(dt)
@@ -256,17 +245,16 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
                 f"return on {c!r} popping {popped!r} has two targets")
 
     # element assignment: the element whose calls enter the module
-    entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
-    entry_elements[m0].add(root_element)
-    for mod in modules.values():
-        for (q, c), callee in mod.calls.items():
-            entry_elements[callee].add(c)
     for ctx, mod in modules.items():
         elements = entry_elements[ctx]
         if len(elements) != 1:
             raise AutomatonStructureError(
                 f"module {ctx!r} entered by elements {sorted(elements)}; expected exactly one")
         mod.element = elements.pop()
+    # mixed content: no return may target a text's unique successor
+    text_targets = {dst for dst, _dtset in choices.values()}
+    if any(target in text_targets for mod in modules.values() for target in mod.returns.values()):
+        raise AutomatonStructureError("return transition targets a datatype-choice successor")
 
     dxvpa = Dxvpa(modules, m0, root_element, dts)
     if minimize_modules:
@@ -566,8 +554,8 @@ class Validator:
     four are seen), the declared encoding, and the DOCTYPE refusal.
 
     The first rejection ends the document: reading stops there, and
-    ``feed`` and ``close`` return that verdict from then on.  Until then
-    ``feed`` returns ACCEPT, meaning nothing is rejected so far, and
+    ``feed`` and ``close`` return that verdict (false) from then on.  Until
+    then ``feed`` returns ACCEPT, nothing being rejected so far, and
     ``close`` returns the document's verdict.  A parse error is raised as
     ``parse_document`` raises it, but only when it comes before any
     rejection: a document rejected at some event and malformed later is
@@ -653,19 +641,18 @@ class Validator:
                 chunk, self._head = self._head, None
                 _check_head(chunk[:4])
             self._parse(chunk, False)
-        return self._verdict or ACCEPT
+        return ACCEPT if self._verdict is None else self._verdict
 
     def close(self) -> Verdict:
         """End the input; the document's verdict."""
         if self._verdict is None:
-            if self._head is not None:
-                head, self._head = self._head, None
-                _check_head(head)
-                self._parse(head, False)
-            self._parse(b"", True)
-            # expat ended without an error, so the root element closed
-            # and every event was taken
-            self._verdict = self._verdict or ACCEPT
+            head, self._head = self._head or b"", None
+            _check_head(head)
+            self._parse(head, True)  # the bytes held back, and the end
+            if self._verdict is None:
+                # expat ended without an error, so the root element closed
+                # and every event was taken
+                self._verdict = ACCEPT
         return self._verdict
 
     def _parse(self, data, final: bool):

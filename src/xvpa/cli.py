@@ -11,10 +11,10 @@ an ``eval -k`` or ``-l`` below 1 and a bad ``learn --init`` value, use
 argparse's conventional exit code 2.
 
 ``validate`` reads each input in chunks through the push route
-(``automata.Validator``), and the first rejection ends the document: a
-document rejected at some event is reported ``REJECT`` (exit 1) even when
-it is malformed further on; a parse error that comes before any
-rejection exits 3.
+(``automata.Validator``) and stops reading it after the chunk that holds
+its first rejection: a document rejected at some event is reported
+``REJECT`` (exit 1) even when it is malformed further on; a parse error
+that comes before any rejection exits 3.
 """
 
 from __future__ import annotations
@@ -305,7 +305,7 @@ def cmd_export_dot(args, dts) -> int:
 def cmd_eval(args, dts) -> int:
     try:
         corpus = read_corpus(args.corpus)
-    except MalformedXmlError as exc:
+    except (OSError, MalformedXmlError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if not corpus.train:

@@ -94,17 +94,23 @@ def ret_name(scheme: NamingScheme, q: StateName, popped: StateName, element: str
 
 
 class Learner:
-    """Persistent learner state: weighted VPA, scheme, and bookkeeping (the
-    mind-change series is kept as text, parsed only when something reads it)."""
+    """Persistent learner state: weighted VPA, scheme, and bookkeeping.  The
+    mind-change series has one entry per document learned; ``series``, a
+    checked series text, is kept as text until read or unlearned."""
 
-    def __init__(self, dts, scheme: NamingScheme):
+    def __init__(self, dts, scheme: NamingScheme, series: str = ""):
         self.dts = dts
         self.scheme = scheme
         self.dts_hash = dts.content_hash
         self.vpa = WeightedVpa()
-        self.documents_learned = 0
-        self._segments: list[str] = []  # the mind-change series (mind_change_text)
+        self._series = series  # comma-joined entries, before _entries
+        self._entries: list[str] = []  # one per document since
         self.sanitized = False
+
+    @property
+    def documents_learned(self) -> int:
+        """The number of documents learned: the series' length."""
+        return len(self._entries) + (self._series.count(",") + 1 if self._series else 0)
 
     @property
     def mind_changes(self) -> list[int]:
@@ -112,15 +118,9 @@ class Learner:
         text = self.mind_change_text()
         return list(map(int, text.split(","))) if text else []
 
-    @mind_changes.setter
-    def mind_changes(self, series) -> None:  # a list, or a checked series text
-        text = series if isinstance(series, str) else ",".join(map(str, series))
-        self._segments = [text] if text else []
-
     def mind_change_text(self) -> str:
-        """The series as a state file holds it, from comma-joined segments:
-        the text set or loaded, then one per document learned since."""
-        return ",".join(self._segments)
+        """The series as a state file holds it."""
+        return ",".join([self._series, *self._entries] if self._series else self._entries)
 
     # -- learning -------------------------------------------------------------
 
@@ -143,8 +143,7 @@ class Learner:
                     table[key] = old + count
                 else:
                     table[key] = (old[0], old[1] + count)
-        self.documents_learned += 1
-        self._segments.append(str(changes))
+        self._entries.append(str(changes))
         return changes
 
     # -- unlearning -----------------------------------------------------------
@@ -186,11 +185,11 @@ class Learner:
                 del table[key]
             else:
                 table[key] = count if target is None else (target, count)
-        self.documents_learned -= 1
-        if self._segments:
-            head = self._segments.pop().rpartition(",")[0]  # drop the last entry
-            if head:
-                self._segments.append(head)
+        if not self._entries and self._series:  # split off the last entries once
+            self._entries = self._series.rsplit(",", 1024)
+            self._series = self._entries.pop(0) if len(self._entries) > 1024 else ""
+        if self._entries:
+            self._entries.pop()
 
     def _run(self, stream: DocumentEventStream):
         """The keys a document's run takes in each counter table.

@@ -140,11 +140,9 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
                 "state was created with a different datatype definition file "
                 f"({dts_hash[:12]}... vs {dts.content_hash[:12]}...)")
 
-    learner = Learner(dts, scheme)
+    learner = Learner(dts, scheme, "" if mc == "-" else mc)
     learner.dts_hash = dts_hash
     learner.sanitized = header.get("sanitized", "0") == "1"
-    learner.documents_learned = documents
-    learner.mind_changes = [] if mc == "-" else mc  # kept as text
 
     v = learner.vpa
     decoded: dict[str, tuple] = {}  # a state token's name: get(token) or dec(token)

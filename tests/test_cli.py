@@ -1,5 +1,6 @@
 """Command-line behavior: flows, verdict lines, exit codes."""
 
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import time
 
 import pytest
 
-from xvpa.cli import EXIT_OK, EXIT_PARSE, EXIT_REJECT, EXIT_STATE, main
+from xvpa import cli
+from xvpa.cli import CHUNK_BYTES, EXIT_OK, EXIT_PARSE, EXIT_REJECT, EXIT_STATE, main
 from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, write_corpus
 from xvpa.learner import Learner, NamingScheme
@@ -169,6 +171,64 @@ def test_validate_reads_documents_larger_than_one_chunk(workdir, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == EXIT_REJECT
     assert lines == [f"{large}\tACCEPT\t-\t-", f"{cut}\tREJECT\tunexpected-element\t1"]
+
+
+def test_validate_document_shorter_than_its_held_head(workdir, capsys):
+    """A document of fewer than four bytes is parsed, with the end of the
+    input, in one final parse: a verdict line, not a traceback."""
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2", workdir["ok1.xml"]])
+    tiny = workdir["dir"] / "t.xml"
+    tiny.write_bytes(b"<x>")
+    capsys.readouterr()
+    code = run(["validate", workdir["state"], str(tiny)])
+    assert code == EXIT_REJECT
+    assert capsys.readouterr().out == f"{tiny}\tREJECT\tunexpected-element\t0\n"
+
+
+class _CountingFile(io.FileIO):
+    """A binary file that adds up the bytes read from it."""
+
+    read_bytes = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.read_bytes += len(data)
+        return data
+
+
+def test_validate_stops_reading_at_the_first_rejection(workdir, capsys, monkeypatch):
+    """A 200,000-deep foreign nesting is rejected at event 1, in the first
+    chunk, and validate reads no further chunk of it."""
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2", workdir["ok1.xml"]])
+    deep = workdir["dir"] / "deep.xml"
+    deep.write_bytes(b"<dealer>" + b"<x>" * 200_000 + b"</x>" * 200_000 + b"</dealer>")
+    opened = []
+
+    def counting_open(path, mode):
+        opened.append(_CountingFile(path, mode))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    capsys.readouterr()
+    code = run(["validate", workdir["state"], str(deep)])
+    assert code == EXIT_REJECT
+    assert capsys.readouterr().out == f"{deep}\tREJECT\tunexpected-element\t1\n"
+    assert [f.read_bytes for f in opened] == [CHUNK_BYTES] and opened[0].closed
+
+
+def test_validate_refuses_a_return_into_a_text_successor(workdir, capsys):
+    """Mixed content: a state file whose text transition targets the state a
+    return resumes in is corrupt (exit 4)."""
+    doc = workdir["dir"] / "d1.xml"
+    doc.write_bytes(b"<r><a>5</a></r>")
+    run(["learn", workdir["state"], "--init", "mode=ancestor", "k=1", "l=2", str(doc)])
+    with open(workdir["state"], "a", encoding="utf-8") as fh:
+        fh.write("int r| string r|a 1\n")
+    capsys.readouterr()
+    code = run(["validate", workdir["state"], str(doc)])
+    captured = capsys.readouterr()
+    assert code == EXIT_STATE and captured.out == ""
+    assert captured.err == "state error: return transition targets a datatype-choice successor\n"
 
 
 def test_state_errors(workdir, capsys):
@@ -407,6 +467,17 @@ def test_eval_malformed_training_document_is_parse_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_PARSE
     assert os.path.join(corpus, "train", "1.xml") in err
+
+
+def test_eval_unreadable_document_is_parse_error(tmp_path, capsys):
+    """A corpus document that cannot be read (here a directory) exits 3
+    with a message, not a traceback and the "rejected" code."""
+    corpus = _corpus(tmp_path, [b"<a>5</a>"])
+    os.mkdir(os.path.join(corpus, "train", "x.xml"))
+    code = run(["eval", corpus])
+    err = capsys.readouterr().err
+    assert code == EXIT_PARSE
+    assert err.startswith("parse error: ") and os.path.join(corpus, "train", "x.xml") in err
 
 
 def _cli(*args):
