@@ -76,7 +76,6 @@ class Module:
     ``returns``; the compiled model adds the root's call and return.
     """
 
-    context: tuple
     element: str
     states: set = field(default_factory=set)
     entry: StateName = None
@@ -89,7 +88,7 @@ class Module:
 @dataclass(eq=False)
 class Dxvpa:
     """Datatyped modular automaton over a lexical datatype system, as
-    ``build_xvpa`` makes and checks it."""
+    ``build_xvpa`` makes and checks it, its modules keyed by typing context."""
 
     modules: dict[tuple, Module]
     m0: tuple
@@ -199,7 +198,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         entry = (ctx, ())
         if entry not in states:
             raise AutomatonStructureError(f"module {ctx!r} lacks entry state")
-        modules[ctx] = Module(context=ctx, element="", entry=entry, states=states)
+        modules[ctx] = Module(element="", entry=entry, states=states)
 
     m0 = next(iter(root_calls.values()))[0]
     if m0 not in modules:
@@ -325,42 +324,33 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
 
     Congruence is bisimilarity of the module graphs where internal edges
     compare by exact datatype choice and call edges by (element, callee
-    module); the pairing must be a bijection.  One coarsest-partition
-    refinement over all module states (``_blocks``) decides it: modules of
-    one element whose entries share a block form a class, and each class
-    folds into its member with the repr-smallest key.  A call's returns
-    lie in its callee (``build_xvpa`` checks it), so folding a class never
-    changes the module graph its members' callers see, and these classes
-    are the modules a pairwise scan leaves.  A walk from the entries pairs
-    every folded module's states with its survivor's; a pairing that is
-    not a bijection raises ``AutomatonStructureError``.  One pass then
-    builds the survivors: calls go to survivors, and every member's
-    returns go into its survivor's table, a return that pops a state named
-    in a folded module mapped through the pairing, or dropped when the
-    pairing does not cover it (the folded module never takes it).
+    module).  One coarsest-partition refinement over all module states
+    (``_blocks``) decides it: modules of one element whose entries share a
+    block form a class, and each class folds into its member with the
+    repr-smallest key.  A call's returns lie in its callee (``build_xvpa``
+    checks it), so folding a class never changes the module graph its
+    members' callers see, and these classes are the modules a pairwise
+    scan leaves.  One pass builds the survivors: calls go to survivors,
+    and every member's returns go into its survivor's table, except those
+    that pop a state of a folded module, which are dropped.  Dropping is
+    exact: no call enters a folded module, the start module maps to its
+    survivor, and text and return targets stay in their source's module,
+    so no run pushes a state of a folded module or looks such a return up.
     Refinement costs O(m log n) for n states and m edges, and is skipped
     when no element has two modules; the rest is linear.  The input is not
     mutated.
     """
     modules = dxvpa.modules
-    labels: dict[StateName, list[str]] = {}  # a state's call elements
-    for mod in modules.values():
-        for q, c in mod.calls:
-            labels.setdefault(q, []).append(c)
     shared = len({mod.element for mod in modules.values()}) < len(modules)
-    block = _blocks(modules, labels) if shared else {}  # else every class has one member
+    block = _blocks(modules) if shared else {}  # else every class has one member
 
     survivor: dict[tuple, tuple] = {}
     classes: dict[tuple, tuple] = {}
     for key in sorted(modules, key=repr):
         mod = modules[key]
         survivor[key] = classes.setdefault((mod.element, block.get(mod.entry)), key)
-    pairing: dict[StateName, StateName] = {}  # folded state -> survivor state
-    for key, mod in modules.items():
-        if survivor[key] != key:
-            pairing.update(_pairing(modules, labels, mod, modules[survivor[key]]))
 
-    folded = {key: Module(context=mod.context, element=mod.element, states=set(mod.states),
+    folded = {key: Module(element=mod.element, states=set(mod.states),
                           entry=mod.entry, exits=set(mod.exits),
                           calls={qc: survivor[callee] for qc, callee in mod.calls.items()},
                           internals=dict(mod.internals))
@@ -370,12 +360,10 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
         for (popped, c), target in mod.returns.items():
             if survivor[popped[0]] == popped[0]:
                 returns[(popped, c)] = target
-            elif popped in pairing and target in pairing:
-                returns[(pairing[popped], c)] = pairing[target]
     return Dxvpa(folded, survivor[dxvpa.m0], dxvpa.root_element, dxvpa.dts)
 
 
-def _blocks(modules: dict, labels: dict) -> dict[StateName, int]:
+def _blocks(modules: dict) -> dict[StateName, int]:
     """The block of each module state in the coarsest partition (``refine``)
     keyed by its exit flag, its datatype choice and its call elements, each
     with whether the callee resumes it, over its text edge, its call edges
@@ -383,6 +371,10 @@ def _blocks(modules: dict, labels: dict) -> dict[StateName, int]:
     to the state its module resumes in after the callee returns.  An edge
     whose target lies outside its module leads to one sink, keyed like a
     state with no edges."""
+    labels: dict[StateName, list[str]] = {}  # a state's call elements
+    for mod in modules.values():
+        for q, c in mod.calls:
+            labels.setdefault(q, []).append(c)
     initial: dict = {_OUTSIDE: (False, None, ())}
     edges = []
     for mod in modules.values():
@@ -400,33 +392,6 @@ def _blocks(modules: dict, labels: dict) -> dict[StateName, int]:
                 edges.append((q, "text", hit[0] if hit[0] in mod.states else _OUTSIDE))
             initial[q] = (q in mod.exits, None if hit is None else hit[1], tuple(calls))
     return refine(initial, edges)
-
-
-def _pairing(modules: dict, labels: dict, n: Module, m: Module) -> dict:
-    """Pair the states of module n with those of m, in step from the
-    entries along text edges and call resumes.  The entries share a block,
-    so paired states carry the same edges; a pairing that is not a
-    bijection is a structure error."""
-    pairing: dict[StateName, StateName] = {}
-    paired = set()
-    work = [(n.entry, m.entry)]
-    while work:
-        qn, qm = work.pop()
-        if qn in pairing and pairing[qn] == qm:
-            continue
-        if qn in pairing or qm in paired:
-            raise AutomatonStructureError(
-                f"modules {n.context!r} and {m.context!r} share a class but their "
-                "states pair non-bijectively")
-        pairing[qn] = qm
-        paired.add(qm)
-        if qn in n.internals:
-            work.append((n.internals[qn][0], m.internals[qm][0]))
-        for c in labels.get(qn, ()):
-            resume = modules[n.calls[(qn, c)]].returns.get((qn, c))
-            if resume is not None:
-                work.append((resume, modules[m.calls[(qm, c)]].returns[(qm, c)]))
-    return pairing
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .automata import (EMPTY_LANGUAGE, AutomatonStructureError, EmptyLanguageErr
                        Validator, Verdict, build_xvpa, compile_cxvpa, to_dot)
 from .datatypes import DatatypeFileError, load_datatype_system
 from .events import MalformedXmlError, parse_document
-from .harness import evaluate, read_corpus
 from .learner import Learner, LearnerError, NamingScheme
 from .persistence import StateFileError, StateLock, load_state, save_state
 
@@ -303,6 +302,7 @@ def cmd_export_dot(args, dts) -> int:
 
 
 def cmd_eval(args, dts) -> int:
+    from .harness import evaluate, read_corpus  # only eval needs the harness
     try:
         corpus = read_corpus(args.corpus)
     except (OSError, MalformedXmlError) as exc:

@@ -386,8 +386,8 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
 
     Congruence is bisimilarity of the module graphs where internal edges
     compare by exact datatype choice and call edges by (element, callee
-    module); the pairing must be a bijection.  After each fold the scan
-    restarts until no pair folds.  The input is not mutated.
+    module).  After each fold the scan restarts until no pair folds.  The
+    input is not mutated.
     """
     modules = {k: _copy_module(m) for k, m in dxvpa.modules.items()}
     m0 = dxvpa.m0
@@ -399,12 +399,9 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
         for i, key_m in enumerate(keys):
             for key_n in keys[i + 1:]:
                 m, n = modules[key_m], modules[key_n]
-                if m.element != n.element:
+                if m.element != n.element or not _bisimilar(modules, m, n):
                     continue
-                pairing = _bisimulation(modules, m, n)
-                if pairing is None:
-                    continue
-                _fold(modules, key_m, key_n, pairing)
+                _fold(modules, key_m, key_n)
                 if m0 == key_n:
                     m0 = key_m
                 changed = True
@@ -415,7 +412,7 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
 
 
 def _copy_module(m: Module) -> Module:
-    return Module(context=m.context, element=m.element, states=set(m.states),
+    return Module(element=m.element, states=set(m.states),
                   entry=m.entry, exits=set(m.exits), calls=dict(m.calls),
                   internals=dict(m.internals), returns=dict(m.returns))
 
@@ -438,67 +435,47 @@ def _module_edges(modules: dict, mod: Module, state):
     return edges
 
 
-def _bisimulation(modules: dict, m: Module, n: Module):
-    """Entry-rooted pairing of two module graphs, or None.
-
-    Requires identical edge labels at every paired state, identical
-    exit status, and a bijective pairing.
-    """
-    pairing = {}
-    reverse = {}
+def _bisimilar(modules: dict, m: Module, n: Module) -> bool:
+    """Whether the entries of two module graphs are bisimilar: every pair
+    of states reached in step from them has the same exit status and the
+    same edge labels.  Each label leads to one state, so the visited pairs
+    form a bisimulation exactly when each of them passes."""
+    seen = set()
     work = [(n.entry, m.entry)]
     while work:
-        qn, qm = work.pop()
-        if qn in pairing:
-            if pairing[qn] != qm:
-                return None
+        pair = work.pop()
+        if pair in seen:
             continue
-        if qm in reverse and reverse[qm] != qn:
-            return None
+        seen.add(pair)
+        qn, qm = pair
         if (qn in n.exits) != (qm in m.exits):
-            return None
+            return False
         edges_n = _module_edges(modules, n, qn)
         edges_m = _module_edges(modules, m, qm)
         if set(edges_n) != set(edges_m):
-            return None
-        pairing[qn] = qm
-        reverse[qm] = qn
+            return False
         for label, target_n in edges_n.items():
             target_m = edges_m[label]
             if (target_n is None) != (target_m is None):
-                return None
+                return False
             if target_n is not None:
                 work.append((target_n, target_m))
-    return pairing
+    return True
 
 
-def _fold(modules: dict, key_m: tuple, key_n: tuple, pairing: dict):
-    """Fold module n into m, rewriting calls and returns of its neighbors."""
-    m, n = modules[key_m], modules[key_n]
-
-    # callers of n now call m; n's returns move to m's table (their
-    # targets live in the callers and stay valid)
-    for key_i, mod_i in modules.items():
-        if key_i == key_n:
-            continue
-        for (q, c), callee in list(mod_i.calls.items()):
+def _fold(modules: dict, key_m: tuple, key_n: tuple):
+    """Fold module n into m: callers of n call m, n's returns move to m's
+    table (their targets live in the callers and stay valid), and every
+    return that pops a state of n is dropped, since no call enters n."""
+    n = modules.pop(key_n)
+    for mod_i in modules.values():
+        for (q, c), callee in mod_i.calls.items():
             if callee == key_n:
                 mod_i.calls[(q, c)] = key_m
-    m.returns.update(n.returns)
-
-    # returns popping a state named in n, in whatever module, are rewritten
-    # through the pairing; one whose popped state or target the pairing does
-    # not cover is one the folded module never takes, and is dropped
-    for key_i, mod_i in modules.items():
-        if key_i == key_n:
-            continue  # n's returns moved to m
-        for (popped, c), target in list(mod_i.returns.items()):
-            if popped[0] == key_n:
-                del mod_i.returns[(popped, c)]
-                if popped in pairing and target in pairing:
-                    mod_i.returns[(pairing[popped], c)] = pairing[target]
-
-    del modules[key_n]
+    modules[key_m].returns.update(n.returns)
+    for mod_i in modules.values():
+        mod_i.returns = {(popped, c): target for (popped, c), target in mod_i.returns.items()
+                         if popped[0] != key_n}
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ state |r 1
 
 def test_fold_drops_returns_the_folded_module_never_takes(dts):
     """A return whose popped state the folded module never reaches from its
-    entry is dropped by the fold, not mapped through the pairing."""
+    entry is dropped by the fold."""
     learner = parse_state(_SANITIZED_EMPTY.format(hash=dts.content_hash), dts)
     _assert_folds_like_unminimized(learner.snapshot(), dts, accepts_some=False)
 
@@ -194,17 +194,24 @@ def _assert_folds_like_unminimized(snapshot, dts, accepts_some):
     folded_dx = build_xvpa(snapshot, dts)
     full_dx = build_xvpa(snapshot, dts, minimize_modules=False)
     assert len(folded_dx.modules) < len(full_dx.modules)
-    folded, full = compile_cxvpa(folded_dx), compile_cxvpa(full_dx)
     bodies = list(enumerate_streams(["c", "a"], ["x y", "5"], depth=4, width=1))
     bodies += enumerate_streams(["c", "a"], ["x y", "5"], depth=3, width=2)
+    streams = [ev.stream_from_events([ev.start("r"), *body, ev.end("r")], reindex=True)
+               for body in bodies]
+    assert bool(_same_verdicts(folded_dx, full_dx, streams)) == accepts_some
+
+
+def _same_verdicts(left_dx, right_dx, streams) -> int:
+    """Assert that the compiled models give each stream the same verdict,
+    reason and event index; the number of streams they accept."""
+    left_cx, right_cx = compile_cxvpa(left_dx), compile_cxvpa(right_dx)
     accepted = 0
-    for body in bodies:
-        stream = ev.stream_from_events([ev.start("r"), *body, ev.end("r")], reindex=True)
-        left, right = validate(folded, stream), validate(full, stream)
+    for stream in streams:
+        left, right = validate(left_cx, stream), validate(right_cx, stream)
         assert (left.accepted, left.reason, left.event_index) == \
             (right.accepted, right.reason, right.event_index), stream.debug_lines()
         accepted += left.accepted
-    assert bool(accepted) == accepts_some
+    return accepted
 
 
 def test_structural_invariants_hold(cardealer, dts):
@@ -405,13 +412,23 @@ def test_minimize_matches_pairwise_on_random_corpora(dts, bodies, scheme):
 
 @pytest.fixture(scope="module")
 def learned_states(dts):
-    """State files of learners whose modules fold: the small corpora and
-    the recursive grammar under both naming schemes."""
-    states = [dump_state(learn_corpus(dts, scheme, [ev.parse_document(r) for r in raws]))
-              for scheme, raws in SCHEME_CORPORA.values()]
+    """State files of learners whose modules fold, each with the documents
+    behind it and every stream of depth 2 and width 2 over its model's
+    elements: the small corpora and the recursive grammar under both
+    naming schemes."""
+    corpora = [(scheme, [ev.parse_document(r) for r in raws])
+               for scheme, raws in SCHEME_CORPORA.values()]
     train, _mutants = _load_benchmark_workloads().recursive(1, 3, 2, 30, wrapped=0)
     docs = [ev.parse_document(r) for r in train]
-    return states + [dump_state(learn_corpus(dts, scheme, docs)) for scheme in (A12, AS22)]
+    corpora += [(A12, docs), (AS22, docs)]
+    states = []
+    for scheme, corpus in corpora:
+        learner = learn_corpus(dts, scheme, corpus)
+        raw = build_xvpa(learner.snapshot(), dts, False)
+        elements = sorted({mod.element for mod in raw.modules.values()})
+        streams = list(enumerate_streams(elements, ["5", "false", "red"], depth=2, width=2))
+        states.append((dump_state(learner), corpus + streams))
+    return states
 
 
 _LINE_EDITS = st.tuples(st.sampled_from(["delete", "duplicate", "swap", "count"]),
@@ -425,8 +442,11 @@ def test_minimize_matches_pairwise_on_edited_state_files(dts, learned_states, pi
     """Edit the entry lines of a learned state file: delete or duplicate a
     line, swap the target states of two lines, or set a counter to 1, 2 or
     7.  Whenever the edited file still builds, minimize folds it as the
-    pairwise scan does."""
-    lines = learned_states[pick % len(learned_states)].splitlines()
+    pairwise scan does, and the folded model gives the unminimized model's
+    verdicts on the documents behind the file and on every stream of depth
+    2 and width 2 over the learned model's elements."""
+    state, streams = learned_states[pick % len(learned_states)]
+    lines = state.splitlines()
     head, body = lines[:8], lines[8:]
     for kind, at, other, count in edits:
         if not body:
@@ -450,29 +470,38 @@ def test_minimize_matches_pairwise_on_edited_state_files(dts, learned_states, pi
         raw = build_xvpa(parse_state("\n".join(head + body) + "\n", dts).snapshot(), dts, False)
     except (StateFileError, AutomatonStructureError, EmptyLanguageError):
         return
-    assert_same_automaton(minimize(raw), minimize_pairwise(raw))
+    folded = minimize(raw)
+    assert_same_automaton(folded, minimize_pairwise(raw))
+    _same_verdicts(folded, raw, streams)
 
 
-def test_minimize_refuses_a_class_without_bijective_pairing(dts):
+def test_minimize_folds_a_class_without_bijective_pairing(dts):
     """p,a and q,a each call x and then y.  The edited return makes q,a
     resume in the same state after both calls; every resume state is a bare
-    exit, so refinement puts p,a and q,a in one class, but no bijection
-    pairs their states.  minimize refuses the file, where the pairwise scan
-    keeps the two modules apart."""
+    exit, so refinement puts p,a and q,a in one class although no bijection
+    pairs their states.  Both modules accept the same language, and q,a
+    folds into p,a as the pairwise scan folds it.  With the p subtree fixed,
+    every body of depth 3 and width 2 in q's place gets the same verdict
+    from the folded and the unminimized model."""
     doc = ev.parse_document(b"<r><p><a><x/></a><a><y/></a></p><q><a><x/></a><a><y/></a></q></r>")
     state = dump_state(learn_corpus(dts, A12, [doc]))
     edited = state.replace("ret a,y| y q,a| q,a|y 1\n", "ret a,y| y q,a| q,a|x 1\n")
     assert edited != state
     raw = build_xvpa(parse_state(edited, dts).snapshot(), dts, False)
-    with pytest.raises(AutomatonStructureError, match="pair"):
-        minimize(raw)
-    assert {("p", "a"), ("q", "a")} <= set(minimize_pairwise(raw).modules)
+    folded = minimize(raw)
+    assert_same_automaton(folded, minimize_pairwise(raw))
+    assert len(raw.modules) == 7 and set(raw.modules) - set(folded.modules) == {("q", "a")}
+    prefix = list(ev.parse_document(b"<r><p><a><x/></a><a><y/></a></p></r>"))[:-1]
+    streams = (ev.stream_from_events([*prefix, *body, ev.end("r")], reindex=True)
+               for body in enumerate_streams("qaxy", [], depth=3, width=2))
+    assert _same_verdicts(folded, raw, streams)
 
 
 def test_fold_of_self_calling_module_rewrites_its_returns(dts):
-    """A module that calls itself keeps returns popping its own states;
-    folded into its caller, they are rewritten onto the caller's states
-    instead of naming states of the removed module."""
+    """A module that calls itself keeps returns popping its own states.
+    Folded into its class's survivor, its returns move to the survivor's
+    table, those popping its own states are dropped, and no return names a
+    state of the removed module."""
     deep = ("b", [("b", [("b", [("b", "5"), ("b", "")])])])
     docs = [ev.stream_from_events(
         [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
@@ -488,8 +517,9 @@ def test_fold_of_self_calling_module_rewrites_its_returns(dts):
 def test_fold_leaves_no_return_naming_a_removed_state(dts):
     """Two returns no run takes: one pops a state of q,a that makes no call
     on its element, from a module q,a never calls; the other pops a name of
-    q,a that is no state.  Folding q,a into p,a rewrites the first through
-    the pairing and drops the second, so no return names a removed state."""
+    q,a that is no state.  Folding q,a into p,a drops both, as it drops
+    every return that pops a state of q,a, so no return names a removed
+    state."""
     learner = learn_corpus(dts, A12, [ev.parse_document(SCHEME_CORPORA["a12-shared-callee"][1][0])])
     edited = parse_state(dump_state(learner) + "ret root,q|a x q,a|b q,a|b 1\n"
                          "ret a,b|%24 b q,a|zz q,a|b 1\n", dts)
@@ -497,7 +527,7 @@ def test_fold_leaves_no_return_naming_a_removed_state(dts):
     folded = minimize(raw)
     assert_same_automaton(folded, minimize_pairwise(raw))
     assert ("q", "a") not in folded.modules
-    assert folded.modules[("root", "q")].returns[((("p", "a"), ("b",)), "x")] == (("p", "a"), ("b",))
+    assert list(folded.modules[("root", "q")].returns) == [((("root",), ("p",)), "q")]
     assert all(popped[0] != ("q", "a") for popped, _c in folded.modules[("a", "b")].returns)
 
 
