@@ -16,13 +16,12 @@ label, an event's index is its position, and ``Event`` objects are built
 only when the stream is iterated.  Validation and learning read the tuples
 directly, so the route from bytes to verdict builds none.
 
-Names are shared within one stream: ``parse_document`` makes one QName
-per distinct element name and one per distinct attribute name of a
-document, and every start and end event of that name holds the same
-object.  A QName renders its label (``{ns}local``, ``@`` for attributes)
+Names are shared across documents: ``parse_document`` keeps element and
+attribute names in two bounded process-wide tables, so every start and
+end event of a name holds the same QName, and a name seen before builds
+none.  A QName renders its label (``{ns}local``, ``@`` for attributes)
 once, when it is made, so the learner and the validator read it without
-formatting.  The table of names lives only as long as one parse; nothing
-is cached across documents.
+formatting.
 
 Streams are immutable and safe to share across threads; distinct documents
 may be parsed concurrently.
@@ -285,12 +284,24 @@ def _check_invariants(events):
 # the kinds of one attribute triple: start(@name), characters(value), end(@name)
 _ATTRIBUTE_KINDS = (START, CHARS, END)
 
+NAMES_MAX = 4096  # the most names each shared table keeps
+NAME_MAX = 256  # the longest name it keeps
+_shared = [{}, {}]  # expat name -> QName: element names, attribute names
+
 
 def parse_document(data: bytes) -> DocumentEventStream:
     """Parse XML bytes into the canonical event stream.
 
     Raises MalformedXmlError (with position), DoctypeRejectedError for any
     inline DOCTYPE, and EncodingError for non-UTF-8 input.
+
+    Names come from the two shared tables, bound once per parse.  A parse
+    that takes a table past ``NAMES_MAX`` names, or adds a name longer
+    than ``NAME_MAX`` characters, detaches both: it keeps them to its end,
+    and later parses start on fresh ones.  So once a call returns, each
+    table holds at most ``NAMES_MAX`` names of at most ``NAME_MAX``
+    characters.  Threads may parse at once; a name two of them add
+    together is stored once, and both streams hold that one QName.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_document expects bytes")
@@ -299,10 +310,8 @@ def parse_document(data: bytes) -> DocumentEventStream:
     kinds: list[str] = []
     labels: list = []
     buf: list[str] = []
-    # expat name -> QName, local to this parse: the start and end tags of
-    # one name share one object, and no name outlives the streams holding it
-    elements: dict[str, QName] = {}
-    attributes: dict[str, QName] = {}
+    # bound once: a detach partway through leaves this parse its tables
+    elements, attributes = _shared
     parser = _expat_parser()
 
     def flush_text():
@@ -390,9 +399,12 @@ def _malformed(exc: xml.parsers.expat.ExpatError) -> MalformedXmlError:
 
 def _qname(names: dict, name: str, is_attr: bool) -> QName:
     """Split an expat name (``ns\\nlocal`` or ``local``) into a QName and
-    remember it in ``names``."""
+    remember it in ``names``, one of the tables a parse bound; detach both
+    shared tables when ``names`` is the shared one and passes a bound."""
     ns, _, local = name.rpartition("\n")
-    qn = names[name] = QName(ns, local, is_attr)
+    qn = names.setdefault(name, QName(ns, local, is_attr))
+    if (len(names) > NAMES_MAX or len(name) > NAME_MAX) and names is _shared[is_attr]:
+        _shared[:] = [{}, {}]
     return qn
 
 

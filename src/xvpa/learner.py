@@ -219,7 +219,7 @@ class Learner:
                 for dt in sorted(infer(label)):
                     ints.setdefault((q, dt), [0, q2, index])[0] += 1
             else:
-                element = label.render()
+                element = label._rendered
                 if kind == START:
                     q2 = call_name(scheme, q, element)
                     calls.setdefault((q, element), [0, q2, index])[0] += 1

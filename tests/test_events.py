@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import sys
+import threading
 import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError
@@ -23,6 +24,25 @@ from .oracles import reference_parse
 
 def kinds_and_labels(stream):
     return [(e.kind, e.label) for e in stream]
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """Empty shared name tables for one test, so no earlier test's names
+    decide when they detach or what a detach frees."""
+    monkeypatch.setattr(ev, "_shared", [{}, {}])
+
+
+def _names_shared(stream):
+    """Whether every start and end event of one name holds one object."""
+    held = {}
+    return all(held.setdefault(label, label) is label
+               for kind, label in zip(stream.kinds, stream.labels) if kind != CHARS)
+
+
+def _tables_bounded():
+    return all(len(table) <= ev.NAMES_MAX and all(len(name) <= ev.NAME_MAX for name in table)
+               for table in ev._shared)
 
 
 def test_empty_element():
@@ -100,12 +120,14 @@ def test_non_utf8_rejected():
 
 def test_parsing_leaves_no_reference_cycle():
     """A dropped stream frees what it holds at once, and a failed parse
-    leaves nothing for the cyclic collector."""
+    leaves nothing for the cyclic collector.  The probe is a name longer
+    than ``NAME_MAX``, which the shared tables do not keep."""
+    long = b"b" * (ev.NAME_MAX + 1)
     gc.collect()
     gc.disable()
     try:
-        stream = parse_document(b"<a>" + b"<b>1</b>" * 1000 + b"</a>")
-        assert stream.labels[4] == QName("", "b")
+        stream = parse_document(b"<a>" + b"<%s>1</%s>" % (long, long) * 1000 + b"</a>")
+        assert stream.labels[4] == QName("", long.decode())
         name = weakref.ref(stream.labels[4])
         del stream
         assert name() is None
@@ -117,7 +139,7 @@ def test_parsing_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_names_are_shared_within_one_stream():
+def test_names_are_shared_within_one_stream(fresh_tables):
     raw = b'<r xmlns:p="urn:p" a="1"><a p:a="2"/><a a="3">x</a><p:a/></r>'
     stream = parse_document(raw)
     names = [e.label for e in stream if e.kind != CHARS]
@@ -127,9 +149,9 @@ def test_names_are_shared_within_one_stream():
     attribute = next(n for n in names if n == QName("", "a", True))
     assert attribute is not element and attribute.local == element.local
     assert QName("urn:p", "a") in names and QName("urn:p", "a", True) in names
-    # each parse has its own names: nothing is cached across documents
+    # a second parse shares the names while the table holds them
     again = parse_document(raw)
-    assert again == stream and again.events[0].label is not stream.events[0].label
+    assert again == stream and again.events[0].label is stream.events[0].label
 
 
 def test_rendered_label_is_computed_once_and_not_compared():
@@ -140,13 +162,16 @@ def test_rendered_label_is_computed_once_and_not_compared():
     assert QName("", "a") < QName("", "a", True) < QName("", "b") < QName("urn:x", "a")
 
 
-def test_parsing_many_distinct_names_retains_none():
-    """The names of a document live only as long as its stream: a document
-    with 20,000 distinct element names leaves no QName behind."""
+def test_parsing_many_distinct_names_retains_none(fresh_tables):
+    """A document with 20,000 distinct element names, more than the shared
+    table keeps, leaves no QName behind once its stream is dropped.  The
+    test starts on empty tables: a detach frees the names a table held
+    before, which would offset the count of the names the parse made."""
     def qnames():
         return sum(isinstance(o, QName) for o in gc.get_objects())
 
-    raw = b"<r>" + b"".join(b"<e%d/>" % i for i in range(20_000)) + b"</r>"
+    raw = (b"<retains-none>" + b"".join(b"<retains-none%d/>" % i for i in range(20_000))
+           + b"</retains-none>")
     gc.collect()
     before = qnames()
     stream = parse_document(raw)
@@ -157,6 +182,90 @@ def test_parsing_many_distinct_names_retains_none():
     assert probe() is None
     gc.collect()
     assert qnames() <= before
+
+
+def test_a_table_that_overflows_mid_parse_detaches(fresh_tables, monkeypatch):
+    """A parse that takes a table past ``NAMES_MAX`` keeps its tables to
+    the end, so its start and end events still share one object, and
+    leaves fresh tables behind; a later parse fills them anew."""
+    monkeypatch.setattr(ev, "NAMES_MAX", 2)
+    elements, attributes = ev._shared
+    parse_document(b"<r><a/></r>")
+    assert elements.keys() == {"r", "a"} and ev._shared[0] is elements
+    for raw in (b"<r><a/><b>1</b><c/><b/><a/></r>",
+                b'<r z="1" y="2"><a x="3" z="4"/><b w="5">6</b></r>'):
+        stream = parse_document(raw)
+        assert stream == reference_parse(raw) and _names_shared(stream)
+        assert ev._shared[0] is not elements and ev._shared == [{}, {}]
+        # the detached tables kept every name of the parse that overflowed one
+        assert all(label in elements.values() or label in attributes.values()
+                   for label in stream.labels if isinstance(label, QName))
+        again = parse_document(b"<r><a/></r>")
+        assert again.labels[0] is not stream.labels[0] and _tables_bounded()
+        elements, attributes = ev._shared
+
+
+def test_an_over_long_name_detaches_the_tables(fresh_tables):
+    """A name longer than ``NAME_MAX`` is shared within its parse and kept
+    by no table afterwards; names of that parse are not kept either."""
+    long = "x" * (ev.NAME_MAX + 1)
+    parse_document(b"<r/>")
+    held = ev._shared[0]["r"]
+    for raw in (f"<r><{long}>1</{long}><{long}/></r>".encode(),
+                f'<r><a {long}="1"/><b {long}="2"/></r>'.encode()):
+        stream = parse_document(raw)
+        assert stream == reference_parse(raw) and _names_shared(stream)
+        assert stream.labels[0] is held
+        assert ev._shared == [{}, {}]
+        held = parse_document(b"<r/>").labels[0]
+        assert held is not stream.labels[0] and _tables_bounded()
+
+
+def test_threads_parsing_overlapping_names(fresh_tables, monkeypatch):
+    """Four threads parse documents whose element and attribute names
+    overlap.  First each builds a QName for one new name before any of
+    them stores it: all four streams hold the one stored first.  Then,
+    with tables small enough to detach under them, every stream equals the
+    reference parser's and shares one object per name."""
+    gate = threading.Barrier(4)
+
+    def gated(ns, local, is_attr=False):
+        name = QName(ns, local, is_attr)
+        if local == "gate":
+            gate.wait(timeout=10)
+        return name
+
+    monkeypatch.setattr(ev, "QName", gated)
+    monkeypatch.setattr(ev, "NAMES_MAX", 6)
+    docs = [b'<r%d a%d="1"><n%d b="2">t</n%d><n%d/></r%d>'
+            % (i % 3, i % 4, i % 9, i % 9, (i + 1) % 9, i % 3) for i in range(40)]
+    expected = [reference_parse(raw) for raw in docs]
+    gated_streams = [None] * 4
+    failures = []
+
+    def work(k):
+        gated_streams[k] = parse_document(b"<gate><gate/></gate>")
+        for round_ in range(25):
+            for i in range(k * 10, k * 10 + len(docs)):
+                raw = docs[(i + round_) % len(docs)]
+                stream = parse_document(raw)
+                if stream != expected[(i + round_) % len(docs)] or not _names_shared(stream):
+                    failures.append(raw)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    first = gated_streams[0].labels[0]
+    assert all(stream == reference_parse(b"<gate><gate/></gate>") and _names_shared(stream)
+               and stream.labels[0] is first for stream in gated_streams)
+    assert failures == [] and _tables_bounded()
 
 
 def test_parsed_stream_holds_no_events():
@@ -402,6 +511,24 @@ def test_parser_matches_reference_parser(body, prolog, cut):
         assert isinstance(outcome, list)
     truncated = data[:int(len(data) * cut)]
     assert _outcome(parse_document, truncated) == _outcome(reference_parse, truncated)
+
+
+@given(st.lists(st.tuples(_raw_elements(), st.floats(0, 1)), min_size=1, max_size=6),
+       st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_parser_matches_reference_parser_across_documents(docs, names_max):
+    """A sequence of documents parsed in one process, under a table bound
+    small enough that some of them detach the tables: each document, and
+    a truncated copy, gets the reference parser's events or its error at
+    its position."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "_shared", [{}, {}])
+        patch.setattr(ev, "NAMES_MAX", names_max)
+        for body, cut in docs:
+            data = body.encode("utf-8")
+            for raw in (data, data[:int(len(data) * cut)]):
+                assert _outcome(parse_document, raw) == _outcome(reference_parse, raw)
+                assert _tables_bounded()
 
 
 def test_parser_total_over_garbage(master_seed):
