@@ -14,7 +14,8 @@ system's shared, lazily built product of all lexical acceptors, so one
 Validation has one transition rule over those tables, run two ways:
 ``validate`` loops over a parsed event stream, and ``Validator`` runs the
 rule from expat callbacks as the bytes arrive, building no events and
-stopping at the first rejection.
+stopping at the first rejection.  Both routes key the tables by the
+labels of the QNames that ``events`` makes; neither splits a name itself.
 
 Generated automata are immutable; validation is reentrant and safe for
 concurrent use across streams (the shared product builds its states under
@@ -28,9 +29,10 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from types import MappingProxyType
 
+from . import events
 from .dfa import refine
-from .events import (CHARS, END, START, DocumentEventStream, QName, _check_head,
-                     _doctype_error, _expat_parser, _malformed)
+from .events import (CHARS, END, START, DocumentEventStream, _attributes, _check_head,
+                     _doctype_error, _expat_parser, _malformed, _qname)
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -96,6 +98,7 @@ class Dxvpa:
     dts: object
 
 
+@dataclass(eq=False)
 class Cxvpa:
     """Table-driven automaton for one-pass validation, on integer states,
     whose text transitions are bitmasks over the datatype product.
@@ -117,47 +120,15 @@ class Cxvpa:
     empties the stack and has no target (None).  No module call or return
     is keyed by the start state.  ``predicates`` maps each datatype set to
     its mask.  A text takes ``texts[q]`` when ``accept_mask(text, mask) &
-    mask`` is nonzero, ``accept_mask`` being the product's.  ``expat_names``
-    holds each call's label by the expat name that renders to it, for the
-    push route (``_expat_names``).
+    mask`` is nonzero, ``accept_mask`` being the product's.
     """
 
-    def __init__(self, names, calls, returns, texts, predicates, accept_mask):
-        self.names: tuple[StateName, ...] = names
-        self.calls: tuple[dict[str, int], ...] = calls
-        self.returns: tuple[dict[str, tuple[int | None, frozenset[int]]], ...] = returns
-        self.texts: tuple[tuple[int, int] | None, ...] = texts
-        self.predicates: dict[frozenset, int] = predicates
-        self.accept_mask = accept_mask
-        self.expat_names: tuple[dict, dict] = _expat_names(calls)
-
-
-def _expat_names(calls) -> tuple[dict, dict]:
-    """Each element label in ``calls`` by the expat name (``ns\\nlocal`` or
-    ``local``) that ``parse_document`` renders to it, and each attribute
-    label by its name, as its sort key ``(ns, local)`` and the label.  A
-    label that no name renders to is left out: no document reaches it."""
-    elements: dict[str, str] = {}
-    attributes: dict[str, tuple[str, str, str]] = {}
-    for label in set().union(*calls):
-        bare = label[1:] if label.startswith("@") else label
-        ns, _, local = bare[1:].rpartition("}") if bare.startswith("{") else ("", "", bare)
-        name = f"{ns}\n{local}" if ns else local
-        # the name must split back into (ns, local) and render to the label
-        if name.rpartition("\n")[::2] != (ns, local) or QName(ns, local).render() != bare:
-            continue
-        if bare is label:
-            elements[name] = label
-        else:
-            attributes[name] = (ns, local, label)
-    return elements, attributes
-
-
-def _attribute_key(name: str) -> tuple[str, str, None]:
-    """An attribute name the model does not know: its sort key, and no
-    label."""
-    ns, _, local = name.rpartition("\n")
-    return ns, local, None
+    names: tuple[StateName, ...]
+    calls: tuple[dict[str, int], ...]
+    returns: tuple[dict[str, tuple[int | None, frozenset[int]]], ...]
+    texts: tuple[tuple[int, int] | None, ...]
+    predicates: dict[frozenset, int]
+    accept_mask: object
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +481,10 @@ class Validator:
 
     ``feed(chunk)`` parses the next bytes and ``close()`` ends the input.
     Expat callbacks drive ``validate``'s tables and transition rule: no
-    Event and no stream is built, attributes are read as the sorted
-    ``start(@name), characters(value), end(@name)`` triples that
-    ``parse_document`` emits, and the event index counts them.  Text is
+    Event and no stream is built, names come from the shared tables of
+    ``parse_document`` (bound once per document) as the same QNames, and
+    attributes are read as the sorted ``start(@name), characters(value),
+    end(@name)`` triples it emits, which the event index counts.  Text is
     buffered only until its run ends, so a whitespace-only run is still
     dropped.  The checks of ``parse_document`` hold however the input is
     chunked: UTF-8 only (the first four bytes are held back until all
@@ -521,10 +493,12 @@ class Validator:
     The first rejection ends the document: reading stops there, and
     ``feed`` and ``close`` return that verdict (false) from then on.  Until
     then ``feed`` returns ACCEPT, nothing being rejected so far, and
-    ``close`` returns the document's verdict.  A parse error is raised as
-    ``parse_document`` raises it, but only when it comes before any
-    rejection: a document rejected at some event and malformed later is
-    rejected, where ``validate(model, parse_document(raw))`` raises.
+    ``close`` returns the document's verdict, on every call.  Once ``close``
+    has accepted the document, or a parse error was raised, ``feed`` raises
+    ``ValueError``.  A parse error is raised as ``parse_document`` raises
+    it, but only when it comes before any rejection: a document rejected at
+    some event and malformed later is rejected, where ``validate(model,
+    parse_document(raw))`` raises.
     """
 
     def __init__(self, model: Cxvpa):
@@ -533,7 +507,7 @@ class Validator:
         stack: list[int] = []
         index = 0  # of the next event
         buf: list[str] = []
-        elements, attributes = model.expat_names
+        elements, attributes = events._shared
         parser = _expat_parser()
 
         def flush_text():
@@ -551,35 +525,32 @@ class Validator:
             nonlocal q, index
             if buf:
                 flush_text()
-            target = calls[q].get(elements.get(name))  # None: an unknown name
+            target = calls[q].get((elements.get(name) or _qname(elements, name, False))._rendered)
             if target is None:
                 raise _Rejected(UNEXPECTED_ELEMENT, index)
             stack.append(q)
             q = target
             index += 1
-            if not attrs:
-                return
-            pairs = [(attributes.get(attrs[i]) or _attribute_key(attrs[i]), attrs[i + 1])
-                     for i in range(0, len(attrs), 2)]
-            pairs.sort()  # by (ns, local), unique within one element
-            for (_ns, _local, label), value in pairs:
-                target = calls[q].get(label)
-                if target is None:
-                    raise _Rejected(UNEXPECTED_ELEMENT, index)
-                hit = texts[target]
-                if hit is None or not accept(value, hit[0]) & hit[0]:
-                    raise _Rejected(DATATYPE_MISMATCH, index + 1)
-                back = returns[q].get(label)
-                if back is None or hit[1] not in back[1]:
-                    raise _Rejected(UNEXPECTED_END, index + 2)
-                q = back[0]
-                index += 3
+            if attrs:
+                for _ns, _local, qn, value in _attributes(attributes, attrs):
+                    label = qn._rendered
+                    target = calls[q].get(label)
+                    if target is None:
+                        raise _Rejected(UNEXPECTED_ELEMENT, index)
+                    hit = texts[target]
+                    if hit is None or not accept(value, hit[0]) & hit[0]:
+                        raise _Rejected(DATATYPE_MISMATCH, index + 1)
+                    back = returns[q].get(label)
+                    if back is None or hit[1] not in back[1]:
+                        raise _Rejected(UNEXPECTED_END, index + 2)
+                    q = back[0]
+                    index += 3
 
         def on_end(name):
             nonlocal q, index
             if buf:
                 flush_text()
-            hit = returns[stack.pop()].get(elements[name])
+            hit = returns[stack.pop()].get(elements[name]._rendered)
             if hit is None or q not in hit[1]:
                 raise _Rejected(UNEXPECTED_END, index)
             q = hit[0]
@@ -598,6 +569,8 @@ class Validator:
 
     def feed(self, chunk) -> Verdict:
         """Read the next bytes of the document."""
+        if self._verdict is ACCEPT:  # only close() stores it
+            raise ValueError("the document has ended")
         if self._verdict is None:
             if self._head is not None:
                 self._head += chunk

@@ -21,7 +21,9 @@ attribute names in two bounded process-wide tables, so every start and
 end event of a name holds the same QName, and a name seen before builds
 none.  A QName renders its label (``{ns}local``, ``@`` for attributes)
 once, when it is made, so the learner and the validator read it without
-formatting.
+formatting.  The push route (``automata.Validator``) reads names through
+the same tables and orders attributes with the same helper, so this
+module alone turns expat names into labels.
 
 Streams are immutable and safe to share across threads; distinct documents
 may be parsed concurrently.
@@ -106,9 +108,6 @@ class Event:
     index: int = -1
 
 
-_new = object.__new__
-
-
 def start(name, ns="", is_attr=False) -> Event:
     return Event(START, QName(ns, name, is_attr))
 
@@ -183,7 +182,7 @@ _set_labels = DocumentEventStream.labels.__set__
 
 def _stream(kinds: tuple, labels: tuple) -> DocumentEventStream:
     """A stream of the given tuples, taken as they are."""
-    self = _new(DocumentEventStream)
+    self = object.__new__(DocumentEventStream)
     _set_kinds(self, kinds)
     _set_labels(self, labels)
     return self
@@ -327,10 +326,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
         kinds.append(START)
         labels.append(elements.get(name) or _qname(elements, name, False))
         if attrs:
-            pairs = [(attributes.get(attrs[i]) or _qname(attributes, attrs[i], True),
-                      attrs[i + 1]) for i in range(0, len(attrs), 2)]
-            pairs.sort(key=lambda p: (p[0].ns, p[0].local))
-            for qn, value in pairs:
+            for _ns, _local, qn, value in _attributes(attributes, attrs):
                 kinds.extend(_ATTRIBUTE_KINDS)
                 labels.extend((qn, value, qn))
 
@@ -406,6 +402,18 @@ def _qname(names: dict, name: str, is_attr: bool) -> QName:
     if (len(names) > NAMES_MAX or len(name) > NAME_MAX) and names is _shared[is_attr]:
         _shared[:] = [{}, {}]
     return qn
+
+
+def _attributes(names: dict, attrs: list) -> list:
+    """A start tag's expat ``[name, value, ...]`` list as ``(ns, local, QName,
+    value)`` tuples sorted by ``(ns, local)``, names from the bound table
+    ``names``.  A tag's names are unique, so the sort compares no QName."""
+    pairs = []
+    for i in range(0, len(attrs), 2):
+        qn = names.get(attrs[i]) or _qname(names, attrs[i], True)
+        pairs.append((qn.ns, qn.local, qn, attrs[i + 1]))
+    pairs.sort()
+    return pairs
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ sanitized flag, document count, mind-change series) followed by sorted
 ``state`` / ``final`` / ``call`` / ``int`` / ``ret`` lines with their
 counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
-restores the previous file exactly.  Loading refuses every header value
-``dump_state`` never writes: a ``sanitized`` flag other than 0 or 1, and a
-count or series token that is not canonical ASCII decimal.  It checks the
-mind-change series in one pass and hands its text to the learner, which
-parses it only when something reads it.
+restores the previous file exactly.  Loading refuses every value
+``dump_state`` never writes: a ``sanitized`` flag other than 0 or 1, a
+count, series token or counter that is not canonical ASCII decimal, and
+an entry line with the wrong number of fields.  It checks the mind-change
+series and the counters in one pass each, and hands the series' text to
+the learner, which parses it only when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
@@ -149,54 +150,60 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     get, dec = decoded.get, lambda t: decoded.setdefault(t, decode_state(t, mode))
 
     int_to: dict[tuple, tuple] = {}  # the shared target of a text source
+    counters = [""]  # each line's counter, checked at once after the loop
     try:
         for line in lines[body_at:]:
             if not line:
                 continue
             fields = line.split(" ")
             tag = fields[0]
-            if tag == "state":
-                w = v.states[get(fields[1]) or dec(fields[1])] = int(fields[2])
-            elif tag == "final":
-                w = v.finals[get(fields[1]) or dec(fields[1])] = int(fields[2])
+            # each unpacking refuses a line with more or fewer fields than its tag takes
+            if tag == "state" or tag == "final":
+                _, q, w = fields
+                (v.states if tag == "state" else v.finals)[get(q) or dec(q)] = int(w)
             elif tag == "int":
-                src, dt, dst = get(fields[1]) or dec(fields[1]), fields[2], get(fields[3]) or dec(fields[3])
+                _, src, dt, dst, w = fields
+                src, dst = get(src) or dec(src), get(dst) or dec(dst)
                 if int_to.setdefault(src, dst) != dst:
                     raise StateFileError(f"conflicting text transition {line!r}")
                 if dt not in dts:
                     raise StateFileError(f"unknown datatype {dt!r} in state file")
-                v.ints[(src, dt)] = (dst, w := int(fields[4]))
+                v.ints[(src, dt)] = (dst, int(w))
             elif tag == "call" or tag == "ret":
-                src, label = get(fields[1]) or dec(fields[1]), fields[2]
-                label = unquote(label) if "%" in label else label
                 if tag == "call":
-                    table, key, entry = v.calls, (src, label), (get(fields[3]) or dec(fields[3]), int(fields[4]))
+                    _, src, label, dst, w = fields
+                    table, key = v.calls, (get(src) or dec(src), label)
                 else:
-                    table, key = v.rets, (src, label, get(fields[3]) or dec(fields[3]))
-                    entry = (get(fields[4]) or dec(fields[4]), int(fields[5]))
+                    _, src, label, popped, dst, w = fields
+                    table, key = v.rets, (get(src) or dec(src), label, get(popped) or dec(popped))
+                if "%" in label:
+                    key = (key[0], unquote(label)) + key[2:]
+                entry = (get(dst) or dec(dst), int(w))
                 old = table.setdefault(key, entry)  # one hash of the key when it is new
                 if old is not entry:
                     if old[0] != entry[0]:
                         raise StateFileError(f"conflicting {'call' if tag == 'call' else 'return'} "
                                              f"transition {line!r}")
                     table[key] = entry
-                w = entry[1]
             else:
                 raise StateFileError(f"unknown entry {line!r}")
-            if w < 1:  # dump_state writes no counter below 1
-                raise StateFileError(f"corrupt state entry: counter {w} below 1")
-    except (IndexError, ValueError) as exc:
+            counters.append(w)
+    except ValueError as exc:
         raise StateFileError(f"corrupt state entry: {exc}") from None
+    # dump_state writes every counter in canonical ASCII decimal, none below 1
+    joined = ",".join(counters)
+    if not _canonical_series(joined, len(counters) - 1) or ",0" in joined:
+        raise StateFileError("corrupt state entry: a counter dump_state never writes")
     return learner
 
 
-def _canonical_series(text: str, documents: int) -> bool:
-    """Whether ``text`` is ``documents`` comma-led integers as ``dump_state``
+def _canonical_series(text: str, count: int) -> bool:
+    """Whether ``text`` is ``count`` comma-led integers as ``dump_state``
     writes them: ASCII digits, no empty token, no leading zero.  One pass at
     C speed; no object per entry."""
     return (text.isascii() and not text.encode().translate(None, b"0123456789,")
             and ",," not in text and not text.endswith(",")
-            and re.search(",0[0-9]", text) is None and text.count(",") == documents)
+            and re.search(",0[0-9]", text) is None and text.count(",") == count)
 
 
 def save_state(learner: Learner, path: str) -> None:

@@ -129,6 +129,14 @@ def _with_counter(tag, value):
                                       for l in t.split("\n"))
       for line in ["sanitized 1 ", "sanitized yes", "sanitized 2", "sanitized ",
                    "k 01", "k +1", "k  1", "k 1 ", "l 02", "documents 02", "documents \uff12"]),
+    # body lines dump_state never writes: counters that int() reads but
+    # that are not canonical decimal, and more or fewer fields than a tag takes
+    *(_with_counter(tag, value) for tag, value in [
+        ("state", "+1"), ("final", "01"), ("int", "1_0"), ("call", "\u0663"), ("ret", "\uff11"),
+        ("call", "1,1"), ("state", ""), ("call", "1 trailing junk"), ("ret", "1 1"),
+        ("state", "1 "), ("int", "1 ")]),
+    lambda t: "\n".join(l.rsplit(" ", 1)[0] if l.startswith("final ") else l
+                        for l in t.split("\n")),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))

@@ -10,16 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, Cxvpa, Validator,
-                           build_xvpa, compile_cxvpa, validate)
+from xvpa import events as ev
+from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, UNEXPECTED_END, Cxvpa,
+                           Validator, build_xvpa, compile_cxvpa, validate)
 from xvpa.events import (CHARS, DocumentEventStream, DoctypeRejectedError, EncodingError,
-                         MalformedXmlError, parse_document, serialize_xml)
+                         MalformedXmlError, QName, parse_document, serialize_xml)
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
+from xvpa.persistence import dump_state, parse_state
 
 from .oracles import events_before_error
 from .test_automata import _load_benchmark_workloads
-from .test_events import _raw_elements
+from .test_events import _names_shared, _raw_elements, _tables_bounded, fresh_tables  # noqa: F401
 
 A12 = NamingScheme("ancestor", 1, 2)
 A11 = NamingScheme("ancestor", 1, 1)
@@ -250,6 +252,72 @@ def test_push_matches_batch_on_hostile_documents(dts, benchmark_workloads, maste
         got = assert_push_matches_batch(model, benchmark_workloads.hostile(kind, size), rng, 2)
         assert all(w is None or w == g
                    for w, g in zip(benchmark_workloads.HOSTILE_VERDICTS[kind], got))
+
+
+# -- names come from the tables parse_document shares ---------------------------
+
+def test_five_thousand_attribute_names_detach_the_tables_partway(dts, fresh_tables, master_seed):
+    """One element with 5,000 distinct attribute names, more than a table
+    keeps: the push route gets the batch verdict from a model that accepts
+    them all and from one that knows one of them, and every validator
+    leaves fresh tables behind, each within its bounds."""
+    raw = b"<r " + b" ".join(b'a%d="%d"' % (i, i) for i in range(5000)) + b"/>"
+    models = [model_of(dts, A11, [raw]), model_of(dts, A11, [b'<r a0="0"/>'])]
+    rng = random.Random(master_seed + 86)
+    for model, want in zip(models, [(True, None, None), (False, UNEXPECTED_ELEMENT, 4)]):
+        assert batch(model, raw) == want
+        ev._shared = [{}, {}]  # the fixture restores the tables it replaced
+        elements = ev._shared[0]
+        for chunks in chunkings(raw, rng, count=1):
+            assert push(model, chunks) == want
+        assert ev._shared[0] is not elements and _tables_bounded()
+
+
+def test_push_and_batch_routes_hold_the_same_names(dts, fresh_tables):
+    """After a validator reads a document on fresh tables, parsing the same
+    bytes returns the QNames the validator stored."""
+    raw = b'<r xmlns="urn:r" xmlns:p="urn:p" p:z="1" y="2"><p:a x="3">t</p:a><b/></r>'
+    model = model_of(dts, A11, [raw])
+    ev._shared = [{}, {}]
+    assert push(model, [raw]) == (True, None, None)
+    held = {qn: qn for table in ev._shared for qn in table.values()}
+    stream = parse_document(raw)
+    names = [label for label in stream.labels if isinstance(label, QName)]
+    assert len(held) == 6 and all(held[label] is label for label in names)
+    assert _names_shared(stream)
+
+
+def test_a_label_no_name_renders_to_gets_one_verdict(dts, master_seed):
+    """A state file may name an element ``{}x`` or an attribute ``@{}a``,
+    labels no parsed name renders to: the model built from it rejects
+    where those names would be taken, on both routes alike."""
+    learner = Learner(dts, A11)
+    learner.learn(parse_document(b'<r a="1"><x>2</x></r>'))
+    text = dump_state(learner).replace(" x ", " %7B%7Dx ").replace(" %40a ", " %40%7B%7Da ")
+    model = compile_cxvpa(build_xvpa(parse_state(text, dts).snapshot(), dts))
+    assert {"{}x", "@{}a"} <= set().union(*model.calls)
+    rng = random.Random(master_seed + 87)
+    for raw, want in [(b'<r a="1"><x>2</x></r>', (False, UNEXPECTED_ELEMENT, 1)),
+                      (b'<r xmlns="" a="1"><x xmlns="">2</x></r>', (False, UNEXPECTED_ELEMENT, 1)),
+                      (b"<r><x>2</x></r>", (False, UNEXPECTED_ELEMENT, 1)),
+                      (b"<r/>", (False, UNEXPECTED_END, 1))]:
+        assert assert_push_matches_batch(model, raw, rng) == want
+
+
+def test_feed_after_close(dts):
+    """``close`` ends the input: once it has accepted the document,
+    ``feed`` raises ``ValueError`` and ``close`` accepts again.  A rejected
+    document keeps its rejection through every later call."""
+    model = model_of(dts, A11, [b"<r/>"])
+    validator = Validator(model)
+    assert validator.feed(b"<r/>") and validator.close()
+    with pytest.raises(ValueError):
+        validator.feed(b"<x/>")
+    assert validator.close() and outcome(validator.close()) == (True, None, None)
+    validator = Validator(model)
+    rejected = validator.feed(b"<x/>")
+    assert outcome(rejected) == (False, UNEXPECTED_ELEMENT, 0)
+    assert validator.close() == rejected == validator.feed(b"<r/>") == validator.close()
 
 
 # -- malformed input -------------------------------------------------------------
