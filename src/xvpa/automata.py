@@ -63,9 +63,6 @@ class Verdict:
 
 ACCEPT = Verdict(True)
 
-_OUTSIDE = object()  # where minimization's refinement sends an edge leaving its module
-
-
 @dataclass
 class Module:
     """One schema type: entry, exits, and its three transition relations.
@@ -147,9 +144,10 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     module, is a structure error: a learner never makes one, since the
     callee and the target are functions of the popped state and element.
     (A crossed return would come alive when minimize folds its module
-    into the callee's class.)  So is a return that targets a text's
-    successor (mixed content).  Each transition map is read once, so the
-    cost is linear in the snapshot.
+    into the callee's class.)  So are a text or return target that is no
+    state of its module, and a return that targets a text's successor
+    (mixed content).  Each transition map is read once, so the cost is
+    linear in the snapshot.
     """
     root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:
@@ -175,8 +173,8 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     if m0 not in modules:
         raise _outside_modules(next(iter(root_calls.items())))
 
-    # transitions, partitioned by source module; a text target lies in the
-    # source's module, a return target in the popped state's
+    # transitions, partitioned by source module; a text target is a state of
+    # the source's module, a return target one of the popped state's
     entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
     entry_elements[m0].add(root_element)
     for (q, c), (dst, _w) in snapshot.calls.items():
@@ -192,7 +190,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         choices.setdefault(src, (dst, set()))[1].add(dt)
     for src, (dst, dtset) in choices.items():
         mod = modules.get(src[0])
-        if mod is None or dst[0] != src[0]:
+        if mod is None or dst not in mod.states:
             raise _outside_modules((src, dst))
         mod.internals[src] = (dst, frozenset(dtset))
     owner: dict[tuple, tuple] = {}
@@ -203,7 +201,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         mod.exits.add(q)
         if popped == START_STATE:
             continue  # root return: the compiled model adds it
-        if popped[0] not in modules or dst[0] != popped[0]:
+        if popped[0] not in modules or dst not in modules[popped[0]].states:
             raise _outside_modules((q, c, popped, dst))
         # the one module that takes it: the callee of its call, if any
         callee = modules[popped[0]].calls.get((popped, c))
@@ -339,14 +337,14 @@ def _blocks(modules: dict) -> dict[StateName, int]:
     keyed by its exit flag, its datatype choice and its call elements, each
     with whether the callee resumes it, over its text edge, its call edges
     ``(element, "entry")`` to the callee's entry and ``(element, "resume")``
-    to the state its module resumes in after the callee returns.  An edge
-    whose target lies outside its module leads to one sink, keyed like a
-    state with no edges."""
+    to the state its module resumes in after the callee returns, which
+    ``build_xvpa`` checks is a state of that module, as it checks a text
+    edge's target."""
     labels: dict[StateName, list[str]] = {}  # a state's call elements
     for mod in modules.values():
         for q, c in mod.calls:
             labels.setdefault(q, []).append(c)
-    initial: dict = {_OUTSIDE: (False, None, ())}
+    initial: dict = {}
     edges = []
     for mod in modules.values():
         for q in mod.states:
@@ -357,10 +355,10 @@ def _blocks(modules: dict) -> dict[StateName, int]:
                 calls.append((c, resume is not None))
                 edges.append((q, (c, "entry"), callee.entry))
                 if resume is not None:
-                    edges.append((q, (c, "resume"), resume if resume in mod.states else _OUTSIDE))
+                    edges.append((q, (c, "resume"), resume))
             hit = mod.internals.get(q)
             if hit is not None:
-                edges.append((q, "text", hit[0] if hit[0] in mod.states else _OUTSIDE))
+                edges.append((q, "text", hit[0]))
             initial[q] = (q in mod.exits, None if hit is None else hit[1], tuple(calls))
     return refine(initial, edges)
 

@@ -278,57 +278,36 @@ class _Parser:
             return ord(_ESCAPES[ch])
         return ord(ch)
 
+    def class_member(self) -> int | tuple[Interval, ...]:
+        """One raw or escaped member of a class, for either end of a range:
+        a codepoint, or the intervals of a shorthand such as ``\\d``."""
+        if self.peek() is None:
+            self.error("unterminated character class")
+        ch = self.take()
+        return self.class_escape() if ch == "\\" else ord(ch)
+
     def char_class(self) -> tuple[Interval, ...]:
-        negate = False
-        if self.peek() == "^":
+        """The members up to ``]``, after an optional ``^``.  A member
+        followed by a raw ``-`` that does not end the class starts a range;
+        any other ``-`` is a literal."""
+        negate = self.peek() == "^"
+        if negate:
             self.take()
-            negate = True
         intervals: list[Interval] = []
-        pending: int | None = None  # candidate range start
-
-        def flush():
-            nonlocal pending
-            if pending is not None:
-                intervals.append((pending, pending))
-                pending = None
-
-        while True:
-            ch = self.peek()
-            if ch is None:
-                self.error("unterminated character class")
-            if ch == "]":
-                self.take()
-                flush()
-                break
-            if ch == "\\":
-                self.take()
-                item = self.class_escape()
-                if isinstance(item, tuple):
-                    flush()
-                    intervals.extend(item)
-                    continue
-                flush()
-                pending = item  # escaped char is always literal
+        while self.peek() != "]":
+            lo = hi = self.class_member()
+            if isinstance(lo, tuple):
+                intervals.extend(lo)
                 continue
-            cp = ord(self.take())
-            # only a raw dash between two members forms a range
-            if cp == ord("-") and pending is not None and self.peek() not in (None, "]"):
-                lo = pending
-                pending = None
-                if self.peek() == "\\":
-                    self.take()
-                    item = self.class_escape()
-                    if isinstance(item, tuple):
-                        self.error("class shorthand cannot end a range")
-                    hi = item
-                else:
-                    hi = ord(self.take())
+            if self.peek() == "-" and self.src[self.pos + 1:self.pos + 2] not in ("", "]"):
+                self.take()  # '-'
+                hi = self.class_member()
+                if isinstance(hi, tuple):
+                    self.error("class shorthand cannot end a range")
                 if hi < lo:
                     self.error("reversed range in character class")
-                intervals.append((lo, hi))
-                continue
-            flush()
-            pending = cp
+            intervals.append((lo, hi))
+        self.take()  # ']'
         cs = cs_normalize(intervals)
         return cs_negate(cs) if negate else cs
 
@@ -409,74 +388,58 @@ class _Nfa:
         raise AssertionError(f"unknown AST node {kind}")
 
     def _num_fragment(self, lo: int, hi: int) -> tuple[int, int]:
-        table, start_key, accepting = _num_range_table(lo, hi)
-        ids = {key: self.new_state() for key in table}
-        accept = self.new_state()
-        for key, moves in table.items():
-            for digit, target in moves.items():
+        """The digit automaton for decimal strings whose value lies in
+        [lo, hi], leading zeros allowed, walked breadth-first from its start
+        ``"S"``: each state is added as the walk meets it, with its digit
+        edges and, if it accepts, an epsilon edge to the fragment's end.
+        ``"Z"`` has read only zeros, and ``("sig", m, rl, rh)`` m significant
+        digits, whose relations to the first m digits of lo and of hi are
+        ``rl`` and ``rh``."""
+        los, his = str(lo), str(hi)
+
+        def step(key, digit):
+            if key in ("S", "Z"):
+                if digit == 0:
+                    return "Z"
+                return ("sig", 1, _cmp(digit, int(los[0])), _cmp(digit, int(his[0])))
+            _, m, rl, rh = key
+            if m == len(his):
+                return None  # value exceeds hi, no recovery
+            if m >= len(los):
+                rl = "gt"
+            elif rl == "eq":
+                rl = _cmp(digit, int(los[m]))
+            if rh == "eq":
+                rh = _cmp(digit, int(his[m]))
+            return ("sig", m + 1, rl, rh)
+
+        def accepts(key):
+            if key == "S":
+                return False
+            if key == "Z":
+                return lo == 0
+            _, m, rl, rh = key
+            ge_lo = m > len(los) or (m == len(los) and rl in ("eq", "gt"))
+            le_hi = m < len(his) or (m == len(his) and rh in ("lt", "eq"))
+            return ge_lo and le_hi
+
+        end = self.new_state()
+        ids = {"S": self.new_state()}
+        work = deque(["S"])
+        while work:
+            key = work.popleft()
+            if accepts(key):
+                self.add_eps(ids[key], end)
+            for digit in range(10):
+                nxt = step(key, digit)
+                if nxt is None:
+                    continue
+                if nxt not in ids:
+                    ids[nxt] = self.new_state()
+                    work.append(nxt)
                 cp = ord("0") + digit
-                self.add_edge(ids[key], ((cp, cp),), ids[target])
-        for key in accepting:
-            self.add_eps(ids[key], accept)
-        return ids[start_key], accept
-
-
-def _num_range_table(lo: int, hi: int):
-    """Digit automaton for decimal strings with value in [lo, hi].
-
-    Leading zeros are allowed.  States track the length of the significant
-    part (after zeros) and its lexicographic relation to both bounds.
-    """
-    los, his = str(lo), str(hi)
-
-    def step(key, digit):
-        if key in ("S", "Z"):
-            if digit == 0:
-                return "Z"
-            m = 1
-            rl = _cmp(digit, int(los[0])) if len(los) >= 1 else "gt"
-            rh = _cmp(digit, int(his[0]))
-            return ("sig", m, rl, rh)
-        _, m, rl, rh = key
-        m2 = m + 1
-        if m2 > len(his):
-            return None  # value exceeds hi, no recovery
-        if m2 > len(los):
-            rl2 = "gt"
-        elif rl != "eq":
-            rl2 = rl
-        else:
-            rl2 = _cmp(digit, int(los[m2 - 1]))
-        rh2 = rh if rh != "eq" else _cmp(digit, int(his[m2 - 1]))
-        return ("sig", m2, rl2, rh2)
-
-    def accepts(key):
-        if key == "S":
-            return False
-        if key == "Z":
-            return lo == 0
-        _, m, rl, rh = key
-        ge_lo = m > len(los) or (m == len(los) and rl in ("eq", "gt"))
-        le_hi = m < len(his) or (m == len(his) and rh in ("lt", "eq"))
-        return ge_lo and le_hi
-
-    table: dict = {}
-    work = deque(["S"])
-    seen = {"S"}
-    while work:
-        key = work.popleft()
-        moves = {}
-        for digit in range(10):
-            nxt = step(key, digit)
-            if nxt is None:
-                continue
-            moves[digit] = nxt
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-        table[key] = moves
-    accepting = {key for key in table if accepts(key)}
-    return table, "S", accepting
+                self.add_edge(ids[key], ((cp, cp),), ids[nxt])
+        return ids["S"], end
 
 
 def _cmp(a: int, b: int) -> str:
@@ -531,25 +494,10 @@ class Dfa:
         return zip(self._los[state], self._his[state], self._dst[state])
 
     def is_universal(self) -> bool:
-        """Whether every string is accepted: every reachable state accepts
-        and has a transition on every codepoint."""
-        seen = {self.start}
-        work = [self.start]
-        while work:
-            s = work.pop()
-            if s not in self.accepting:
-                return False
-            covered = 0
-            for lo, hi, dst in self.edges(s):
-                if lo != covered:
-                    return False
-                covered = hi + 1
-                if dst not in seen:
-                    seen.add(dst)
-                    work.append(dst)
-            if covered != MAX_CP + 1:
-                return False
-        return True
+        """Whether every string is accepted: the minimal DFA is one
+        accepting state whose only row takes every codepoint back to it."""
+        m = self.minimized()
+        return m.accepting == {0} and list(m.edges(0)) == [(0, MAX_CP, 0)]
 
     # -- construction -------------------------------------------------------
 

@@ -7,10 +7,11 @@ counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
 restores the previous file exactly.  Loading refuses every value
 ``dump_state`` never writes: a ``sanitized`` flag other than 0 or 1, a
-count, series token or counter that is not canonical ASCII decimal, and
-an entry line with the wrong number of fields.  It checks the mind-change
-series and the counters in one pass each, and hands the series' text to
-the learner, which parses it only when something reads it.
+count, series token or counter that is not canonical ASCII decimal, an
+entry line with the wrong number of fields, and a key given twice (exit 4
+at the command line).  It checks the mind-change series and the counters
+in one pass each, and hands the series' text to the learner, which parses
+it only when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
@@ -178,18 +179,17 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
                     table, key = v.rets, (get(src) or dec(src), label, get(popped) or dec(popped))
                 if "%" in label:
                     key = (key[0], unquote(label)) + key[2:]
-                entry = (get(dst) or dec(dst), int(w))
-                old = table.setdefault(key, entry)  # one hash of the key when it is new
-                if old is not entry:
-                    if old[0] != entry[0]:
-                        raise StateFileError(f"conflicting {'call' if tag == 'call' else 'return'} "
-                                             f"transition {line!r}")
-                    table[key] = entry
+                table[key] = (get(dst) or dec(dst), int(w))
             else:
                 raise StateFileError(f"unknown entry {line!r}")
             counters.append(w)
-    except ValueError as exc:
+    except StateFileError:
+        raise
+    except ValueError as exc:  # a line's fields do not unpack, or a counter is no int
         raise StateFileError(f"corrupt state entry: {exc}") from None
+    # dump_state writes each key once: a repeated line left fewer entries than lines
+    if len(counters) - 1 != sum(map(len, (v.states, v.finals, v.calls, v.ints, v.rets))):
+        raise StateFileError("corrupt state entry: a key given twice")
     # dump_state writes every counter in canonical ASCII decimal, none below 1
     joined = ",".join(counters)
     if not _canonical_series(joined, len(counters) - 1) or ",0" in joined:

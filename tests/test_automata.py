@@ -138,6 +138,21 @@ def test_return_with_two_targets_in_one_module_rejected(dts):
         build_xvpa(parse_state(edited, dts).snapshot(), dts)
 
 
+@pytest.mark.parametrize("line, edited", [
+    ("int a| unsignedByte a|%24 1", "int a| unsignedByte a|zz 1"),
+    ("ret a|%24 a r| r|a 1", "ret a|%24 a r| r|zz 1"),
+])
+def test_target_that_is_no_state_rejected(dts, line, edited):
+    """A text or return target in the right module that is no state of it
+    is a structure error, where compile_cxvpa would fail to number it.  The
+    untrimmed model is built, since a snapshot drops such a transition."""
+    state = dump_state(learn_corpus(dts, A11, [ev.parse_document(b"<r><a>5</a></r>")]))
+    assert line in state.splitlines()
+    learner = parse_state(state.replace(line, edited), dts)
+    with pytest.raises(AutomatonStructureError, match="leaves its modules"):
+        build_xvpa(learner.vpa, dts)
+
+
 def test_sanitized_model_folds_like_unminimized(dts):
     """A sanitized model that still accepts documents folds, and the
     minimized model's verdicts equal the unminimized model's."""

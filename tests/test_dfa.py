@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import MAX_EXPANSION, Dfa, PatternError, _Nfa, parse_pattern, refine
+from xvpa.dfa import MAX_CP, MAX_EXPANSION, Dfa, PatternError, _Nfa, parse_pattern, refine
 
 from .oracles import distinguishing_string, sample_string, subset_counterexample, union_dfas
 
@@ -24,6 +24,11 @@ RE_COMPATIBLE = [
     r"(true|false|1|0)",
     r"a{3}",
     r"a{2,}b",
+    r"[-a]",
+    r"[a-]",
+    r"[a\-z]",
+    r"[a-c-e]",
+    r"[\d-]",
 ]
 
 ALPHABET = "abcxyzPYM019-"
@@ -75,9 +80,21 @@ def test_unicode_classes_and_escapes():
 
 def test_syntax_errors():
     for bad in ["(a", "a)", "[a", "a{2,1}", "*a", r"\num{5,1}", "a{x}", r"[\num{1,2}]",
-                "a{\u00b2}", "a{+2}"]:
+                "a{\u00b2}", "a{+2}", r"[a-\d]", "[z-a]", r"[\u{zz}]"]:
         with pytest.raises(PatternError):
             Dfa.from_pattern(bad)
+
+
+def test_is_universal():
+    """Universal exactly when every string is accepted, whatever states
+    the DFA holds that no run reaches."""
+    for pattern in (".*", "(a|[^a])*"):
+        assert Dfa.from_pattern(pattern).is_universal(), pattern
+    for pattern in ("a*", ".+"):
+        assert not Dfa.from_pattern(pattern).is_universal(), pattern
+    unreached = Dfa(2, 0, {0, 1}, [[(0, MAX_CP, 0)], [(0, 5, 1)]])
+    assert unreached.is_universal()
+    assert not Dfa(1, 0, set(), [[]]).is_universal()
 
 
 @pytest.mark.parametrize("pattern", [

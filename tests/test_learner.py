@@ -185,6 +185,18 @@ def test_unlearn_underflow_fails_without_mutation(dts):
     assert dump_state(learner) == before
 
 
+def test_unlearn_past_a_counter_raises_underflow(dts):
+    """Under ancestor 1/1 a third ``a`` takes the transitions the second
+    one made, once more than they were learned: CounterUnderflowError, and
+    the learner is unchanged."""
+    learner = Learner(dts, A11)
+    learner.learn(doc(b"<r><a/><a/></r>"))
+    before = dump_state(learner)
+    with pytest.raises(CounterUnderflowError):
+        learner.unlearn(doc(b"<r><a/><a/><a/></r>"))
+    assert dump_state(learner) == before
+
+
 def test_unlearn_counts_repeated_traversals(dts):
     learner = Learner(dts, A11)
     d = doc(b"<r><x>5</x><x>5</x></r>")

@@ -146,16 +146,43 @@ def test_corrupt_states_rejected(dts, mutate):
 
 @pytest.mark.parametrize("tag", ["call", "ret"])
 def test_repeated_transition_lines(dts, tag):
-    """A repeated call or return key loads when its target agrees (the last
-    counter wins) and is corrupt when the target differs."""
+    """A call or return key given twice is corrupt, whether its target
+    agrees or differs: dump_state writes each key once."""
     text = dump_state(trained_learner(dts, n=2))
     entries = [l.split(" ") for l in text.splitlines() if l.startswith(tag + " ")]
     first = entries[0]
     other = next(e[-2] for e in entries if e[-2] != first[-2])
-    repeat = " ".join(first[:-1] + ["7"])
-    assert repeat in dump_state(parse_state(text + repeat + "\n", dts)).splitlines()
-    with pytest.raises(StateFileError, match="conflicting"):
-        parse_state(text + " ".join(first[:-2] + [other, "7"]) + "\n", dts)
+    for repeat in (first[:-1] + ["7"], first[:-2] + [other, "7"]):
+        with pytest.raises(StateFileError, match="a key given twice"):
+            parse_state(text + " ".join(repeat) + "\n", dts)
+
+
+def test_every_repeated_body_line_is_refused(dts):
+    """Appending any body line of a saved file again, or a state line again
+    with another counter, is refused: the count does not silently change."""
+    text = dump_state(trained_learner(dts, n=1))
+    body = text.splitlines()[8:]
+    assert body
+    for line in body:
+        with pytest.raises(StateFileError, match="a key given twice"):
+            parse_state(text + line + "\n", dts)
+    state = next(l for l in body if l.startswith("state "))
+    with pytest.raises(StateFileError, match="a key given twice"):
+        parse_state(text + state.rsplit(" ", 1)[0] + " 5\n", dts)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("bogus 1", "unknown entry 'bogus 1'"),
+    ("int r| bogus r|a 1", "unknown datatype 'bogus' in state file"),
+    ("state r|", "corrupt state entry: not enough values to unpack (expected 3, got 2)"),
+])
+def test_body_errors_are_wrapped_once(dts, line, message):
+    """A body line's own StateFileError passes unchanged; only a failed
+    field unpacking or counter is wrapped as a corrupt entry."""
+    text = dump_state(trained_learner(dts, n=1))
+    with pytest.raises(StateFileError) as caught:
+        parse_state(text + line + "\n", dts)
+    assert str(caught.value) == message
 
 
 def test_loaded_series_is_parsed_on_first_use(dts):

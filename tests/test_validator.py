@@ -320,6 +320,18 @@ def test_feed_after_close(dts):
     assert validator.close() == rejected == validator.feed(b"<r/>") == validator.close()
 
 
+def test_feed_and_close_after_a_parse_error(dts):
+    """A parse error ends the document: later ``feed`` and ``close`` calls
+    raise ``ValueError``, as the class docstring promises."""
+    validator = Validator(model_of(dts, A11, [b"<r/>"]))
+    with pytest.raises(MalformedXmlError):
+        validator.feed(b"<r></x>")
+    with pytest.raises(ValueError, match="^the document has ended in an error$"):
+        validator.feed(b"<r/>")
+    with pytest.raises(ValueError, match="^the document has ended in an error$"):
+        validator.close()
+
+
 # -- malformed input -------------------------------------------------------------
 
 def test_push_on_truncated_and_corrupted_documents(cardealer, master_seed):
