@@ -144,9 +144,9 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     module, is a structure error: a learner never makes one, since the
     callee and the target are functions of the popped state and element.
     (A crossed return would come alive when minimize folds its module
-    into the callee's class.)  So are a text or return target that is no
-    state of its module, and a return that targets a text's successor
-    (mixed content).  Each transition map is read once, so the cost is
+    into the callee's class.)  So are a call, text or return source, a
+    text or return target and a popped state that is no state of its
+    module, and a return that targets a text's successor (mixed content).  Each transition map is read once, so the cost is
     linear in the snapshot.
     """
     root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
@@ -181,7 +181,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         if q == START_STATE:
             continue
         mod = modules.get(q[0])
-        if mod is None or dst[0] not in modules:
+        if mod is None or q not in mod.states or dst[0] not in modules:
             raise _outside_modules((q, c, dst))
         mod.calls[(q, c)] = dst[0]
         entry_elements[dst[0]].add(c)
@@ -190,21 +190,22 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         choices.setdefault(src, (dst, set()))[1].add(dt)
     for src, (dst, dtset) in choices.items():
         mod = modules.get(src[0])
-        if mod is None or dst not in mod.states:
+        if mod is None or src not in mod.states or dst not in mod.states:
             raise _outside_modules((src, dst))
         mod.internals[src] = (dst, frozenset(dtset))
     owner: dict[tuple, tuple] = {}
     for (q, c, popped), (dst, _w) in snapshot.rets.items():
         mod = modules.get(q[0])
-        if mod is None:
+        if mod is None or q not in mod.states:
             raise _outside_modules((q, c, popped, dst))
         mod.exits.add(q)
         if popped == START_STATE:
             continue  # root return: the compiled model adds it
-        if popped[0] not in modules or dst not in modules[popped[0]].states:
+        pmod = modules.get(popped[0])
+        if pmod is None or popped not in pmod.states or dst not in pmod.states:
             raise _outside_modules((q, c, popped, dst))
         # the one module that takes it: the callee of its call, if any
-        callee = modules[popped[0]].calls.get((popped, c))
+        callee = pmod.calls.get((popped, c))
         if owner.setdefault((popped, c), callee or q[0]) != q[0]:
             raise AutomatonStructureError(
                 f"return on {c!r} popping {popped!r} lies in two modules or outside its callee")

@@ -11,6 +11,16 @@ Everything is loaded from a versioned definition file (see
 the lexical spaces; its content hash travels with persisted learner state
 so that models and definitions cannot drift apart silently.
 
+Building the datatypes' DFAs from their patterns is most of a load, so the
+packaged DFAs also ship as derived data: ``data/xsd-datatypes-dfa.txt``
+holds each DFA exactly as ``Dfa.from_pattern`` builds it, under a header
+with the SHA-256 of the definition file it was derived from and of its
+own body.  ``write_dfa_table`` writes it (``scripts/write_dfa_table.py``
+runs it, after any edit of the definition file).  The loader takes the
+DFAs from the table only for a definition file with that hash; any other
+file builds them from its patterns, and the table is ignored.  A table
+whose recorded hash matches but whose body is corrupt is an error.
+
 The datatypes and both orders are immutable once loaded.  Each order is
 held only as closure bitmasks, so the minimal, preferred and maximal
 members of a set are mask operations.  One lazily determinized product of
@@ -35,6 +45,9 @@ from .dfa import Dfa, ProductDfa
 
 ENV_DATATYPE_FILE = "XVPA_DATATYPES"
 DEFAULT_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes.txt")
+# the packaged DFAs, derived from the definition file by write_dfa_table
+DFA_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "xsd-datatypes-dfa.txt")
+_TABLE_TITLE = b"# xvpa DFA table, derived from xsd-datatypes.txt by scripts/write_dfa_table.py"
 
 TOP = "top"
 
@@ -186,13 +199,23 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
     environment override, or the packaged default file.
 
     A malformed file raises ``DatatypeFileError``, naming the line where
-    one line is at fault; an unreadable one raises ``OSError``.
+    one line is at fault; an unreadable one raises ``OSError``.  The DFAs
+    come from the packaged DFA table when it was derived from a file with
+    this file's hash, and are built from the patterns otherwise.
     """
     if path is None:
         path = os.environ.get(ENV_DATATYPE_FILE) or DEFAULT_PATH
     with open(path, "rb") as fh:
         raw = fh.read()
     content_hash = hashlib.sha256(raw).hexdigest()
+    return _parse_definitions(raw, content_hash, _table_dfas(content_hash))
+
+
+def _parse_definitions(raw: bytes, content_hash: str,
+                       table: dict[str, Dfa] | None) -> LexicalDatatypeSystem:
+    """Parse a definition file; each datatype's DFA is ``table``'s, which
+    must name the file's datatypes in order, or without a table is built
+    from its pattern."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -231,7 +254,8 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
                 if name in seen:
                     raise DatatypeFileError(f"duplicate datatype {name!r}")
                 seen.add(name)
-                datatypes.append(Datatype(name, kind, pattern, Dfa.from_pattern(expand(pattern))))
+                dfa = table.get(name) if table is not None else Dfa.from_pattern(expand(pattern))
+                datatypes.append(Datatype(name, kind, pattern, dfa))
             elif keyword in ("lexorder", "kindorder"):
                 edge = tuple(rest.split())
                 if len(edge) != 2:
@@ -246,6 +270,9 @@ def load_datatype_system(path: str | None = None) -> LexicalDatatypeSystem:
 
     if version is None:
         raise DatatypeFileError("definition file lacks a version line")
+    if table is not None and list(table) != [d.name for d in datatypes]:
+        raise DatatypeFileError(
+            f"{DFA_TABLE_PATH}: DFA table names other datatypes than the definition file")
     for a, b in lex_edges:
         if a not in seen or b not in seen:
             raise DatatypeFileError(f"lexorder mentions unknown datatype {a!r}/{b!r}")
@@ -259,6 +286,76 @@ def _fields(keyword: str, rest: str, n: int) -> list[str]:
     if len(fields) != n:
         raise DatatypeFileError(f"{keyword} line needs {n} fields, has {len(fields)}")
     return fields
+
+
+def _table_dfas(content_hash: str) -> dict[str, Dfa] | None:
+    """The DFAs of the packaged table, by datatype name in table order, if
+    it was derived from a definition file with ``content_hash``; None if
+    it was not, or is absent.  A table with that hash whose body fails its
+    own hash or does not parse raises ``DatatypeFileError``."""
+    try:
+        with open(DFA_TABLE_PATH, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    head = data.split(b"\n", 3)  # title, source hash, body hash, body
+    if len(head) < 2 or head[1] != b"source " + content_hash.encode():
+        return None
+    try:
+        if len(head) < 4 or head[2] != b"body " + hashlib.sha256(head[3]).hexdigest().encode():
+            raise ValueError("body does not match its hash")
+        return _parse_table(head[3].decode("ascii"))
+    except ValueError as exc:  # UnicodeDecodeError among them
+        raise DatatypeFileError(f"{DFA_TABLE_PATH}: corrupt DFA table: {exc}") from None
+
+
+def _parse_table(body: str) -> dict[str, Dfa]:
+    """Read the entries ``_table_entry`` writes: a line ``dfa NAME N START
+    ACCEPTING...``, then one line per state of its rows, each flattened to
+    ``lo hi dst ...``."""
+    lines = body.split("\n")
+    if lines.pop() != "":
+        raise ValueError("last line is unterminated")
+    dfas: dict[str, Dfa] = {}
+    i = 0
+    while i < len(lines):
+        tag, name, n, start, *accepting = lines[i].split()
+        n, start = int(n), int(start)
+        states = [list(map(int, line.split())) for line in lines[i + 1:i + 1 + n]]
+        if tag != "dfa" or name in dfas or len(states) != n or not 0 <= start < n:
+            raise ValueError(f"bad entry at line {i + 1}")
+        accepting = [int(q) for q in accepting]
+        for targets in [accepting, *(flat[2::3] for flat in states)]:
+            if min(targets, default=0) < 0 or max(targets, default=0) >= n:
+                raise ValueError(f"state out of range in {name!r}")
+        if any(len(flat) % 3 for flat in states):
+            raise ValueError(f"bad rows in {name!r}")
+        dfas[name] = Dfa.from_flat_rows(n, start, accepting, states)
+        i += 1 + n
+    return dfas
+
+
+def _table_entry(name: str, dfa: Dfa) -> str:
+    head = ["dfa", name, str(dfa.n), str(dfa.start), *map(str, sorted(dfa.accepting))]
+    lines = [" ".join(head)]
+    for q in range(dfa.n):
+        lines.append(" ".join(str(x) for row in dfa.edges(q) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_dfa_table(target: str, path: str = DEFAULT_PATH) -> None:
+    """Write the DFA table of the definition file at ``path`` to
+    ``target``: every datatype's DFA as ``Dfa.from_pattern`` builds it, in
+    file order, under the file's hash and the body's own."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    content_hash = hashlib.sha256(raw).hexdigest()
+    system = _parse_definitions(raw, content_hash, None)
+    body = "".join(_table_entry(d.name, d.dfa) for d in system.datatypes.values()).encode("ascii")
+    head = [_TABLE_TITLE, b"source " + content_hash.encode(),
+            b"body " + hashlib.sha256(body).hexdigest().encode()]
+    with open(target, "wb") as fh:
+        fh.write(b"\n".join(head) + b"\n" + body)
 
 
 _default: LexicalDatatypeSystem | None = None

@@ -141,16 +141,22 @@ def test_return_with_two_targets_in_one_module_rejected(dts):
 @pytest.mark.parametrize("line, edited", [
     ("int a| unsignedByte a|%24 1", "int a| unsignedByte a|zz 1"),
     ("ret a|%24 a r| r|a 1", "ret a|%24 a r| r|zz 1"),
+    ("int a| unsignedByte a|%24 1", "int a|zz unsignedByte a|%24 1"),
+    ("call r| a a| 1", "call r|zz a a| 1"),
+    ("ret a|%24 a r| r|a 1", "ret a|zz a r| r|a 1"),
+    ("ret a|%24 a r| r|a 1", "ret a|%24 a r|zz r|a 1"),
 ])
 def test_target_that_is_no_state_rejected(dts, line, edited):
-    """A text or return target in the right module that is no state of it
-    is a structure error, where compile_cxvpa would fail to number it.  The
+    """A text or return target, a call, text or return source, or a popped
+    state, in the right module that is no state of it is a structure
+    error, folded or not, where compile_cxvpa would fail to number it.  The
     untrimmed model is built, since a snapshot drops such a transition."""
     state = dump_state(learn_corpus(dts, A11, [ev.parse_document(b"<r><a>5</a></r>")]))
     assert line in state.splitlines()
     learner = parse_state(state.replace(line, edited), dts)
-    with pytest.raises(AutomatonStructureError, match="leaves its modules"):
-        build_xvpa(learner.vpa, dts)
+    for minimize_modules in (True, False):
+        with pytest.raises(AutomatonStructureError, match="leaves its modules"):
+            build_xvpa(learner.vpa, dts, minimize_modules)
 
 
 def test_sanitized_model_folds_like_unminimized(dts):

@@ -14,7 +14,7 @@ from xvpa.events import parse_document
 from xvpa.harness import build_cardealer_scenario, write_corpus
 from xvpa.learner import Learner, NamingScheme
 
-from .test_datatypes import MALFORMED_DEFINITIONS
+from .test_datatypes import CORRUPT_TABLES, MALFORMED_DEFINITIONS
 
 DOC_OK = (b"<dealer><newcars><ad><model>Astra</model></ad></newcars>"
           b"<usedcars><ad><model>Corsa  GSi</model><year>1999Z</year></ad></usedcars></dealer>")
@@ -617,6 +617,20 @@ def test_malformed_datatype_file_is_state_error(tmp_path, workdir, capsys, name)
     assert code == EXIT_STATE
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load datatype definitions: ") and message in err
+    assert "Traceback" not in err and not os.path.exists(workdir["state"])
+
+
+@pytest.mark.parametrize("name", ["edited-row", "renamed-datatype"])
+def test_corrupt_dfa_table_is_state_error(tmp_path, workdir, capsys, monkeypatch, name):
+    """A packaged DFA table derived from the definition file in use but
+    corrupt since is refused like a malformed definition file."""
+    table = tmp_path / "table.txt"
+    table.write_bytes(CORRUPT_TABLES[name])
+    monkeypatch.setattr("xvpa.datatypes.DFA_TABLE_PATH", str(table))
+    code = run(["learn", workdir["state"], "--init", "mode=ancestor", workdir["ok1.xml"]])
+    assert code == EXIT_STATE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load datatype definitions: ") and "DFA table" in err
     assert "Traceback" not in err and not os.path.exists(workdir["state"])
 
 

@@ -1,6 +1,7 @@
 """Lexical datatype system: point values, inference pipeline, order laws."""
 
 import gc
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xvpa import datatypes
 from xvpa import events as ev
 from xvpa.datatypes import (DEFAULT_PATH, DatatypeFileError, LexicalDatatypeSystem,
                             load_datatype_system)
@@ -371,3 +373,127 @@ def test_malformed_definition_file_is_refused(tmp_path, name):
     with pytest.raises(DatatypeFileError) as info:
         load_datatype_system(str(path))
     assert message in str(info.value)
+
+
+# -- the packaged DFA table ------------------------------------------------------
+
+# the texts of acceptance criterion 1
+CRITERION_1_TEXTS = ["false", "1", "0", "true", "33"]
+
+
+def _dfa_fields(dfa):
+    return dfa.n, dfa.start, dfa.accepting, dfa._los, dfa._his, dfa._dst
+
+
+def _count_builds(monkeypatch):
+    """A list that grows by one per DFA built from a pattern."""
+    built = []
+    original = datatypes.Dfa.from_pattern
+    monkeypatch.setattr(datatypes.Dfa, "from_pattern",
+                        lambda pattern: built.append(pattern) or original(pattern))
+    return built
+
+
+def test_packaged_table_is_the_written_table(tmp_path):
+    """The checked-in table is exactly what the writer makes from DFAs
+    built from the definition file's patterns: a stale table fails here."""
+    target = tmp_path / "table.txt"
+    datatypes.write_dfa_table(str(target))
+    with open(datatypes.DFA_TABLE_PATH, "rb") as fh:
+        assert fh.read() == target.read_bytes()
+
+
+def test_packaged_file_loads_its_dfas_from_the_table(monkeypatch):
+    built = _count_builds(monkeypatch)
+    system = load_datatype_system()
+    assert built == [] and len(system.names()) == len(EXPECTED_DATATYPES)
+
+
+def test_edited_definition_file_builds_the_same_dfas(tmp_path, monkeypatch):
+    """A copy with one added comment line has another hash, so the table
+    is ignored and every DFA is built from its pattern: the DFAs equal the
+    table's, and so do inference results."""
+    with open(DEFAULT_PATH, "rb") as fh:
+        payload = fh.read()
+    copy = tmp_path / "dts.txt"
+    copy.write_bytes(payload + b"# a local note\n")
+    table = load_datatype_system()
+    built = _count_builds(monkeypatch)
+    rebuilt = load_datatype_system(str(copy))
+    assert len(built) == len(EXPECTED_DATATYPES)
+    assert rebuilt.content_hash != table.content_hash
+    assert rebuilt.names() == table.names()
+    for name in table.names():
+        assert (_dfa_fields(rebuilt.datatypes[name].dfa)
+                == _dfa_fields(table.datatypes[name].dfa)), name
+    for text in CRITERION_1_TEXTS:
+        assert rebuilt.infer(text) == table.infer(text), text
+
+
+def _packaged_table() -> list[bytes]:
+    """The packaged table's title, source and body hash lines and body."""
+    with open(datatypes.DFA_TABLE_PATH, "rb") as fh:
+        return fh.read().split(b"\n", 3)
+
+
+def _table(body: bytes, recorded: bytes | None = None) -> bytes:
+    """The packaged table's title and source lines over ``body``, under
+    the hash of ``recorded`` (by default of ``body`` itself)."""
+    title, source, _body_hash, _body = _packaged_table()
+    digest = hashlib.sha256(body if recorded is None else recorded).hexdigest()
+    return b"\n".join([title, source, b"body " + digest.encode(), body])
+
+
+def _swap_first_two_entries(body: bytes) -> bytes:
+    entries = body.split(b"dfa ")
+    entries[1], entries[2] = entries[2], entries[1]
+    return b"dfa ".join(entries)
+
+
+_BODY = _packaged_table()[3]
+
+# a table whose header records the packaged definition file's hash, and
+# what is wrong with its body
+CORRUPT_TABLES = {
+    # the body does not match its recorded hash
+    "edited-row": _table(_BODY.replace(b"0 1114111 0\n", b"0 1114110 0\n", 1), _BODY),
+    "truncated": _table(_BODY[:-40], _BODY),
+    "no-body": b"\n".join(_packaged_table()[:2]),
+    # each of these bodies matches its hash
+    "not-a-number": _table(_BODY.replace(b"dfa top 1 0 0\n", b"dfa top 1 0 x\n", 1)),
+    "target-out-of-range": _table(_BODY.replace(b"0 1114111 0\n", b"0 1114111 7\n", 1)),
+    "odd-row": _table(_BODY.replace(b"0 1114111 0\n", b"0 1114111\n", 1)),
+    "unterminated": _table(_BODY[:-1]),
+    "renamed-datatype": _table(_BODY.replace(b"dfa string ", b"dfa strung ", 1)),
+    "reordered-datatypes": _table(_swap_first_two_entries(_BODY)),
+    "missing-datatypes": _table(_BODY.split(b"dfa string ")[0]),
+    "repeated-datatype": _table(_BODY + _BODY.split(b"dfa string ")[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPT_TABLES))
+def test_corrupt_table_with_a_matching_header_is_refused(tmp_path, monkeypatch, name):
+    table = tmp_path / "table.txt"
+    table.write_bytes(CORRUPT_TABLES[name])
+    monkeypatch.setattr(datatypes, "DFA_TABLE_PATH", str(table))
+    with pytest.raises(DatatypeFileError, match="DFA table"):
+        load_datatype_system()
+
+
+@pytest.mark.parametrize("payload", [
+    b"\n".join(_packaged_table()[:1] + [b"source " + b"0" * 64] + _packaged_table()[2:]),
+    b"",
+    b"not a table\n",
+], ids=["other-source", "empty", "no-header"])
+def test_table_of_another_definition_file_is_ignored(tmp_path, monkeypatch, payload):
+    """A table recording another file's hash, or no hash, leaves the
+    loader to build every DFA from its pattern; so does a missing table."""
+    table = tmp_path / "table.txt"
+    table.write_bytes(payload)
+    monkeypatch.setattr(datatypes, "DFA_TABLE_PATH", str(table))
+    built = _count_builds(monkeypatch)
+    assert load_datatype_system().minimal_datatypes("false") == {"language", "boolean", "NCName"}
+    assert len(built) == len(EXPECTED_DATATYPES)
+    monkeypatch.setattr(datatypes, "DFA_TABLE_PATH", str(tmp_path / "absent.txt"))
+    load_datatype_system()
+    assert len(built) == 2 * len(EXPECTED_DATATYPES)
