@@ -146,8 +146,9 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     (A crossed return would come alive when minimize folds its module
     into the callee's class.)  So are a call, text or return source, a
     text or return target and a popped state that is no state of its
-    module, and a return that targets a text's successor (mixed content).  Each transition map is read once, so the cost is
-    linear in the snapshot.
+    module, and a return that targets a text's successor (mixed
+    content).  Each transition map is read once, so the cost is linear
+    in the snapshot.
     """
     root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
     if not root_calls or not snapshot.finals:

@@ -330,7 +330,8 @@ def _parse_table(body: str) -> dict[str, Dfa]:
                 raise ValueError(f"state out of range in {name!r}")
         if any(len(flat) % 3 for flat in states):
             raise ValueError(f"bad rows in {name!r}")
-        dfas[name] = Dfa.from_flat_rows(n, start, accepting, states)
+        dfas[name] = Dfa(n, start, accepting,
+                         [zip(f[0::3], f[1::3], f[2::3]) for f in states])
         i += 1 + n
     return dfas
 
@@ -343,11 +344,11 @@ def _table_entry(name: str, dfa: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dfa_table(target: str, path: str = DEFAULT_PATH) -> None:
-    """Write the DFA table of the definition file at ``path`` to
-    ``target``: every datatype's DFA as ``Dfa.from_pattern`` builds it, in
-    file order, under the file's hash and the body's own."""
-    with open(path, "rb") as fh:
+def write_dfa_table(target: str) -> None:
+    """Write the DFA table of the packaged definition file to ``target``:
+    every datatype's DFA as ``Dfa.from_pattern`` builds it, in file order,
+    under the file's hash and the body's own."""
+    with open(DEFAULT_PATH, "rb") as fh:
         raw = fh.read()
     content_hash = hashlib.sha256(raw).hexdigest()
     system = _parse_definitions(raw, content_hash, None)

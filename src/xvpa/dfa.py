@@ -472,16 +472,6 @@ class Dfa:
             self._his.append([r[1] for r in rows])
             self._dst.append([r[2] for r in rows])
 
-    @classmethod
-    def from_flat_rows(cls, n, start, accepting, flat_rows) -> "Dfa":
-        """A DFA from each state's rows as ``edges`` lists them, flattened
-        to ``lo, hi, dst, lo, hi, dst, ...``."""
-        dfa = cls(n, start, accepting, ())
-        dfa._los = [flat[0::3] for flat in flat_rows]
-        dfa._his = [flat[1::3] for flat in flat_rows]
-        dfa._dst = [flat[2::3] for flat in flat_rows]
-        return dfa
-
     # -- membership ---------------------------------------------------------
 
     def step(self, state: int, cp: int) -> int | None:
