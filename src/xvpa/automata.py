@@ -24,6 +24,8 @@ a lock).  A ``Validator`` holds one document's run and serves one caller.
 
 from __future__ import annotations
 
+import functools
+import gc
 import xml.parsers.expat
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -41,6 +43,32 @@ DATATYPE_MISMATCH = "datatype-mismatch"
 PREMATURE_EOF = "premature-eof"
 TRAILING_CONTENT = "trailing-content"
 EMPTY_LANGUAGE = "empty-language"
+
+
+def _gc_paused(fn):
+    """Run ``fn`` with the cyclic garbage collector off; after it, collect
+    only the youngest generation, what ``fn`` made, if that passed the
+    collector's threshold.  A collector that was off stays off.  Loading a
+    state file and each step from it to a compiled model allocate
+    thousands of containers that live until the step returns and form no
+    reference cycles, so a collection inside a step frees nothing.  Left
+    on, the collector ran every 700 of them, and a collection of the
+    caller's whole heap, when one was due, fell into whichever build came
+    next, so a build's time depended on what had run before it.  Paused,
+    a step never starts a collection of an older generation; the next
+    allocation outside the steps does that."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+            if gc.get_count()[0] > gc.get_threshold()[0]:
+                gc.collect(0)
+    return paused
 
 
 class EmptyLanguageError(ValueError):
@@ -131,6 +159,7 @@ class Cxvpa:
 # ---------------------------------------------------------------------------
 # generation from a snapshot
 
+@_gc_paused
 def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxvpa:
     """Assemble a dXVPA from a trimmed snapshot.
 
@@ -290,6 +319,7 @@ def _matched_reach(calls, ints, rets) -> dict:
 # ---------------------------------------------------------------------------
 # module minimization
 
+@_gc_paused
 def minimize(dxvpa: Dxvpa) -> Dxvpa:
     """Fold congruent modules mapped to the same element.
 
@@ -368,6 +398,7 @@ def _blocks(modules: dict) -> dict[StateName, int]:
 # ---------------------------------------------------------------------------
 # compilation and validation
 
+@_gc_paused
 def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     """Number the dXVPA's states once and build the integer tables of
     ``Cxvpa`` from its modules in one pass.  Every datatype choice becomes

@@ -28,6 +28,7 @@ import re
 import tempfile
 from urllib.parse import quote, unquote
 
+from .automata import _gc_paused
 from .learner import ANCESTOR, Learner, NamingScheme
 
 FORMAT_NAME = "xvpa-state"
@@ -103,6 +104,7 @@ def dump_state(learner: Learner) -> str:
     return "\n".join(lines + sorted(body)) + "\n"
 
 
+@_gc_paused
 def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     lines = text.splitlines()
     if not lines or not lines[0].startswith(FORMAT_NAME + " "):

@@ -1,5 +1,6 @@
 """dXVPA generation, module folding, text-mask compilation, validation."""
 
+import gc
 import importlib.util
 import os
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
+from xvpa import persistence
 from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
@@ -157,6 +159,30 @@ def test_target_that_is_no_state_rejected(dts, line, edited):
     for minimize_modules in (True, False):
         with pytest.raises(AutomatonStructureError, match="leaves its modules"):
             build_xvpa(learner.vpa, dts, minimize_modules)
+
+
+def test_model_steps_leave_the_collector_as_they_found_it(dts, monkeypatch):
+    """Loading a state file and the steps to a compiled model run with the
+    cyclic garbage collector paused, and leave it on or off as it was, also
+    when they raise."""
+    state = dump_state(learn_corpus(dts, A11, [ev.parse_document(b"<r><a>5</a></r>")]))
+    seen = []
+    decode = persistence.decode_state
+    monkeypatch.setattr(persistence, "decode_state",
+                        lambda *a: seen.append(gc.isenabled()) or decode(*a))
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            learner = parse_state(state, dts)
+            compile_cxvpa(minimize(build_xvpa(learner.snapshot(), dts, False)))
+            assert gc.isenabled() is enabled
+            with pytest.raises(StateFileError):
+                parse_state("xvpa-state 1\nk 1\n", dts)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
 
 
 def test_sanitized_model_folds_like_unminimized(dts):
