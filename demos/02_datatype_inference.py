@@ -10,7 +10,7 @@ one covering antichain.
 from xvpa import default_system
 
 dts = default_system()
-print(f"{len(dts.names())} datatypes, definition hash {dts.content_hash[:12]}…\n")
+print(f"{len(dts.datatypes)} datatypes, definition hash {dts.content_hash[:12]}…\n")
 
 for text in ["false", "33", "-7", "19.99", "2015Z", "2015-09", "1999-12-31",
              "P1Y6M", "hello world", "deadbeef", "QQ==", "mailto:x@example.org",
@@ -24,6 +24,6 @@ column = ["1", "0", "true", "33"]
 folded = None
 for value in column:
     inferred = dts.infer(value)
-    folded = inferred if folded is None else dts.merge(folded, inferred)
+    folded = inferred if folded is None else dts.maxima(folded | inferred)
     print(f"  after {value!r:8}: {sorted(folded)}")
 print(f"\nthe column {column} is covered by {sorted(folded)}")

@@ -115,11 +115,11 @@ class Module:
 @dataclass(eq=False)
 class Dxvpa:
     """Datatyped modular automaton over a lexical datatype system, as
-    ``build_xvpa`` makes and checks it, its modules keyed by typing context."""
+    ``build_xvpa`` makes and checks it, its modules keyed by typing context.
+    The root element is the start module's, ``modules[m0].element``."""
 
     modules: dict[tuple, Module]
     m0: tuple
-    root_element: str
     dts: object
 
 
@@ -186,7 +186,6 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     if len(root_elements) > 1:
         raise AutomatonStructureError(
             f"snapshot has multiple root elements {root_elements}; one start module required")
-    root_element = root_elements[0]
 
     states_of: dict[tuple, set] = {}
     for q in snapshot.states:
@@ -206,7 +205,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     # transitions, partitioned by source module; a text target is a state of
     # the source's module, a return target one of the popped state's
     entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
-    entry_elements[m0].add(root_element)
+    entry_elements[m0].add(root_elements[0])
     for (q, c), (dst, _w) in snapshot.calls.items():
         if q == START_STATE:
             continue
@@ -255,7 +254,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     if any(target in text_targets for mod in modules.values() for target in mod.returns.values()):
         raise AutomatonStructureError("return transition targets a datatype-choice successor")
 
-    dxvpa = Dxvpa(modules, m0, root_element, dts)
+    dxvpa = Dxvpa(modules, m0, dts)
     if minimize_modules:
         dxvpa = minimize(dxvpa)
     return dxvpa
@@ -361,7 +360,7 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
         for (popped, c), target in mod.returns.items():
             if survivor[popped[0]] == popped[0]:
                 returns[(popped, c)] = target
-    return Dxvpa(folded, survivor[dxvpa.m0], dxvpa.root_element, dxvpa.dts)
+    return Dxvpa(folded, survivor[dxvpa.m0], dxvpa.dts)
 
 
 def _blocks(modules: dict) -> dict[StateName, int]:
@@ -412,7 +411,7 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
         for q in mod.states:
             ids[q] = len(ids)
     entries = {key: ids[mod.entry] for key, mod in modules.items()}
-    calls: dict[int, dict] = {0: {dxvpa.root_element: ids[m0.entry]}}
+    calls: dict[int, dict] = {0: {m0.element: ids[m0.entry]}}
     returns: dict[int, dict] = {}
     texts: dict[int, tuple] = {}
     predicates: dict[frozenset, int] = {}
@@ -425,7 +424,7 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
                 calls[q] = {c: entries[callee]}
         exits = frozenset(map(ids.__getitem__, mod.exits))
         if mod is m0:
-            returns[0] = {dxvpa.root_element: (None, exits)}
+            returns[0] = {m0.element: (None, exits)}
         for (popped, c), target in mod.returns.items():
             popped = ids[popped]
             if popped in returns:
@@ -677,7 +676,7 @@ def to_dot(automaton, compiled: bool = False) -> str:
             if compiled:
                 label = predicates.setdefault(frozenset(dtset), f"p{len(predicates)}")
             else:
-                label = ", ".join(sorted(dtset))
+                label = _dot_text(", ".join(sorted(dtset)))
             lines.append(f'  {ids[src]} -> {ids[dst]} [label="{label}"];')
         for (q, c) in sorted(mod.calls, key=repr):
             entry = dxvpa.modules[mod.calls[(q, c)]].entry
@@ -691,5 +690,5 @@ def to_dot(automaton, compiled: bool = False) -> str:
 
 
 def _dot_text(name: str) -> str:
-    """An element name as the body of a quoted DOT string."""
+    """An element or datatype name as the body of a quoted DOT string."""
     return name.replace("\\", "\\\\").replace('"', '\\"')

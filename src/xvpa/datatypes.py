@@ -62,30 +62,27 @@ class DatatypeFileError(ValueError):
 class Datatype:
     name: str
     kind: str
-    pattern: str
     dfa: Dfa = field(repr=False, compare=False)
 
 
 class LexicalDatatypeSystem:
     """Datatypes, lexical-subsumption order, and kind preference order.
 
-    ``lex_lt(a, b)`` is the strict subsumption order (transitive closure of
-    the definition file's edges).  It is sound (every edge is a true
+    The lexical order is strict subsumption: the transitive closure of the
+    definition file's ``lexorder`` edges.  It is sound (every edge is a true
     language inclusion, checked by the test suite) but deliberately not
     complete; minimality is always relative to this declared order.  Both
     orders are closure bitmasks per datatype: ``_up`` in the lexical order
     and ``_kind_above``, the datatypes of strictly higher kinds.
     """
 
-    def __init__(self, datatypes, lex_edges, kind_edges, version, content_hash):
-        self.version = version
+    def __init__(self, datatypes, lex_edges, kind_edges, content_hash):
         self.content_hash = content_hash
         self.datatypes: dict[str, Datatype] = {d.name: d for d in datatypes}
         if TOP not in self.datatypes:
             raise DatatypeFileError("definition file lacks the top datatype")
         self._index = {d.name: i for i, d in enumerate(datatypes)}
         self._names = [d.name for d in datatypes]
-        self.lex_edges = tuple(lex_edges)
         self._up = _closure_masks(self._index, lex_edges)
         if any(up >> i & 1 for i, up in enumerate(self._up)):
             raise DatatypeFileError("lexical order is cyclic")
@@ -116,18 +113,8 @@ class LexicalDatatypeSystem:
 
     # -- basic queries -------------------------------------------------------
 
-    def names(self):
-        return list(self._names)
-
     def __contains__(self, name: str) -> bool:
         return name in self.datatypes
-
-    def kind_of(self, name: str) -> str:
-        return self.datatypes[name].kind
-
-    def lex_lt(self, a: str, b: str) -> bool:
-        """Strict lexical subsumption per the declared order."""
-        return bool(self._up[self._index[a]] & (1 << self._index[b]))
 
     def mask(self, names) -> int:
         """The bitmask of a collection of datatype names; a text is in their
@@ -182,14 +169,6 @@ class LexicalDatatypeSystem:
         mask = self.mask(types)
         return frozenset(self._names[i] for i in _bits(mask) if not self._up[i] & mask)
 
-    def merge(self, left, right) -> frozenset[str]:
-        """Aggregate two inferred antichains: the maxima of their union.
-
-        The result covers every string covered by either input, stays an
-        antichain, and is commutative/associative/idempotent.
-        """
-        return self.maxima(set(left) | set(right))
-
 
 # ---------------------------------------------------------------------------
 # definition file loading
@@ -226,7 +205,7 @@ def _parse_definitions(raw: bytes, content_hash: str,
     datatypes: list[Datatype] = []
     lex_edges: list[tuple[str, str]] = []
     kind_edges: list[tuple[str, str]] = []
-    version = None
+    versioned = False
     seen = set()
 
     def expand(pattern: str) -> str:
@@ -245,7 +224,7 @@ def _parse_definitions(raw: bytes, content_hash: str,
         keyword, rest = fields[0], (fields[1] if len(fields) > 1 else "")
         try:
             if keyword == "version":
-                version = rest.strip()
+                versioned = True
             elif keyword == "def":
                 name, pattern = _fields(keyword, rest, 2)
                 defs[name] = expand(pattern)
@@ -255,7 +234,7 @@ def _parse_definitions(raw: bytes, content_hash: str,
                     raise DatatypeFileError(f"duplicate datatype {name!r}")
                 seen.add(name)
                 dfa = table.get(name) if table is not None else Dfa.from_pattern(expand(pattern))
-                datatypes.append(Datatype(name, kind, pattern, dfa))
+                datatypes.append(Datatype(name, kind, dfa))
             elif keyword in ("lexorder", "kindorder"):
                 edge = tuple(rest.split())
                 if len(edge) != 2:
@@ -268,7 +247,7 @@ def _parse_definitions(raw: bytes, content_hash: str,
         except RecursionError:
             raise DatatypeFileError(f"line {lineno}: pattern nests too deeply") from None
 
-    if version is None:
+    if not versioned:
         raise DatatypeFileError("definition file lacks a version line")
     if table is not None and list(table) != [d.name for d in datatypes]:
         raise DatatypeFileError(
@@ -276,7 +255,7 @@ def _parse_definitions(raw: bytes, content_hash: str,
     for a, b in lex_edges:
         if a not in seen or b not in seen:
             raise DatatypeFileError(f"lexorder mentions unknown datatype {a!r}/{b!r}")
-    return LexicalDatatypeSystem(datatypes, lex_edges, kind_edges, version, content_hash)
+    return LexicalDatatypeSystem(datatypes, lex_edges, kind_edges, content_hash)
 
 
 def _fields(keyword: str, rest: str, n: int) -> list[str]:

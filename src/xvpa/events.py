@@ -14,7 +14,9 @@ stream never contains two consecutive characters events.
 A stream is compact: two parallel tuples hold each event's kind and
 label, an event's index is its position, and ``Event`` objects are built
 only when the stream is iterated.  Validation and learning read the tuples
-directly, so the route from bytes to verdict builds none.
+directly, so the route from bytes to verdict builds none.  Every stream
+comes from one constructor, ``DocumentEventStream(kinds, labels)``, which
+checks nothing; ``parse_document`` and ``stream_from_events`` call it.
 
 Names are shared across documents: ``parse_document`` keeps element and
 attribute names in two bounded process-wide tables, so every start and
@@ -120,26 +122,21 @@ def text(value: str) -> Event:
     return Event(CHARS, value)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, slots=True, repr=False)
 class DocumentEventStream:
-    """A validated, immutable sequence of events for one document.
+    """An immutable sequence of events for one document.
 
     The events are stored as two parallel tuples, ``kinds`` and ``labels``;
     an event's index is its position, and ``indices`` is the ``range`` of
     them.  Iterating the stream, or reading ``events``, builds the ``Event``
     objects on demand and keeps none of them.  Equality and hashing are
-    those of the event sequence.  ``DocumentEventStream(events)`` stores the
-    given events' kinds and labels without checking them, at their
-    positions; use ``stream_from_events`` for a checked stream.
+    those of the event sequence.  ``DocumentEventStream(kinds, labels)``
+    takes the tuples as they are, unchecked; ``stream_from_events`` and
+    ``parse_document`` make checked streams.
     """
 
     kinds: tuple
     labels: tuple
-
-    def __init__(self, events=()):
-        events = tuple(events)
-        _set_kinds(self, tuple(e.kind for e in events))
-        _set_labels(self, tuple(e.label for e in events))
 
     @property
     def indices(self) -> range:
@@ -159,7 +156,7 @@ class DocumentEventStream:
         return f"DocumentEventStream(events={self.events!r})"
 
     def __reduce__(self):
-        return _stream, (self.kinds, self.labels)
+        return DocumentEventStream, (self.kinds, self.labels)
 
     def debug_lines(self):
         """Line-oriented debug form: ``K label`` with K in {S,E,C}."""
@@ -176,18 +173,6 @@ class DocumentEventStream:
         return out
 
 
-_set_kinds = DocumentEventStream.kinds.__set__
-_set_labels = DocumentEventStream.labels.__set__
-
-
-def _stream(kinds: tuple, labels: tuple) -> DocumentEventStream:
-    """A stream of the given tuples, taken as they are."""
-    self = object.__new__(DocumentEventStream)
-    _set_kinds(self, kinds)
-    _set_labels(self, labels)
-    return self
-
-
 def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
     """Build a stream from raw events, checking every stream invariant.
 
@@ -202,7 +187,7 @@ def stream_from_events(events, reindex: bool = False) -> DocumentEventStream:
                 raise InvariantViolation("event index is not its position", pos,
                                          f"index {e.index}")
     _check_invariants(events)
-    return _stream(tuple(e.kind for e in events), tuple(e.label for e in events))
+    return DocumentEventStream(tuple(e.kind for e in events), tuple(e.label for e in events))
 
 
 def _check_invariants(events):
@@ -352,7 +337,7 @@ def parse_document(data: bytes) -> DocumentEventStream:
         # the handlers hold the parser and the parser holds the handlers:
         # without this, the names and texts live until the cyclic collector runs
         parser = None
-    return _stream(tuple(kinds), tuple(labels))
+    return DocumentEventStream(tuple(kinds), tuple(labels))
 
 
 def _check_head(head: bytes) -> None:
@@ -420,9 +405,9 @@ def _attributes(names: dict, attrs: list) -> list:
 # serialization back to XML (used by the corpus harness)
 
 _XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#xD;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", '"': "&quot;",
-                 "\t": "&#x9;", "\n": "&#xA;", "\r": "&#xD;"}
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#xD;"})
+_ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", '"': "&quot;",
+                               "\t": "&#x9;", "\n": "&#xA;", "\r": "&#xD;"})
 
 
 def serialize_xml(stream, declaration: bool = False) -> str:
@@ -459,13 +444,13 @@ def serialize_xml(stream, declaration: bool = False) -> str:
             parts = ["<", name_of(label)]
             if not root_done:
                 for ns in namespaces:
-                    parts.append(f' xmlns:{prefix[ns]}="{_escape(ns, _ATTR_ESCAPES)}"')
+                    parts.append(f' xmlns:{prefix[ns]}="{ns.translate(_ATTR_ESCAPES)}"')
                 root_done = True
             # attribute triples directly after a start tag fold into the tag
             j = i + 1
             while (j + 2 < n and kinds[j] == START
                    and isinstance(labels[j], QName) and labels[j].is_attr):
-                parts.append(f' {name_of(labels[j])}="{_escape(labels[j + 1], _ATTR_ESCAPES)}"')
+                parts.append(f' {name_of(labels[j])}="{labels[j + 1].translate(_ATTR_ESCAPES)}"')
                 j += 3
             if j < n and kinds[j] == END and labels[j] == label:
                 parts.append("/>")
@@ -489,8 +474,4 @@ def serialize_xml(stream, declaration: bool = False) -> str:
 def _render_text(value: str) -> str:
     if ("<" in value or "&" in value) and "]]>" not in value and "\r" not in value:
         return f"<![CDATA[{value}]]>"
-    return _escape(value, _TEXT_ESCAPES)
-
-
-def _escape(value: str, table) -> str:
-    return "".join(table.get(c, c) for c in value)
+    return value.translate(_TEXT_ESCAPES)

@@ -1,27 +1,29 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the production code paths they check: minimality
-is recomputed by brute force over all datatypes, cardealer conformance is
-a hand-written recursive descent with stdlib regexes, the small-stream
-enumerator produces every well-nested stream within depth/width bounds,
-the accepted-stream witness is a fixpoint of its own over the compiled tables,
-module minimization is the pairwise scan that restarts after each fold,
-the datatype-set validator checks each text against every member
-datatype instead of the compiled mask, the reference predicate of a
-datatype set is the determinized, minimized union of its members' DFAs,
-DFA pairs are compared by a breadth-first search of their product for
-a witness string, and the reference parser makes a new name object for
-every name it meets, as the event parser first did.
+is recomputed by brute force over all datatypes, both datatype orders are
+read from the definition file's lines and closed by fixpoint, cardealer
+conformance is a hand-written recursive descent with stdlib regexes, the
+small-stream enumerator produces every well-nested stream within
+depth/width bounds, the accepted-stream witness is a fixpoint of its own
+over the compiled tables, module minimization is the pairwise scan that
+restarts after each fold, the datatype-set validator checks each text
+against every member datatype instead of the compiled mask, the reference
+predicate of a datatype set is the determinized, minimized union of its
+members' DFAs, DFA pairs are compared by a breadth-first search of their
+product for a witness string, and the reference parser makes a new name
+object for every name it meets, as the event parser first did.
 """
 
 import re
 import xml.parsers.expat
 from collections import deque
-from functools import lru_cache
+from functools import cache, lru_cache
 from random import Random
 
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, compile_cxvpa, validate
+from xvpa.datatypes import DEFAULT_PATH
 from xvpa.dfa import Dfa, _boundaries, _Nfa
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
                          EncodingError, Event, MalformedXmlError, QName)
@@ -34,35 +36,19 @@ def member_accepts(dts, name: str, text: str) -> bool:
     return dts.datatypes[name].dfa.accepts(text)
 
 
-def brute_force_minimal(dts, text: str) -> frozenset:
-    """Test every datatype, keep the accepting ones with no strictly
-    smaller accepting datatype."""
-    return pairwise_minimal(dts, [n for n in dts.names() if member_accepts(dts, n, text)])
-
-
-def pairwise_minimal(dts, types) -> frozenset:
-    """The members of ``types`` with no other member below them, pair by
-    pair through ``lex_lt``."""
-    types = set(types)
-    return frozenset(a for a in types if not any(b != a and dts.lex_lt(b, a) for b in types))
-
-
-def pairwise_maxima(dts, types) -> frozenset:
-    """The members of ``types`` with no other member above them, pair by
-    pair through ``lex_lt``."""
-    types = set(types)
-    return frozenset(a for a in types if not any(b != a and dts.lex_lt(a, b) for b in types))
-
-
-def kinds_above(path: str) -> dict[str, set[str]]:
-    """Each kind's strictly higher kinds: the transitive closure, by
-    fixpoint, of the ``kindorder`` lines of a definition file."""
-    above: dict[str, set[str]] = {}
+def order_edges(path: str, keyword: str) -> list[tuple[str, str]]:
+    """The ``(lower, higher)`` pairs of a definition file's ``keyword``
+    lines, ``lexorder`` or ``kindorder``, in file order."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            fields = line.split()
-            if fields[:1] == ["kindorder"]:
-                above.setdefault(fields[1], set()).add(fields[2])
+        return [(fields[1], fields[2]) for fields in map(str.split, fh)
+                if fields[:1] == [keyword]]
+
+
+def _closure(edges) -> dict[str, set[str]]:
+    """Each node's strictly higher nodes over ``edges``, by fixpoint."""
+    above: dict[str, set[str]] = {}
+    for lower, higher in edges:
+        above.setdefault(lower, set()).add(higher)
     changed = True
     while changed:
         changed = False
@@ -73,16 +59,61 @@ def kinds_above(path: str) -> dict[str, set[str]]:
     return above
 
 
+def kinds_above(path: str) -> dict[str, set[str]]:
+    """Each kind's strictly higher kinds: the transitive closure of the
+    ``kindorder`` lines of a definition file."""
+    return _closure(order_edges(path, "kindorder"))
+
+
+@cache
+def lex_above(path: str) -> dict[str, set[str]]:
+    """Each datatype's strictly larger datatypes: the transitive closure
+    of the ``lexorder`` lines of a definition file, read once per path."""
+    return _closure(order_edges(path, "lexorder"))
+
+
+def lex_lt(a: str, b: str) -> bool:
+    """Strict lexical subsumption in the packaged definition file, the one
+    every datatype system the tests check loads."""
+    return b in lex_above(DEFAULT_PATH).get(a, ())
+
+
+def brute_force_minimal(dts, text: str) -> frozenset:
+    """Test every datatype, keep the accepting ones with no strictly
+    smaller accepting datatype."""
+    return pairwise_minimal([n for n in dts.datatypes if member_accepts(dts, n, text)])
+
+
+def pairwise_minimal(types) -> frozenset:
+    """The members of ``types`` with no other member below them, pair by
+    pair through ``lex_lt``."""
+    types = set(types)
+    return frozenset(a for a in types if not any(b != a and lex_lt(b, a) for b in types))
+
+
+def pairwise_maxima(types) -> frozenset:
+    """The members of ``types`` with no other member above them, pair by
+    pair through ``lex_lt``."""
+    types = set(types)
+    return frozenset(a for a in types if not any(b != a and lex_lt(a, b) for b in types))
+
+
 def pairwise_prefer(dts, above: dict[str, set[str]], types) -> frozenset:
     """The members of ``types`` whose kind lies above no member's kind,
     pair by pair through the kind closure ``above``."""
     types = set(types)
-    return frozenset(b for b in types
-                     if not any(dts.kind_of(b) in above.get(dts.kind_of(a), ()) for a in types))
+    kind = {name: dts.datatypes[name].kind for name in types}
+    return frozenset(b for b in types if not any(kind[b] in above.get(kind[a], ()) for a in types))
 
 
-def is_antichain(dts, types) -> bool:
-    return not any(a != b and dts.lex_lt(a, b) for a in types for b in types)
+def is_antichain(types) -> bool:
+    return not any(a != b and lex_lt(a, b) for a in types for b in types)
+
+
+def unchecked_stream(events) -> DocumentEventStream:
+    """The events' kinds and labels as a stream, unchecked, each at its
+    position whatever index it carries."""
+    return DocumentEventStream(tuple(e.kind for e in events), tuple(e.label for e in events))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +391,7 @@ def accepted_witness(model, dts, rng: Random | None = None):
 def member_accept_mask(dts):
     """A stand-in for the product's ``accept_mask``: the datatypes in
     ``live`` whose own DFA accepts the text, tested one by one."""
-    names = dts.names()
+    names = list(dts.datatypes)
 
     def accept_mask(text: str, live: int = -1) -> int:
         return sum(1 << i for i, name in enumerate(names)
@@ -408,7 +439,7 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
                 break
             if changed:
                 break
-    return Dxvpa(modules, m0, dxvpa.root_element, dxvpa.dts)
+    return Dxvpa(modules, m0, dxvpa.dts)
 
 
 def _copy_module(m: Module) -> Module:
@@ -628,7 +659,7 @@ def reference_parse(data: bytes) -> DocumentEventStream:
     callback.  Same events, same indices, same errors."""
     out: list[Event] = []
     _reference_events(data, out)
-    return DocumentEventStream(tuple(out))
+    return unchecked_stream(out)
 
 
 def events_before_error(data: bytes):

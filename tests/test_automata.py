@@ -19,13 +19,14 @@ from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
                            build_xvpa, compile_cxvpa, minimize, to_dot, validate)
+from xvpa.datatypes import DEFAULT_PATH, load_datatype_system
 from xvpa.harness import (STRUCTURAL_WRAPPING, InapplicableAttackError, cardealer_grammar,
                           generate, inject_attack)
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import StateFileError, dump_state, parse_state
 
 from .oracles import (enumerate_streams, member_accepts, minimize_pairwise, sample_string,
-                      validate_dxvpa)
+                      unchecked_stream, validate_dxvpa)
 from .samplers import mixed_corpus, sample
 
 A11 = NamingScheme("ancestor", 1, 1)
@@ -58,7 +59,7 @@ def test_cardealer_golden_modules(cardealer):
     assert module_names == ["ad model", "ad year", "dealer", "dealer newcars",
                             "dealer usedcars", "newcars ad", "usedcars ad"]
     assert len(dxvpa.modules) == 7
-    assert dxvpa.root_element == "dealer"
+    assert dxvpa.modules[dxvpa.m0].element == "dealer"
     assert dxvpa.m0 == ("dealer",)
     # the model module is shared: called from both ad modules
     callers = {key for key, mod in dxvpa.modules.items()
@@ -264,7 +265,7 @@ def _same_verdicts(left_dx, right_dx, streams) -> int:
 def test_structural_invariants_hold(cardealer, dts):
     _docs, dxvpa, _cx = cardealer
     # re-runs the constructor checks (entry states, mixed content)
-    type(dxvpa)(dxvpa.modules, dxvpa.m0, dxvpa.root_element, dts)
+    type(dxvpa)(dxvpa.modules, dxvpa.m0, dts)
     for mod in dxvpa.modules.values():
         internal_successors = {dst for dst, _ in mod.internals.values()}
         for src, (dst, _dts) in mod.internals.items():
@@ -562,15 +563,25 @@ def test_fold_of_self_calling_module_rewrites_its_returns(dts):
 
 
 def test_fold_leaves_no_return_naming_a_removed_state(dts):
-    """Two returns no run takes: one pops a state of q,a that makes no call
-    on its element, from a module q,a never calls; the other pops a name of
-    q,a that is no state.  Folding q,a into p,a drops both, as it drops
+    """Two returns no run takes.  One pops a name of q,a that is no state:
+    the snapshot trims it, and the untrimmed model is refused as a
+    transition that leaves its modules, so it never reaches minimize.  The
+    other pops a state of q,a that makes no call on its element, from a
+    module q,a never calls: folding q,a into p,a drops it, as it drops
     every return that pops a state of q,a, so no return names a removed
     state."""
     learner = learn_corpus(dts, A12, [ev.parse_document(SCHEME_CORPORA["a12-shared-callee"][1][0])])
     edited = parse_state(dump_state(learner) + "ret root,q|a x q,a|b q,a|b 1\n"
                          "ret a,b|%24 b q,a|zz q,a|b 1\n", dts)
-    raw = build_xvpa(edited.snapshot(), dts, False)
+    nameless = ((("a", "b"), ("$",)), "b", (("q", "a"), ("zz",)))
+    kept = ((("root", "q"), ("a",)), "x", (("q", "a"), ("b",)))
+    assert nameless in edited.vpa.rets and kept in edited.vpa.rets
+    snapshot = edited.snapshot()
+    assert nameless not in snapshot.rets and kept in snapshot.rets
+    with pytest.raises(AutomatonStructureError, match=r"\('zz',\).* leaves its modules"):
+        build_xvpa(edited.vpa, dts, False)
+    raw = build_xvpa(snapshot, dts, False)
+    assert kept[2] in {popped for mod in raw.modules.values() for popped, _c in mod.returns}
     folded = minimize(raw)
     assert_same_automaton(folded, minimize_pairwise(raw))
     assert ("q", "a") not in folded.modules
@@ -599,7 +610,7 @@ def test_single_datatype_predicate_equals_member(dts, master_seed):
     (key,) = cx.predicates
     assert key == frozenset({"boolean"})
     mask = cx.predicates[key]
-    assert mask == 1 << dts.names().index("boolean")
+    assert mask == 1 << list(dts.datatypes).index("boolean")
     rng = random.Random(master_seed + 12)
     boolean = dts.datatypes["boolean"].dfa
     texts = [sample_string(boolean, rng) for _ in range(50)]
@@ -615,7 +626,7 @@ def test_predicate_membership_cross_check(cardealer, dts, master_seed):
     datatype accepts."""
     _docs, _dx, cx = cardealer
     rng = random.Random(master_seed + 11)
-    pool = sorted(dts.names())
+    pool = sorted(dts.datatypes)
     for key, mask in cx.predicates.items():
         for _ in range(1000 // max(1, len(cx.predicates))):
             name = rng.choice(pool)
@@ -682,11 +693,11 @@ def test_validate_raw_event_sequences(cardealer):
         ([ev.start("dealer"), ev.start("newcars"), ev.end("dealer")], UNEXPECTED_END, 2),
     ]
     for events, reason, index in cases:
-        verdict = validate(cx, ev.DocumentEventStream(events))
+        verdict = validate(cx, unchecked_stream(events))
         assert (verdict.accepted, verdict.reason, verdict.event_index) == (False, reason, index)
     closed = [ev.start("dealer"), ev.start("newcars"), ev.end("newcars"),
               ev.start("usedcars"), ev.end("usedcars"), ev.end("dealer")]
-    assert validate(cx, ev.DocumentEventStream(closed)).accepted
+    assert validate(cx, unchecked_stream(closed)).accepted
     # labels that are not names and texts: a name's label as its string, a
     # text as a number
     named = [ev.Event(e.kind, e.label.render()) for e in closed]
@@ -696,7 +707,7 @@ def test_validate_raw_event_sequences(cardealer):
     numeric = [ev.Event(ev.CHARS, 1999) if e.label == "1999" else e for e in year]
     for events in (named, numeric):
         with pytest.raises(TypeError):
-            validate(cx, ev.DocumentEventStream(events))
+            validate(cx, unchecked_stream(events))
 
 
 def test_validate_reads_only_streams(cardealer, master_seed):
@@ -723,7 +734,7 @@ def test_validate_reads_only_streams(cardealer, master_seed):
             with pytest.raises(TypeError):
                 validate(cx, form)
         for cut in rng.sample(range(len(events)), 4):
-            prefix = validate(cx, ev.DocumentEventStream(events[:cut]))
+            prefix = validate(cx, unchecked_stream(events[:cut]))
             if not verdict.accepted and verdict.event_index < cut:
                 assert prefix == verdict
             else:
@@ -749,10 +760,10 @@ def test_validate_reports_the_event_position(cardealer):
     renumbered = ev.stream_from_events(gapped, reindex=True)
     assert renumbered == stream and validate(cx, renumbered) == verdict
     # an unchecked stream places each event at its position too
-    assert validate(cx, ev.DocumentEventStream(gapped)) == verdict
-    truncated = validate(cx, ev.DocumentEventStream(gapped[:position]))
+    assert validate(cx, unchecked_stream(gapped)) == verdict
+    truncated = validate(cx, unchecked_stream(gapped[:position]))
     assert (truncated.reason, truncated.event_index) == (PREMATURE_EOF, position - 1)
-    unknown = ev.DocumentEventStream([ev.Event(ev.START, ev.QName("", "dealer"), 5),
+    unknown = unchecked_stream([ev.Event(ev.START, ev.QName("", "dealer"), 5),
                                       ev.start("garage")])
     assert validate(cx, unknown).event_index == 1
 
@@ -802,7 +813,7 @@ def test_validator_total_over_random_event_sequences(cardealer, master_seed):
               lambda r: ev.text(r.choice(["5", "", "1999Z"]))]
     for _ in range(1500):
         events = [rng.choice(makers)(rng) for _ in range(rng.randint(0, 12))]
-        verdict = validate(cx, ev.DocumentEventStream(events))
+        verdict = validate(cx, unchecked_stream(events))
         assert isinstance(verdict.accepted, bool)
         if not verdict.accepted:
             assert verdict.reason is not None
@@ -945,6 +956,21 @@ def test_dot_golden_multi_exit_shared_callee(dts):
     assert to_dot(dxvpa) == _GOLDEN_MULTI_EXIT_DOT
     assert to_dot(dxvpa, compiled=True) == _GOLDEN_MULTI_EXIT_DOT.replace(
         'label="unsignedByte"', 'label="p0"')
+
+
+def test_dot_datatype_labels_escape_quotes_and_backslashes(tmp_path):
+    """A datatype name holding ``"`` and ``\\`` is escaped in a text
+    edge's label, as element names are in the others."""
+    with open(DEFAULT_PATH, encoding="utf-8") as fh:
+        definitions = re.sub(r"\bboolean\b", lambda _m: 'b"o\\ol', fh.read())
+    path = tmp_path / "dts.txt"
+    path.write_text(definitions, encoding="utf-8")
+    renamed = load_datatype_system(str(path))
+    learner = learn_corpus(renamed, A11, [ev.parse_document(b"<m>false</m>")])
+    dot = to_dot(build_xvpa(learner.snapshot(), renamed))
+    assert '  s1 -> s0 [label="b\\"o\\\\ol"];\n' in dot
+    labels = re.findall(r'label=("(?:[^"\\]|\\.)*")(?=[ \];])', dot)
+    assert len(labels) == dot.count("label=")
 
 
 def test_dot_labels_escape_quotes_and_backslashes(dts):

@@ -22,8 +22,8 @@ from xvpa.persistence import dump_state
 
 from .conftest import MASTER_SEED
 from .oracles import (brute_force_minimal, distinguishing_string, is_antichain, kinds_above,
-                      member_accepts, pairwise_maxima, pairwise_minimal, pairwise_prefer,
-                      sample_string, subset_counterexample)
+                      lex_lt, member_accepts, order_edges, pairwise_maxima, pairwise_minimal,
+                      pairwise_prefer, sample_string, subset_counterexample)
 from .samplers import SAMPLERS, mixed_corpus, sample
 from .test_automata import _load_benchmark_workloads
 
@@ -56,9 +56,9 @@ KIND_MEMBERS = {
 
 
 def test_datatype_inventory(dts):
-    assert set(dts.names()) == EXPECTED_DATATYPES
+    assert set(dts.datatypes) == EXPECTED_DATATYPES
     for kind, members in KIND_MEMBERS.items():
-        assert {n for n in dts.names() if dts.kind_of(n) == kind} == members
+        assert {n for n, d in dts.datatypes.items() if d.kind == kind} == members
 
 
 def test_accepts_point_values(dts):
@@ -98,11 +98,11 @@ def test_aggregate_point_values(dts):
     folded = None
     for text in ["1", "0", "true", "33"]:
         inferred = dts.infer(text)
-        folded = inferred if folded is None else dts.merge(folded, inferred)
+        folded = inferred if folded is None else dts.maxima(folded | inferred)
     assert folded == {"boolean", "unsignedByte"}
-    assert dts.merge({"byte"}, {"short"}) == {"short"}
+    assert dts.maxima({"byte"} | {"short"}) == {"short"}
     some = dts.infer("x y z")
-    assert dts.merge(some, some) == some
+    assert dts.maxima(some | some) == some
 
 
 # -- inference shared per accept mask ----------------------------------------
@@ -200,13 +200,13 @@ def test_a_long_text_leaves_nothing_in_the_text_cache():
 def test_every_order_edge_is_a_language_inclusion(dts):
     """Exact proof per edge: no string of the smaller language escapes the
     larger one (product construction over the two acceptors)."""
-    for small, large in dts.lex_edges:
+    for small, large in order_edges(DEFAULT_PATH, "lexorder"):
         witness = subset_counterexample(dts.datatypes[small].dfa, dts.datatypes[large].dfa)
         assert witness is None, f"{small} <= {large} violated by {witness!r}"
 
 
 def test_order_edges_are_strict(dts):
-    for small, large in dts.lex_edges:
+    for small, large in order_edges(DEFAULT_PATH, "lexorder"):
         witness = subset_counterexample(dts.datatypes[large].dfa, dts.datatypes[small].dfa)
         assert witness is not None, f"{small} and {large} are lexically equal"
 
@@ -215,7 +215,7 @@ def test_order_soundness_by_sampling(dts, master_seed):
     """1000 random members of the smaller language per edge, all accepted
     by the larger one."""
     rng = random.Random(master_seed)
-    for small, large in dts.lex_edges:
+    for small, large in order_edges(DEFAULT_PATH, "lexorder"):
         small_dfa = dts.datatypes[small].dfa
         large_dfa = dts.datatypes[large].dfa
         for _ in range(1000):
@@ -225,7 +225,7 @@ def test_order_soundness_by_sampling(dts, master_seed):
 
 
 def test_lexical_spaces_pairwise_distinct(dts):
-    names = dts.names()
+    names = list(dts.datatypes)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             witness = distinguishing_string(dts.datatypes[a].dfa, dts.datatypes[b].dfa)
@@ -233,16 +233,19 @@ def test_lexical_spaces_pairwise_distinct(dts):
 
 
 def test_top_is_unique_maximum(dts):
-    for name in dts.names():
+    """In the file's order every other datatype lies below top and top
+    below none, and the loaded order's maxima are top alone."""
+    for name in dts.datatypes:
         if name != "top":
-            assert dts.lex_lt(name, "top")
-    assert not any(dts.lex_lt("top", n) for n in dts.names())
+            assert lex_lt(name, "top")
+    assert not any(lex_lt("top", n) for n in dts.datatypes)
+    assert dts.maxima(dts.datatypes) == {"top"}
 
 
 def test_samplers_cover_their_datatypes(dts, master_seed):
     rng = random.Random(master_seed + 1)
-    assert set(SAMPLERS) == set(dts.names())
-    for name in dts.names():
+    assert set(SAMPLERS) == set(dts.datatypes)
+    for name in dts.datatypes:
         for _ in range(200):
             value = sample(name, rng)
             assert member_accepts(dts, name, value), (name, value)
@@ -256,7 +259,7 @@ def test_pruning_equals_brute_force_on_corpus(dts, master_seed):
         fast = dts.minimal_datatypes(text)
         assert fast == brute_force_minimal(dts, text), text
         assert fast, "minimal set must be nonempty"
-        assert is_antichain(dts, fast), (text, fast)
+        assert is_antichain(fast), (text, fast)
         for name in fast:
             assert member_accepts(dts, name, text)
 
@@ -272,7 +275,7 @@ def test_mask_orders_equal_pairwise_definitions(dts, master_seed, monkeypatch):
     definitions on every set of 1-3 datatypes and on 2,000 seeded random
     sets, and a generator with repeated names gives the same results as a
     set.  minimal_datatypes reads its set as the product's accept mask."""
-    names = dts.names()
+    names = list(dts.datatypes)
     above = kinds_above(DEFAULT_PATH)
     rng = random.Random(master_seed + 6)
     sets = [set(c) for size in (1, 2, 3) for c in itertools.combinations(names, size)]
@@ -281,8 +284,8 @@ def test_mask_orders_equal_pairwise_definitions(dts, master_seed, monkeypatch):
     monkeypatch.setattr(dts, "product", types.SimpleNamespace(accept_mask=lambda _text: mask))
     for members in sets:
         mask = sum(1 << names.index(n) for n in members)
-        assert dts.minimal_datatypes("") == pairwise_minimal(dts, members), members
-        maxima, preferred = pairwise_maxima(dts, members), pairwise_prefer(dts, above, members)
+        assert dts.minimal_datatypes("") == pairwise_minimal(members), members
+        maxima, preferred = pairwise_maxima(members), pairwise_prefer(dts, above, members)
         assert dts.maxima(members) == maxima, members
         assert dts.prefer(members) == preferred, members
         assert dts.maxima(n for n in [*members, *members]) == maxima
@@ -294,7 +297,7 @@ def test_infer_outputs_remain_antichains(dts, master_seed):
     for text in mixed_corpus(rng, 300):
         inferred = dts.infer(text)
         assert inferred
-        assert is_antichain(dts, inferred)
+        assert is_antichain(inferred)
         assert inferred <= dts.minimal_datatypes(text)
 
 
@@ -304,22 +307,22 @@ def test_aggregate_laws(dts, master_seed):
     sets = [dts.infer(t) for t in corpus]
     for _ in range(300):
         a, b, c = (rng.choice(sets) for _ in range(3))
-        ab = dts.merge(a, b)
-        assert ab == dts.merge(b, a)
-        assert dts.merge(a, a) == dts.maxima(a) == a
-        assert dts.merge(dts.merge(a, b), c) == dts.merge(a, dts.merge(b, c))
-        assert is_antichain(dts, ab)
+        ab = dts.maxima(a | b)
+        assert ab == dts.maxima(b | a)
+        assert dts.maxima(a | a) == dts.maxima(a) == a
+        assert dts.maxima(ab | c) == dts.maxima(a | dts.maxima(b | c))
+        assert is_antichain(ab)
 
 
 def test_aggregate_covers_both_inputs(dts, master_seed):
     """Every string accepted by a member of either input is accepted by
-    some member of the merge."""
+    some member of the maxima of their union."""
     rng = random.Random(master_seed + 5)
     texts = mixed_corpus(rng, 150)
     for _ in range(60):
         a = dts.infer(rng.choice(texts))
         b = dts.infer(rng.choice(texts))
-        merged = dts.merge(a, b)
+        merged = dts.maxima(a | b)
         for name in set(a) | set(b):
             for _ in range(20):
                 s = sample(name, rng)
@@ -406,7 +409,7 @@ def test_packaged_table_is_the_written_table(tmp_path):
 def test_packaged_file_loads_its_dfas_from_the_table(monkeypatch):
     built = _count_builds(monkeypatch)
     system = load_datatype_system()
-    assert built == [] and len(system.names()) == len(EXPECTED_DATATYPES)
+    assert built == [] and len(system.datatypes) == len(EXPECTED_DATATYPES)
 
 
 def test_edited_definition_file_builds_the_same_dfas(tmp_path, monkeypatch):
@@ -422,8 +425,8 @@ def test_edited_definition_file_builds_the_same_dfas(tmp_path, monkeypatch):
     rebuilt = load_datatype_system(str(copy))
     assert len(built) == len(EXPECTED_DATATYPES)
     assert rebuilt.content_hash != table.content_hash
-    assert rebuilt.names() == table.names()
-    for name in table.names():
+    assert list(rebuilt.datatypes) == list(table.datatypes)
+    for name in table.datatypes:
         assert (_dfa_fields(rebuilt.datatypes[name].dfa)
                 == _dfa_fields(table.datatypes[name].dfa)), name
     for text in CRITERION_1_TEXTS:

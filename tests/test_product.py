@@ -59,7 +59,7 @@ def _coaccessible(dfa) -> set:
 def _assert_member_masks(dts, prefix):
     """The product state after ``prefix``: its accept and live masks and
     its component states are the member DFAs'."""
-    names = dts.names()
+    names = list(dts.datatypes)
     s = dts.product.run(prefix, -1)
     accept, live = (s.accept, s.live) if s is not None else (0, 0)
     for i, name in enumerate(names):
@@ -75,7 +75,7 @@ def _assert_member_masks(dts, prefix):
        st.sets(st.integers(0, 40), min_size=1, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_product_masks_equal_member_dfas(dts, text, picks):
-    names = dts.names()
+    names = list(dts.datatypes)
     for end in range(len(text) + 1):
         _assert_member_masks(dts, text[:end])
     key = frozenset(names[i % len(names)] for i in picks)
@@ -100,7 +100,7 @@ def test_chunked_run_masks_at_chunk_edges(dts, text, pick):
     lengths next to each multiple of ``CHUNK``, the run's masks are the
     member DFAs', and a run for one datatype gives None exactly when that
     datatype is dead."""
-    one = pick % len(dts.names())
+    one = pick % len(list(dts.datatypes))
     ends = {len(text)} | {end for k in range(0, len(text) + CHUNK, CHUNK)
                           for end in (k - 1, k, k + 1) if 0 <= end <= len(text)}
     for end in sorted(ends):
@@ -179,7 +179,7 @@ def test_product_memory_is_bounded_by_member_intervals():
                                                                     for n in key)
     assert dts.minimal_datatypes(text) == {"top"}
     assert dts.minimal_datatypes(xml_chars) == brute_force_minimal(dts, xml_chars) == {"token"}
-    reachable = _reachable_product([dts.datatypes[name].dfa for name in dts.names()])
+    reachable = _reachable_product([dts.datatypes[name].dfa for name in list(dts.datatypes)])
     assert set(product.states) <= reachable
     for comps, s in product.states.items():
         assert s.comps == comps and len(s.next) <= ASCII
@@ -236,7 +236,7 @@ def test_concurrent_validation_on_a_cold_product(master_seed):
 # -- the text memo ---------------------------------------------------------------
 
 def _member_mask(dts, text) -> int:
-    return sum(1 << i for i, name in enumerate(dts.names()) if member_accepts(dts, name, text))
+    return sum(1 << i for i, name in enumerate(list(dts.datatypes)) if member_accepts(dts, name, text))
 
 
 def _cold(mask, product, text) -> bool:
@@ -253,7 +253,7 @@ def test_memo_hit_equals_the_cold_run_and_member_dfas(dts, text, picks):
     """A short text's first answer fills the memo with its full-scan mask,
     and the answer from the memo then equals the early-exit run and the
     member DFAs; a text over the bound never enters the memo."""
-    names = dts.names()
+    names = list(dts.datatypes)
     key = frozenset(names[i % len(names)] for i in picks)
     mask = dts.mask(key)
     product = dts.product
@@ -275,7 +275,7 @@ def test_every_predicate_answers_from_the_memo_as_its_members():
         learner.learn(doc)
     compiled = compile_cxvpa(build_xvpa(learner.snapshot(), dts)).predicates
     assert len(compiled) >= 2
-    masks = [(frozenset([name]), dts.mask([name])) for name in dts.names()]
+    masks = [(frozenset([name]), dts.mask([name])) for name in list(dts.datatypes)]
     masks += compiled.items()
     texts = CORPUS + NON_ASCII + EDGE
     for text in texts:

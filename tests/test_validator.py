@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from xvpa import events as ev
 from xvpa.automata import (DATATYPE_MISMATCH, UNEXPECTED_ELEMENT, UNEXPECTED_END, Cxvpa,
                            Validator, build_xvpa, compile_cxvpa, validate)
-from xvpa.events import (CHARS, DocumentEventStream, DoctypeRejectedError, EncodingError,
-                         MalformedXmlError, QName, parse_document, serialize_xml)
+from xvpa.events import (CHARS, DoctypeRejectedError, EncodingError, MalformedXmlError, QName,
+                         parse_document, serialize_xml)
 from xvpa.harness import build_cardealer_scenario
 from xvpa.learner import Learner, NamingScheme
 from xvpa.persistence import dump_state, parse_state
 
-from .oracles import events_before_error
+from .oracles import events_before_error, unchecked_stream
 from .test_automata import _load_benchmark_workloads
 from .test_events import _names_shared, _raw_elements, _tables_bounded, fresh_tables  # noqa: F401
 
@@ -135,7 +135,7 @@ def assert_push_consistent(model, raw, rng):
         elif got[0]:
             assert error is None and got == batch(model, raw)
         else:
-            assert got == outcome(validate(model, DocumentEventStream(events)))
+            assert got == outcome(validate(model, unchecked_stream(events)))
 
 
 def corrupted_copies(raw, rng, count):
