@@ -21,6 +21,7 @@ mutations are immutable; validators built from them never block learning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .automata import AutomatonStructureError, EmptyLanguageError, _matched_reach, build_xvpa
 from .events import CHARS, START, DocumentEventStream
@@ -28,6 +29,10 @@ from .weighted import START_STATE, TEXT_PLACEHOLDER, StateName, WeightedVpa
 
 ANCESTOR = "ancestor"
 ANCESTOR_SIBLING = "ancestor-sibling"
+
+SHAPE_DOC_MAX = 2**12  # the most events of a document whose shape the memo keeps
+SHAPE_MEMO_MAX = 2**14  # the most events of all kept shapes; the memo is cleared when full
+SIGHTINGS_MAX = 2**12  # the most shapes remembered as walked once; cleared when full
 
 
 class LearnerError(ValueError):
@@ -106,6 +111,13 @@ class Learner:
         self._series = series  # comma-joined entries, before _entries
         self._entries: list[str] = []  # one per document since
         self.sanitized = False
+        # the shape memo (see _run): shape -> packed run, the events of the
+        # kept shapes, hashes of shapes walked once, and the one copy of
+        # each key and name that the packed runs share
+        self._memo: dict = {}
+        self._memo_events = 0
+        self._seen: set[int] = set()
+        self._interned: dict = {}
 
     @property
     def documents_learned(self) -> int:
@@ -134,7 +146,7 @@ class Learner:
         self._check_input(stream)
         changes = 0
         for table, taken in zip(self._tables(), self._run(stream)):
-            for key, (count, target, _index) in taken.items():
+            for key, (count, target, _index) in taken:
                 old = table.get(key)
                 if old is None:
                     table[key] = count if target is None else (target, count)
@@ -165,7 +177,7 @@ class Learner:
         left = []
         for kind, table, taken in zip(("call", "text transition", "return", None, None),
                                       self._tables(), self._run(stream)):
-            for key, (count, target, index) in taken.items():
+            for key, (count, target, index) in taken:
                 old = table.get(key)
                 have = 0 if old is None else old if target is None else old[1]
                 if kind and not have:
@@ -194,13 +206,43 @@ class Learner:
     def _run(self, stream: DocumentEventStream):
         """The keys a document's run takes in each counter table.
 
+        Returns the call, text, return, state and final tables, in the order
+        of ``_tables``, each as ``(key, (count, target state, index of the
+        first event that takes it))`` pairs in the order the walk first
+        takes the keys; the state and final tables have no target (None).
+        Text keys are ``(source, datatype)``.  Targets are named, never
+        looked up, so the run does not depend on what the automaton holds.
+
+        Only the text keys depend on the texts.  Every other key, and each
+        text's source and target, follow from the document's shape: its
+        kinds and the names of its non-text events.  A shape walked a
+        second time is kept in the memo, and a document of a kept shape
+        infers and counts only its texts.
+        """
+        shape = (stream.kinds, tuple(map(getattr, stream.labels, repeat("_rendered"), repeat(None))))
+        packed = self._memo.get(shape)
+        if packed is None:
+            calls, ints, rets, states, finals, texts = self._walk(stream)
+            self._admit(shape, (calls, rets, states, finals), texts)
+            return calls.items(), ints.items(), rets.items(), states.items(), finals.items()
+        *tables, texts = packed
+        infer = self.dts.infer
+        labels = stream.labels
+        ints: dict = {}
+        texts = iter(texts)
+        for index, source, target in zip(texts, texts, texts):
+            for dt in sorted(infer(labels[index])):
+                ints.setdefault((source, dt), [0, target, index])[0] += 1
+        calls, rets, states, finals = (zip(t[::4], zip(t[1::4], t[2::4], t[3::4])) for t in tables)
+        return calls, ints.items(), rets, states, finals
+
+    def _walk(self, stream: DocumentEventStream):
+        """Name a document's run event by event: ``_run``'s tables as dicts
+        from a key to ``[count, target, first index]``, and its texts as a
+        flat list of ``index, source, target``.
+
         The walk zips the stream's index, kind and label sequences, so it
-        builds no Event.  Returns the call, text, return, state and final
-        tables, in the order of ``_tables``; each maps a key to ``[count, target state,
-        index of the first event that takes it]``, where the state and
-        final tables have no target (None).  Text keys are ``(source,
-        datatype)``.  Targets are named, never looked up, so the run does
-        not depend on what the automaton holds.
+        builds no Event.
         """
         scheme = self.scheme
         infer = self.dts.infer
@@ -208,6 +250,7 @@ class Learner:
         ints: dict = {}
         rets: dict = {}
         states: dict = {}
+        texts: list = []
         stack: list[StateName] = []
         q = START_STATE
         index = -1
@@ -216,6 +259,7 @@ class Learner:
         for index, kind, label in zip(stream.indices, stream.kinds, stream.labels):
             if kind == CHARS:
                 q2 = int_name(scheme, q)
+                texts += index, q, q2
                 for dt in sorted(infer(label)):
                     ints.setdefault((q, dt), [0, q2, index])[0] += 1
             else:
@@ -230,7 +274,42 @@ class Learner:
                     rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
             states.setdefault(q2, [0, None, index])[0] += 1
             q = q2
-        return calls, ints, rets, states, {q: [1, None, index]}
+        return calls, ints, rets, states, {q: [1, None, index]}, texts
+
+    def _admit(self, shape, tables, texts) -> None:
+        """Keep a walked shape in the memo on its second sighting, unless
+        it has more than ``SHAPE_DOC_MAX`` events; the memo is cleared
+        before it would hold more than ``SHAPE_MEMO_MAX``.  A kept run is
+        one flat tuple per table, ``key, count, target, index`` per key,
+        and one of ``index, source, target`` per text, with every key and
+        name interned, so shapes that share keys share one copy."""
+        events = len(shape[0])
+        if events > SHAPE_DOC_MAX:
+            return
+        sighting = hash(shape)
+        if sighting not in self._seen:
+            if len(self._seen) >= SIGHTINGS_MAX:
+                self._seen.clear()
+            self._seen.add(sighting)
+            return
+        if self._memo_events + events > SHAPE_MEMO_MAX:
+            self._memo.clear()
+            self._interned.clear()
+            self._memo_events = 0
+        self._memo_events += events
+        intern = self._interned.setdefault
+        packed = []
+        for table in tables:
+            flat = []
+            for key, (count, target, index) in table.items():
+                flat += intern(key, key), count, intern(target, target), index
+            packed.append(tuple(flat))
+        flat = []
+        texts = iter(texts)
+        for index, source, target in zip(texts, texts, texts):
+            flat += index, intern(source, source), intern(target, target)
+        packed.append(tuple(flat))
+        self._memo[shape] = tuple(packed)
 
     def _tables(self):
         v = self.vpa

@@ -11,8 +11,10 @@ restarts after each fold, the datatype-set validator checks each text
 against every member datatype instead of the compiled mask, the reference
 predicate of a datatype set is the determinized, minimized union of its
 members' DFAs, DFA pairs are compared by a breadth-first search of their
-product for a witness string, and the reference parser makes a new name
-object for every name it meets, as the event parser first did.
+product for a witness string, the reference parser makes a new name
+object for every name it meets, as the event parser first did, and the
+reference run names every event's state for every document, as the
+learner did before it kept the runs of the shapes it has walked.
 """
 
 import re
@@ -27,6 +29,7 @@ from xvpa.datatypes import DEFAULT_PATH
 from xvpa.dfa import Dfa, _boundaries, _Nfa
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
                          EncodingError, Event, MalformedXmlError, QName)
+from xvpa.learner import call_name, int_name, ret_name
 from xvpa.weighted import START_STATE
 
 
@@ -114,6 +117,40 @@ def unchecked_stream(events) -> DocumentEventStream:
     """The events' kinds and labels as a stream, unchecked, each at its
     position whatever index it carries."""
     return DocumentEventStream(tuple(e.kind for e in events), tuple(e.label for e in events))
+
+
+def reference_run(learner, stream):
+    """The keys a document's run takes in each counter table, named event
+    by event: the call, text, return, state and final tables, each a dict
+    from a key to ``[count, target state, index of the first event that
+    takes it]`` in the order the walk first takes the keys."""
+    scheme = learner.scheme
+    infer = learner.dts.infer
+    calls: dict = {}
+    ints: dict = {}
+    rets: dict = {}
+    states: dict = {}
+    stack = []
+    q = START_STATE
+    index = -1
+    for index, kind, label in zip(stream.indices, stream.kinds, stream.labels):
+        if kind == CHARS:
+            q2 = int_name(scheme, q)
+            for dt in sorted(infer(label)):
+                ints.setdefault((q, dt), [0, q2, index])[0] += 1
+        else:
+            element = label._rendered
+            if kind == START:
+                q2 = call_name(scheme, q, element)
+                calls.setdefault((q, element), [0, q2, index])[0] += 1
+                stack.append(q)
+            else:
+                popped = stack.pop()
+                q2 = ret_name(scheme, q, popped, element)
+                rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
+        states.setdefault(q2, [0, None, index])[0] += 1
+        q = q2
+    return calls, ints, rets, states, {q: [1, None, index]}
 
 
 # ---------------------------------------------------------------------------

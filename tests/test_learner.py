@@ -1,5 +1,6 @@
 """State naming, incremental learning, unlearning, and sanitization."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
+from xvpa import learner as learner_module
 from xvpa.automata import build_xvpa, compile_cxvpa, validate
 from xvpa.learner import (ANCESTOR_SIBLING, CounterUnderflowError, Learner,
                           MissingTransitionError, NamingScheme,
@@ -14,7 +16,7 @@ from xvpa.learner import (ANCESTOR_SIBLING, CounterUnderflowError, Learner,
 from xvpa.persistence import dump_state
 from xvpa.weighted import START_STATE
 
-from .oracles import accepted_witness, structure
+from .oracles import accepted_witness, reference_run, structure, unchecked_stream
 from .samplers import sample
 from .test_automata import _load_benchmark_workloads, _tree_events
 
@@ -462,3 +464,149 @@ def _random_doc(rng):
         events.append(ev.end(lab))
     events.append(ev.end("r"))
     return ev.stream_from_events(events)
+
+
+# -- the shape memo against the reference run -----------------------------------
+
+class ReferenceLearner(Learner):
+    """A learner whose every run is the reference walk, named event by
+    event for every document."""
+
+    def _run(self, stream):
+        return [taken.items() for taken in reference_run(self, stream)]
+
+
+def run_lists(run):
+    """A run as lists of ``(key, (count, target, first index))``, in order."""
+    return [[(key, tuple(value)) for key, value in taken] for taken in run]
+
+
+def tables(learner):
+    """The learner's counter tables with their keys in insertion order."""
+    return [list(table.items()) for table in learner._tables()]
+
+
+def outcome(step):
+    """What a learner operation returned, or the unlearn error it raised."""
+    try:
+        return step()
+    except MissingTransitionError as error:
+        return MissingTransitionError, error.index, str(error)
+    except CounterUnderflowError as error:
+        return CounterUnderflowError, str(error)
+
+
+_SKELETONS = st.recursive(
+    st.tuples(st.sampled_from("abc"), st.none()),
+    lambda kids: st.tuples(st.sampled_from("abc"), st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=6)
+# "" leaves its element empty, so a few documents change shape
+_FILLS = ["5", "12", "false", "x y", "cc", "P1Y", "2015Z", "-3.5", ""]
+
+
+def _filled(tree, texts):
+    """``tree``'s events, each leaf holding the next of ``texts``."""
+    label, kids = tree
+    if kids is None:
+        text = next(texts)
+        return [ev.start(label)] + ([ev.text(text)] if text else []) + [ev.end(label)]
+    return [ev.start(label)] + [e for kid in kids for e in _filled(kid, texts)] + [ev.end(label)]
+
+
+@given(st.sampled_from([A11, A12, NamingScheme("ancestor", 2, 3),
+                        NamingScheme(ANCESTOR_SIBLING, 1, 2), NamingScheme(ANCESTOR_SIBLING, 2, 2)]),
+       st.lists(_SKELETONS, min_size=1, max_size=3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_shape_memo_runs_equal_the_reference(dts, scheme, skeletons, data):
+    """Corpora that repeat a few shapes with other texts: every run has the
+    reference's keys, counts, targets and first indices in its order, and
+    learning and unlearning give the reference's mind changes, state
+    files, table orders and unlearn errors."""
+    def document():
+        tree = data.draw(st.sampled_from(skeletons))
+        texts = itertools.cycle(data.draw(st.lists(st.sampled_from(_FILLS), min_size=1, max_size=6)))
+        return ev.stream_from_events([ev.start("r")] + _filled(tree, texts) + [ev.end("r")])
+
+    learner, reference = Learner(dts, scheme), ReferenceLearner(dts, scheme)
+    learned = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        stream = document()
+        assert run_lists(learner._run(stream)) == run_lists(reference._run(stream))
+        assert learner.learn(stream) == reference.learn(stream)
+        learned.append(stream)
+        assert tables(learner) == tables(reference)
+    assert learner.mind_changes == reference.mind_changes
+    assert dump_state(learner) == dump_state(reference)
+    # learned documents, some more often than learned, and documents of a
+    # learned shape whose texts take transitions never learned
+    for _ in range(data.draw(st.integers(1, 12))):
+        stream = data.draw(st.sampled_from(learned)) if data.draw(st.booleans()) else document()
+        assert outcome(lambda: learner.unlearn(stream)) == outcome(lambda: reference.unlearn(stream))
+        assert tables(learner) == tables(reference)
+        assert dump_state(learner) == dump_state(reference)
+
+
+_SHAPES = [b"<r><x>5</x></r>", b"<r><x>cc</x><y>7</y></r>", b"<r><y><x>1</x></y></r>",
+           b"<r><x>9</x><x>false</x></r>"]
+_SAME_SHAPES = [b"<r><x>8</x></r>", b"<r><x>P1Y</x><y>x y</y></r>", b"<r><y><x>cc</x></y></r>",
+                b"<r><x>2</x><x>3</x></r>"]
+
+
+def test_shape_memo_cleared_past_its_bound(dts, monkeypatch):
+    """With room for two of the four shapes, keeping a third clears the
+    memo, and the state files are those of the reference walk and of a
+    learner under the memo's own bounds."""
+    steps = ([("learn", raw) for raw in _SHAPES + _SHAPES + _SAME_SHAPES + _SAME_SHAPES]
+             + [("unlearn", raw) for raw in _SAME_SHAPES + _SHAPES])
+    unbounded = Learner(dts, A12)
+    states = []
+    for name, raw in steps:
+        getattr(unbounded, name)(doc(raw))
+        states.append(dump_state(unbounded))
+    assert len(unbounded._memo) == 4
+    monkeypatch.setattr(learner_module, "SHAPE_MEMO_MAX", 15)
+    learner, reference = Learner(dts, A12), ReferenceLearner(dts, A12)
+    sizes = []
+    for (name, raw), state in zip(steps, states):
+        assert getattr(learner, name)(doc(raw)) == getattr(reference, name)(doc(raw))
+        assert learner._memo_events <= 15
+        sizes.append(len(learner._memo))
+        assert dump_state(learner) == dump_state(reference) == state
+    assert max(sizes) == 2 and any(b < a for a, b in zip(sizes, sizes[1:]))  # cleared
+
+
+def test_document_over_the_shape_bound_is_walked_not_kept(dts, monkeypatch):
+    monkeypatch.setattr(learner_module, "SHAPE_DOC_MAX", 7)
+    learner, reference = Learner(dts, A12), ReferenceLearner(dts, A12)
+    for raw in [b"<r><x>5</x><y>7</y></r>"] * 3 + [b"<r><x>5</x></r>"] * 3:
+        assert learner.learn(doc(raw)) == reference.learn(doc(raw))
+    # the 8-event shape was never even counted as sighted; the 5-event one was kept
+    assert [len(shape[0]) for shape in learner._memo] == [5] and len(learner._seen) == 1
+    assert dump_state(learner) == dump_state(reference)
+
+
+_UNCHECKED = {
+    "text label on a start": [ev.Event(ev.START, "r"), ev.end("r")],
+    "name label on a text": [ev.start("r"), ev.Event(ev.CHARS, ev.QName("", "x")), ev.end("r")],
+    "number label on a text": [ev.start("r"), ev.Event(ev.CHARS, 5), ev.end("r")],
+    "unmatched end": [ev.start("r"), ev.end("r"), ev.end("r")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNCHECKED))
+def test_unchecked_stream_raises_as_the_reference_walk(dts, case):
+    """An unchecked stream the walk cannot name raises what the reference
+    walk raises, also once every shape near it is kept, and changes
+    nothing."""
+    bad = unchecked_stream(_UNCHECKED[case])
+    with pytest.raises(Exception) as expected:
+        reference_run(Learner(dts, A11), bad)
+    learner = Learner(dts, A11)
+    for raw in (b"<r/>", b"<r>5</r>") * 2:
+        learner.learn(doc(raw))
+    assert len(learner._memo) == 2
+    before = dump_state(learner)
+    for step in (learner.learn, learner.unlearn, learner.learn):
+        with pytest.raises(expected.type):
+            step(bad)
+        assert dump_state(learner) == before

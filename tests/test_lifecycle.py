@@ -8,16 +8,20 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, p
                                  rule, run_state_machine_as_test)
 
 from xvpa.automata import build_xvpa, compile_cxvpa, minimize, validate
-from xvpa.events import parse_document, serialize_xml
+from xvpa.events import CHARS, DocumentEventStream, parse_document, serialize_xml
 from xvpa.harness import cardealer_grammar, generate
 from xvpa.learner import (ANCESTOR, ANCESTOR_SIBLING, Learner, MissingTransitionError,
                           NamingScheme, SanitizedStateError)
 from xvpa.persistence import dump_state, parse_state
 
 from .conftest import MASTER_SEED
-from .oracles import minimize_pairwise, validate_dxvpa
+from .oracles import minimize_pairwise, reference_run, validate_dxvpa
 from .test_automata import _load_benchmark_workloads, assert_same_automaton
 from .test_validator import batch, outcome, push, split
+
+# texts that keep a document's shape in place of its own: no whitespace at
+# either end, no markup
+VARIANT_TEXTS = ["7", "12", "true", "x y", "cc", "P1Y", "2015-01-01", "-3.5", "caf\u00e9"]
 
 ATTRIBUTES = [b'<a xmlns:p="urn:p" p:z="1" id="7"><b>x</b></a>',
               b'<a id="8"><b>5</b><b k="no">y z</b></a>',
@@ -70,6 +74,31 @@ class Lifecycle(RuleBasedStateMachine):
             changes = self.learner.learn(parse_document(raw))
             assert self.learner.mind_changes[-1] == changes
             self.learned.append((raw, before))
+
+    @precondition(lambda self: self.learned)
+    @rule(data=st.data())
+    def learn_variant(self, data):
+        """A learned document with other texts: the same shape, so its run
+        comes from the shape memo once the shape is kept, with text keys
+        that may be new."""
+        raw, _before = data.draw(st.sampled_from(self.learned))
+        stream = parse_document(raw)
+        texts = iter(data.draw(st.lists(st.sampled_from(VARIANT_TEXTS),
+                                        min_size=stream.kinds.count(CHARS),
+                                        max_size=stream.kinds.count(CHARS))))
+        labels = tuple(next(texts) if kind == CHARS else label
+                       for kind, label in zip(stream.kinds, stream.labels))
+        variant = serialize_xml(DocumentEventStream(stream.kinds, labels)).encode()
+        kinds, stream = stream.kinds, parse_document(variant)
+        assert (stream.kinds, stream.labels) == (kinds, labels)
+        want = [[(key, tuple(value)) for key, value in taken.items()]
+                for taken in reference_run(self.learner, stream)]
+        assert [[(key, tuple(value)) for key, value in taken]
+                for taken in self.learner._run(stream)] == want
+        before = dump_state(self.learner)
+        changes = self.learner.learn(stream)
+        assert self.learner.mind_changes[-1] == changes
+        self.learned.append((variant, before))
 
     @precondition(lambda self: self.learned and not self.sanitized)
     @rule()
