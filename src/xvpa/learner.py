@@ -4,9 +4,12 @@ States are named from stream prefixes so that equally named states merge;
 the naming schemes bound the left-sibling memory by ``k`` and the typing
 context by ``l``, which fixes the hypothesis space.  One walk names the
 states of a document's run and counts the keys it takes in each counter
-table.  Learning adds those counts, creating states and transitions on
-first contact.  Mind changes (counters flipping from zero to one) are
-recorded per document as a convergence heuristic.
+table.  The walk happens once per document shape (its kinds and the names
+of its non-text events): each learner keeps, in a bounded memo, the run of
+every shape it has walked twice, and a document of a kept shape infers
+and counts only its texts.  Learning adds those counts, creating states
+and transitions on first contact.  Mind changes (counters flipping from
+zero to one) are recorded per document as a convergence heuristic.
 
 Unlearning takes the same run as learning: it checks and then subtracts
 exactly those counts, deleting only the touched keys that reach zero, so

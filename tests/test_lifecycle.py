@@ -17,6 +17,7 @@ from xvpa.persistence import dump_state, parse_state
 from .conftest import MASTER_SEED
 from .oracles import minimize_pairwise, reference_run, validate_dxvpa
 from .test_automata import _load_benchmark_workloads, assert_same_automaton
+from .test_learner import run_lists
 from .test_validator import batch, outcome, push, split
 
 # texts that keep a document's shape in place of its own: no whitespace at
@@ -91,10 +92,8 @@ class Lifecycle(RuleBasedStateMachine):
         variant = serialize_xml(DocumentEventStream(stream.kinds, labels)).encode()
         kinds, stream = stream.kinds, parse_document(variant)
         assert (stream.kinds, stream.labels) == (kinds, labels)
-        want = [[(key, tuple(value)) for key, value in taken.items()]
-                for taken in reference_run(self.learner, stream)]
-        assert [[(key, tuple(value)) for key, value in taken]
-                for taken in self.learner._run(stream)] == want
+        want = run_lists(taken.items() for taken in reference_run(self.learner, stream))
+        assert run_lists(self.learner._run(stream)) == want
         before = dump_state(self.learner)
         changes = self.learner.learn(stream)
         assert self.learner.mind_changes[-1] == changes
