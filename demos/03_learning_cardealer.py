@@ -21,7 +21,8 @@ for i, doc in enumerate(docs):
 print(f"mind-change series: {learner.mind_changes}")
 
 dxvpa = build_xvpa(learner.snapshot(), dts)
-print(f"\n{len(dxvpa.modules)} modules (start: {' '.join(dxvpa.m0)}):")
+starts = "; ".join(" ".join(key) for key in dxvpa.roots.values())  # one per root element
+print(f"\n{len(dxvpa.modules)} modules (start: {starts}):")
 for key in sorted(dxvpa.modules, key=repr):
     mod = dxvpa.modules[key]
     datatypes = sorted({dt for _dst, dts_ in mod.internals.values() for dt in dts_})

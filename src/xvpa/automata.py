@@ -3,7 +3,9 @@
 A trimmed learner snapshot becomes a dXVPA: states partition into modules
 by typing context, each module has a single entry, its exit states share
 one return table (the single-exit property is the data shape), and
-internal transitions carry datatype choices.  Congruent modules for the
+internal transitions carry datatype choices.  The start state calls its
+root elements as any state calls an element, and each module it calls is
+a start module; a model may have several.  Congruent modules for the
 same element are folded.
 Compilation numbers the states once and lays the transitions out as
 integer tables keyed by rendered element labels; it replaces each state's
@@ -98,9 +100,11 @@ class Module:
     ``calls`` map (state, element) to the callee module; ``internals`` map
     a state to its unique successor and datatype choice; ``returns`` map
     (popped state, element) to a state of the calling module, and every
-    state in ``exits`` takes every return (single-exit property).  Returns
-    that pop the start state close the root element and are kept out of
-    ``returns``; the compiled model adds the root's call and return.
+    state in ``exits`` takes every return (single-exit property).  Calls
+    from the start state and returns that pop it open and close a root
+    element: they are kept out of ``calls`` and ``returns``, ``Dxvpa.roots``
+    holds the calls, and the compiled model adds each root's call and
+    return.
     """
 
     element: str
@@ -116,10 +120,11 @@ class Module:
 class Dxvpa:
     """Datatyped modular automaton over a lexical datatype system, as
     ``build_xvpa`` makes and checks it, its modules keyed by typing context.
-    The root element is the start module's, ``modules[m0].element``."""
+    ``roots`` maps each root element to its start module's key, the module
+    that the start state's call on that element enters."""
 
     modules: dict[tuple, Module]
-    m0: tuple
+    roots: dict[str, tuple]
     dts: object
 
 
@@ -140,8 +145,8 @@ class Cxvpa:
     * ``texts[q]`` is ``(mask, target)``, every datatype choice fused into
       one bitmask over the datatype product, or None.
 
-    The root element is an ordinary call from the start state into the
-    start module's entry; its return, taken by the start module's exits,
+    Each root element is an ordinary call from the start state into its
+    start module's entry; its return, taken by that module's exits,
     empties the stack and has no target (None).  No module call or return
     is keyed by the start state.  ``predicates`` maps each datatype set to
     its mask.  A text takes ``texts[q]`` when ``accept_mask(text, mask) &
@@ -163,8 +168,9 @@ class Cxvpa:
 def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxvpa:
     """Assemble a dXVPA from a trimmed snapshot.
 
-    Modules are the distinct nonempty typing contexts; the start module is
-    the one called from the start state; each module's entry is the state
+    Modules are the distinct nonempty typing contexts; the start state's
+    calls are read as any state's, and ``roots`` maps each root element to
+    the start module its call enters; each module's entry is the state
     with empty siblings; exits are states with outgoing returns, and the
     module's one return table, keyed by (popped state, element), holds the
     returns of all its exits, so each exit takes each of them.  A return
@@ -179,18 +185,10 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     content).  Each transition map is read once, so the cost is linear
     in the snapshot.
     """
-    root_calls = {key: dst for key, (dst, _w) in snapshot.calls.items() if key[0] == START_STATE}
-    if not root_calls or not snapshot.finals:
-        raise EmptyLanguageError("snapshot accepts no document")
-    root_elements = sorted({key[1] for key in root_calls})
-    if len(root_elements) > 1:
-        raise AutomatonStructureError(
-            f"snapshot has multiple root elements {root_elements}; one start module required")
-
     states_of: dict[tuple, set] = {}
     for q in snapshot.states:
         states_of.setdefault(q[0], set()).add(q)
-    states_of.pop((), None)  # the start state and the states after the root
+    states_of.pop((), None)  # the start state and the states after a root
     modules: dict[tuple, Module] = {}
     for ctx, states in states_of.items():
         entry = (ctx, ())
@@ -198,22 +196,21 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             raise AutomatonStructureError(f"module {ctx!r} lacks entry state")
         modules[ctx] = Module(element="", entry=entry, states=states)
 
-    m0 = next(iter(root_calls.values()))[0]
-    if m0 not in modules:
-        raise _outside_modules(next(iter(root_calls.items())))
-
     # transitions, partitioned by source module; a text target is a state of
     # the source's module, a return target one of the popped state's
     entry_elements: dict[tuple, set[str]] = {ctx: set() for ctx in modules}
-    entry_elements[m0].add(root_elements[0])
+    roots: dict[str, tuple] = {}
     for (q, c), (dst, _w) in snapshot.calls.items():
-        if q == START_STATE:
-            continue
         mod = modules.get(q[0])
-        if mod is None or q not in mod.states or dst[0] not in modules:
+        if q != START_STATE and (mod is None or q not in mod.states) or dst[0] not in modules:
             raise _outside_modules((q, c, dst))
-        mod.calls[(q, c)] = dst[0]
+        if q == START_STATE:
+            roots[c] = dst[0]
+        else:
+            mod.calls[(q, c)] = dst[0]
         entry_elements[dst[0]].add(c)
+    if not roots or not snapshot.finals:
+        raise EmptyLanguageError("snapshot accepts no document")
     choices: dict[StateName, tuple] = {}
     for (src, dt), (dst, _w) in snapshot.ints.items():
         choices.setdefault(src, (dst, set()))[1].add(dt)
@@ -229,7 +226,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
             raise _outside_modules((q, c, popped, dst))
         mod.exits.add(q)
         if popped == START_STATE:
-            continue  # root return: the compiled model adds it
+            continue  # a root's return: the compiled model adds it
         pmod = modules.get(popped[0])
         if pmod is None or popped not in pmod.states or dst not in pmod.states:
             raise _outside_modules((q, c, popped, dst))
@@ -254,7 +251,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
     if any(target in text_targets for mod in modules.values() for target in mod.returns.values()):
         raise AutomatonStructureError("return transition targets a datatype-choice successor")
 
-    dxvpa = Dxvpa(modules, m0, dts)
+    dxvpa = Dxvpa(modules, roots, dts)
     if minimize_modules:
         dxvpa = minimize(dxvpa)
     return dxvpa
@@ -360,7 +357,7 @@ def minimize(dxvpa: Dxvpa) -> Dxvpa:
         for (popped, c), target in mod.returns.items():
             if survivor[popped[0]] == popped[0]:
                 returns[(popped, c)] = target
-    return Dxvpa(folded, survivor[dxvpa.m0], dxvpa.dts)
+    return Dxvpa(folded, {c: survivor[key] for c, key in dxvpa.roots.items()}, dxvpa.dts)
 
 
 def _blocks(modules: dict) -> dict[StateName, int]:
@@ -405,14 +402,14 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
     one per distinct set.  No automaton is built; the product grows its
     states as texts need them."""
     modules = dxvpa.modules
-    m0 = modules[dxvpa.m0]
     ids = {START_STATE: 0}
     for mod in modules.values():
         for q in mod.states:
             ids[q] = len(ids)
     entries = {key: ids[mod.entry] for key, mod in modules.items()}
-    calls: dict[int, dict] = {0: {m0.element: ids[m0.entry]}}
-    returns: dict[int, dict] = {}
+    calls: dict[int, dict] = {0: {c: entries[key] for c, key in dxvpa.roots.items()}}
+    returns: dict[int, dict] = {0: {c: (None, frozenset(map(ids.__getitem__, modules[key].exits)))
+                                    for c, key in dxvpa.roots.items()}}
     texts: dict[int, tuple] = {}
     predicates: dict[frozenset, int] = {}
     for mod in modules.values():
@@ -423,8 +420,6 @@ def compile_cxvpa(dxvpa: Dxvpa) -> Cxvpa:
             else:
                 calls[q] = {c: entries[callee]}
         exits = frozenset(map(ids.__getitem__, mod.exits))
-        if mod is m0:
-            returns[0] = {m0.element: (None, exits)}
         for (popped, c), target in mod.returns.items():
             popped = ids[popped]
             if popped in returns:
@@ -656,10 +651,11 @@ def to_dot(automaton, compiled: bool = False) -> str:
     ids = {}
     lines = ["digraph xvpa {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
     predicates = {}  # numbered in the order the sorted edges first use them
+    starts = set(dxvpa.roots.values())
     for mi, key in enumerate(sorted(dxvpa.modules, key=repr)):
         mod = dxvpa.modules[key]
         lines.append(f"  subgraph cluster_{mi} {{")
-        star = " (start)" if key == dxvpa.m0 else ""
+        star = " (start)" if key in starts else ""
         lines.append(f'    label="{_dot_text(mod.element)}{star}";')
         for q in sorted(mod.states, key=repr):
             ids[q] = f"s{len(ids)}"

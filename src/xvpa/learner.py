@@ -6,7 +6,7 @@ context by ``l``, which fixes the hypothesis space.  One walk names the
 states of a document's run and counts the keys it takes in each counter
 table.  The walk happens once per document shape (its kinds and the names
 of its non-text events): each learner keeps, in a bounded memo, the run of
-every shape it has walked twice, and a document of a kept shape infers
+every shape it has learned twice, and a document of a kept shape infers
 and counts only its texts.  Learning adds those counts, creating states
 and transitions on first contact.  Mind changes (counters flipping from
 zero to one) are recorded per document as a convergence heuristic.
@@ -148,7 +148,7 @@ class Learner:
         """
         self._check_input(stream)
         changes = 0
-        for table, taken in zip(self._tables(), self._run(stream)):
+        for table, taken in zip(self._tables(), self._run(stream, admit=True)):
             for key, (count, target, _index) in taken:
                 old = table.get(key)
                 if old is None:
@@ -179,7 +179,7 @@ class Learner:
         underflow = None
         left = []
         for kind, table, taken in zip(("call", "text transition", "return", None, None),
-                                      self._tables(), self._run(stream)):
+                                      self._tables(), self._run(stream, admit=False)):
             for key, (count, target, index) in taken:
                 old = table.get(key)
                 have = 0 if old is None else old if target is None else old[1]
@@ -206,7 +206,7 @@ class Learner:
         if self._entries:
             self._entries.pop()
 
-    def _run(self, stream: DocumentEventStream):
+    def _run(self, stream: DocumentEventStream, admit: bool):
         """The keys a document's run takes in each counter table.
 
         Returns the call, text, return, state and final tables, in the order
@@ -218,15 +218,17 @@ class Learner:
 
         Only the text keys depend on the texts.  Every other key, and each
         text's source and target, follow from the document's shape: its
-        kinds and the names of its non-text events.  A shape walked a
-        second time is kept in the memo, and a document of a kept shape
+        kinds and the names of its non-text events.  A shape that ``learn``
+        walks a second time (``admit``) is kept in the memo; ``unlearn``
+        neither counts nor keeps a shape.  A document of a kept shape
         infers and counts only its texts.
         """
         shape = (stream.kinds, tuple(map(getattr, stream.labels, repeat("_rendered"), repeat(None))))
         packed = self._memo.get(shape)
         if packed is None:
             calls, ints, rets, states, finals, texts = self._walk(stream)
-            self._admit(shape, (calls, rets, states, finals), texts)
+            if admit:
+                self._admit(shape, (calls, rets, states, finals), texts)
             return calls.items(), ints.items(), rets.items(), states.items(), finals.items()
         *tables, texts = packed
         infer = self.dts.infer
@@ -280,7 +282,7 @@ class Learner:
         return calls, ints, rets, states, {q: [1, None, index]}, texts
 
     def _admit(self, shape, tables, texts) -> None:
-        """Keep a walked shape in the memo on its second sighting, unless
+        """Keep a learned shape in the memo on its second sighting, unless
         it has more than ``SHAPE_DOC_MAX`` events; the memo is cleared
         before it would hold more than ``SHAPE_MEMO_MAX``.  A kept run is
         one flat tuple per table, ``key, count, target, index`` per key,

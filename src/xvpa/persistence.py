@@ -6,12 +6,13 @@ sanitized flag, document count, mind-change series) followed by sorted
 counters.  No counter below 1 is stored or written, so saving is canonical:
 save-load-save is byte-identical, and unlearning the most recent document
 restores the previous file exactly.  Loading refuses every value
-``dump_state`` never writes: a ``sanitized`` flag other than 0 or 1, a
-count, series token or counter that is not canonical ASCII decimal, an
-entry line with the wrong number of fields, and a key given twice (exit 4
-at the command line).  It checks the mind-change series and the counters
-in one pass each, and hands the series' text to the learner, which parses
-it only when something reads it.
+``dump_state`` never writes: a header line missing, repeated or out of
+its place, a ``sanitized`` flag other than 0 or 1, a count, series token
+or counter that is not canonical ASCII decimal, an entry line with the
+wrong number of fields, and a key given twice (exit 4 at the command
+line).  It checks the mind-change series and the counters in one pass
+each, and hands the series' text to the learner, which parses it only
+when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
@@ -34,6 +35,7 @@ from .learner import ANCESTOR, Learner, NamingScheme
 FORMAT_NAME = "xvpa-state"
 FORMAT_VERSION = "1"
 _COUNT = re.compile("0|[1-9][0-9]*")  # a count as dump_state writes it
+_HEADER = ("mode", "k", "l", "datatypes", "sanitized", "documents", "mindchanges")
 
 
 class StateFileError(ValueError):
@@ -113,29 +115,21 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     if version != [FORMAT_VERSION]:
         raise StateFileError(f"unsupported state format {lines[0]!r}")
 
-    header: dict[str, str] = {}
-    body_at = len(lines)
-    for i, line in enumerate(lines[1:], 1):
-        key, _, rest = line.partition(" ")
-        if key in ("mode", "k", "l", "datatypes", "sanitized", "documents", "mindchanges"):
-            header[key] = rest
-        else:
-            body_at = i
-            break
+    # the header lines, each once and at its dump_state position
+    header = dict(line.partition(" ")[::2] for line in lines[1:len(_HEADER) + 1])
+    if tuple(header) != _HEADER:
+        raise StateFileError(f"bad state header: lines 2-8 are not {' '.join(_HEADER)}")
     for key in ("k", "l", "documents", "sanitized"):  # only values dump_state writes
-        value = header.get(key, "0")
+        value = header[key]
         if not (value in ("0", "1") if key == "sanitized" else _COUNT.fullmatch(value)):
             raise StateFileError(f"bad state header: {key} {value!r}")
+    mode, mc = header["mode"], header["mindchanges"]
     try:
-        mode = header["mode"]
         scheme = NamingScheme(mode, int(header["k"]), int(header["l"]))
-        dts_hash = header["datatypes"]
-        documents = int(header.get("documents", "0"))
-    except KeyError as exc:
-        raise StateFileError(f"bad state header: no {exc} line") from None
     except ValueError as exc:
         raise StateFileError(f"bad state header: {exc}") from None
-    mc = header.get("mindchanges", "-")
+    dts_hash = header["datatypes"]
+    documents = int(header["documents"])
     if not (documents == 0 if mc == "-" else _canonical_series("," + mc, documents)):
         raise StateFileError(f"bad state header: documents {documents} with mindchanges {mc!r:.40}")
     if dts_hash != dts.content_hash:
@@ -146,7 +140,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
 
     learner = Learner(dts, scheme, "" if mc == "-" else mc)
     learner.dts_hash = dts_hash
-    learner.sanitized = header.get("sanitized", "0") == "1"
+    learner.sanitized = header["sanitized"] == "1"
 
     v = learner.vpa
     decoded: dict[str, tuple] = {}  # a state token's name: get(token) or dec(token)
@@ -155,7 +149,7 @@ def parse_state(text: str, dts, require_hash: bool = True) -> Learner:
     int_to: dict[tuple, tuple] = {}  # the shared target of a text source
     counters = [""]  # each line's counter, checked at once after the loop
     try:
-        for line in lines[body_at:]:
+        for line in lines[len(_HEADER) + 1:]:
             if not line:
                 continue
             fields = line.split(" ")

@@ -458,7 +458,7 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
     input is not mutated.
     """
     modules = {k: _copy_module(m) for k, m in dxvpa.modules.items()}
-    m0 = dxvpa.m0
+    roots = dict(dxvpa.roots)
 
     changed = True
     while changed:
@@ -470,13 +470,12 @@ def minimize_pairwise(dxvpa: Dxvpa) -> Dxvpa:
                 if m.element != n.element or not _bisimilar(modules, m, n):
                     continue
                 _fold(modules, key_m, key_n)
-                if m0 == key_n:
-                    m0 = key_m
+                roots = {c: key_m if key == key_n else key for c, key in roots.items()}
                 changed = True
                 break
             if changed:
                 break
-    return Dxvpa(modules, m0, dxvpa.dts)
+    return Dxvpa(modules, roots, dxvpa.dts)
 
 
 def _copy_module(m: Module) -> Module:

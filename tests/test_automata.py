@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
-from xvpa import persistence
+from xvpa import cli, persistence
 from xvpa.automata import (DATATYPE_MISMATCH, PREMATURE_EOF, TRAILING_CONTENT,
                            UNEXPECTED_ELEMENT, UNEXPECTED_END,
                            AutomatonStructureError, EmptyLanguageError,
-                           build_xvpa, compile_cxvpa, minimize, to_dot, validate)
+                           Validator, build_xvpa, compile_cxvpa, minimize, to_dot, validate)
 from xvpa.datatypes import DEFAULT_PATH, load_datatype_system
 from xvpa.harness import (STRUCTURAL_WRAPPING, InapplicableAttackError, cardealer_grammar,
                           generate, inject_attack)
@@ -59,8 +59,7 @@ def test_cardealer_golden_modules(cardealer):
     assert module_names == ["ad model", "ad year", "dealer", "dealer newcars",
                             "dealer usedcars", "newcars ad", "usedcars ad"]
     assert len(dxvpa.modules) == 7
-    assert dxvpa.modules[dxvpa.m0].element == "dealer"
-    assert dxvpa.m0 == ("dealer",)
+    assert dxvpa.roots == {"dealer": ("dealer",)}
     # the model module is shared: called from both ad modules
     callers = {key for key, mod in dxvpa.modules.items()
                for (_q, c), callee in mod.calls.items() if callee == ("ad", "model")}
@@ -91,10 +90,68 @@ def test_empty_language_raises(dts):
         build_xvpa(learner.snapshot(), dts)
 
 
-def test_multiple_roots_rejected(dts):
-    learner = learn_corpus(dts, A11, [ev.parse_document(b"<a/>"), ev.parse_document(b"<b/>")])
-    with pytest.raises(AutomatonStructureError):
-        build_xvpa(learner.snapshot(), dts)
+_REQ, _RESP = b"<req><id>12</id></req>", b"<resp><ok>true</ok></resp>"
+
+
+def _verdicts(dxvpa, documents):
+    """``(accepted, reason, index)`` of each document on the batch route,
+    asserted equal to the push route's."""
+    model = compile_cxvpa(dxvpa)
+    got = []
+    for raw in documents:
+        batch = validate(model, ev.parse_document(raw))
+        validator = Validator(model)
+        validator.feed(raw)
+        push = validator.close()
+        assert batch == push, raw
+        got.append((batch.accepted, batch.reason, batch.event_index))
+    return got
+
+
+@pytest.mark.parametrize("scheme", [A12, A11, AS22], ids=["a12", "a11", "as22"])
+def test_two_roots(dts, scheme, tmp_path, capsys):
+    """A protocol with two message roots: the start state calls each, and
+    each module it calls is a start module.  Both routes accept each root's
+    documents and reject a root holding the other root's content;
+    unlearning one root's documents gives the other's one-root model; and
+    sanitize, stats and export-dot work on it."""
+    learner = learn_corpus(dts, scheme, [ev.parse_document(raw) for raw in (_REQ, _RESP) * 2])
+    dxvpa = build_xvpa(learner.snapshot(), dts)
+    assert sorted(dxvpa.roots) == ["req", "resp"]
+    assert to_dot(dxvpa).count("(start)") == 2
+    foreign = [b"<req><ok>true</ok></req>", b"<resp><id>12</id></resp>", b"<other/>"]
+    assert _verdicts(dxvpa, [_REQ, _RESP] + foreign) == [(True, None, None)] * 2 + [
+        (False, UNEXPECTED_ELEMENT, 1), (False, UNEXPECTED_ELEMENT, 1),
+        (False, UNEXPECTED_ELEMENT, 0)]
+
+    state = str(tmp_path / "state.txt")
+    persistence.save_state(learner, state)
+    capsys.readouterr()
+    assert cli.main(["stats", state]) == cli.EXIT_OK
+    assert "modules\t4\n" in capsys.readouterr().out
+    assert cli.main(["export-dot", state]) == cli.EXIT_OK
+    assert capsys.readouterr().out == to_dot(dxvpa)
+
+    # unlearning every <resp> document leaves the one-root model
+    one = learn_corpus(dts, scheme, [ev.parse_document(_REQ)] * 2)
+    unlearned = parse_state(dump_state(learner), dts)
+    for _ in range(2):
+        unlearned.unlearn(ev.parse_document(_RESP))
+    for compiled in (False, True):
+        assert to_dot(build_xvpa(unlearned.snapshot(), dts), compiled) == \
+            to_dot(build_xvpa(one.snapshot(), dts), compiled)
+
+    # sanitize keeps both roots seen twice, and trims a root seen once
+    assert learner.sanitize() is True
+    kept = build_xvpa(learner.snapshot(), dts)
+    assert _verdicts(kept, [_REQ, _RESP]) == [(True, None, None)] * 2
+    rare = learn_corpus(dts, scheme, [ev.parse_document(raw) for raw in [_REQ] * 5 + [_RESP]])
+    assert sorted(build_xvpa(rare.snapshot(), dts).roots) == ["req", "resp"]
+    assert rare.sanitize() is True
+    trimmed = build_xvpa(rare.snapshot(), dts)
+    assert list(trimmed.roots) == ["req"]
+    assert _verdicts(trimmed, [_REQ, _RESP]) == [(True, None, None),
+                                                 (False, UNEXPECTED_ELEMENT, 0)]
 
 
 def test_transition_outside_every_module_rejected(dts):
@@ -265,7 +322,7 @@ def _same_verdicts(left_dx, right_dx, streams) -> int:
 def test_structural_invariants_hold(cardealer, dts):
     _docs, dxvpa, _cx = cardealer
     # re-runs the constructor checks (entry states, mixed content)
-    type(dxvpa)(dxvpa.modules, dxvpa.m0, dts)
+    type(dxvpa)(dxvpa.modules, dxvpa.roots, dts)
     for mod in dxvpa.modules.values():
         internal_successors = {dst for dst, _ in mod.internals.values()}
         for src, (dst, _dts) in mod.internals.items():
@@ -361,7 +418,7 @@ def test_minimize_preserves_language(dts, master_seed):
 
 def assert_same_automaton(got, want):
     assert list(got.modules) == list(want.modules)
-    assert got.m0 == want.m0
+    assert got.roots == want.roots
     for key, mod in want.modules.items():
         assert got.modules[key] == mod, key
     assert to_dot(got) == to_dot(want)

@@ -452,13 +452,19 @@ def _corpus(tmp_path, train):
     return str(directory)
 
 
-def test_eval_structure_error_is_state_error(tmp_path, capsys):
-    """Two root elements make no model: a message and exit 4, not a
-    traceback and the "rejected" code."""
-    code = run(["eval", _corpus(tmp_path, [b"<a>5</a>", b"<b>5</b>"])])
-    err = capsys.readouterr().err
-    assert code == EXIT_STATE
-    assert err.startswith("error: ") and "multiple root elements" in err
+def test_eval_two_roots_evaluate(tmp_path, capsys):
+    """Two root elements make one model with two start modules: eval
+    accepts each root's normals, detects a root holding the other root's
+    content, and exits 0."""
+    corpus = _corpus(tmp_path, [b"<a>5</a>", b"<b>5</b>"])
+    for sub, name, payload in [("normal", "a.xml", b"<a>7</a>"), ("normal", "b.xml", b"<b>9</b>"),
+                               ("attack/nested", "ab.xml", b"<a><b>5</b></a>")]:
+        (tmp_path / "corpus" / "test" / sub).mkdir(parents=True, exist_ok=True)
+        (tmp_path / "corpus" / "test" / sub / name).write_bytes(payload)
+    assert run(["eval", corpus]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("normals accepted 2/2, attacks detected 1/1\n")
 
 
 def test_eval_malformed_training_document_is_parse_error(tmp_path, capsys):

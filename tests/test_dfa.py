@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xvpa.dfa import MAX_CP, MAX_EXPANSION, Dfa, PatternError, _Nfa, parse_pattern, refine
@@ -215,12 +215,20 @@ _PATTERNS = st.recursive(
 
 
 @given(_PATTERNS)
+@example(r"((((\num{3,17}){0,3})+){0,3}){0,3}")
 @settings(max_examples=150, deadline=None)
 def test_minimized_dfa_is_equivalent_and_minimal(pattern):
     """from_pattern's DFA accepts the language of the unminimized subset
-    construction, and no two of its states accept the same language."""
+    construction, and no two of its states accept the same language.  A
+    pattern that expands past ``MAX_EXPANSION`` is refused by both."""
+    try:
+        tree = parse_pattern(pattern)
+    except PatternError:
+        with pytest.raises(PatternError):
+            Dfa.from_pattern(pattern)
+        return
     nfa = _Nfa()
-    start, accept = nfa.fragment(parse_pattern(pattern))
+    start, accept = nfa.fragment(tree)
     raw = Dfa.from_nfa(nfa, start, {accept})
     dfa = Dfa.from_pattern(pattern)
     assert distinguishing_string(raw, dfa) is None

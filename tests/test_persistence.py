@@ -137,6 +137,14 @@ def _with_counter(tag, value):
         ("state", "1 "), ("int", "1 ")]),
     lambda t: "\n".join(l.rsplit(" ", 1)[0] if l.startswith("final ") else l
                         for l in t.split("\n")),
+    # header lines out of their dump_state positions: a repeated line (the
+    # first of two sanitized lines set, a second k line), a missing
+    # sanitized or documents line, and the k and l lines swapped
+    lambda t: t.replace("\nsanitized 0\n", "\nsanitized 1\nsanitized 0\n"),
+    lambda t: t.replace("\nk 1\n", "\nk 1\nk 2\n"),
+    *(lambda t, key=key: "\n".join(l for l in t.split("\n") if not l.startswith(key + " "))
+      for key in ("sanitized", "documents")),
+    lambda t: "\n".join(t.split("\n")[i] for i in (0, 1, 3, 2, *range(4, t.count("\n") + 1))),
 ])
 def test_corrupt_states_rejected(dts, mutate):
     text = dump_state(trained_learner(dts, n=2))

@@ -170,13 +170,18 @@ def benchmark_workloads():
 def test_push_matches_batch_on_hypothesis_documents(dts, body, prolog, seed):
     """Namespaces, unsorted attributes, CDATA, comments and whitespace
     runs, cut anywhere: validated against a model learned from the document
-    itself, which accepts it, and against a model learned from another."""
+    itself, which accepts it, against a model learned from another, and
+    against one learned from both, which accepts both."""
     raw = (prolog + body).encode("utf-8")
     rng = random.Random(seed)
     own = model_of(dts, A11, [raw])
     assert assert_push_matches_batch(own, raw, rng) == (True, None, None)
-    other = model_of(dts, A11, [b'<a xmlns:p="urn:p" p:z="1"><b>x</b></a>'])
-    assert_push_matches_batch(other, raw, rng)
+    other_raw = b'<a xmlns:p="urn:p" p:z="1"><b>x</b></a>'
+    assert_push_matches_batch(model_of(dts, A11, [other_raw]), raw, rng)
+    # two roots whenever raw's root is not a: both documents are accepted
+    both = model_of(dts, A11, [raw, other_raw])
+    for doc in (raw, other_raw):
+        assert assert_push_matches_batch(both, doc, rng) == (True, None, None)
     for copy in corrupted_copies(raw, rng, 2):
         assert_push_consistent(own, copy, rng)
 
