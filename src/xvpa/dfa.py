@@ -2,7 +2,7 @@
 
 Lexical spaces of datatypes are plain regular languages.  This module
 supplies everything needed to treat them as first-class objects: a small
-pattern dialect, Thompson NFA construction, subset-construction
+pattern dialect, its position automaton, subset-construction
 determinization, DFA minimization by ``refine`` (which also folds the
 modules of automata) and membership, and a lazily determinized product of
 several DFAs whose ``accept_mask`` classifies a text against all of them
@@ -83,7 +83,7 @@ DIGIT_CS = ((ord("0"), ord("9")),)
 _ESCAPES = {"n": "\n", "r": "\r", "t": "\t"}
 
 # The most atoms a pattern may unroll to.  A repetition count copies its
-# operand and a \num range makes states for every digit of its upper bound,
+# operand and a \num range makes positions for every digit of its upper bound,
 # so a short pattern such as a{99999} or (a{1000}){1000} would otherwise
 # build an automaton that determinization and minimization do not finish.
 # The packaged datatype file's largest pattern (long) unrolls to 349; at
@@ -93,7 +93,7 @@ MAX_EXPANSION = 1000
 # The most states subset construction may make.  A pattern within the
 # expansion bound can still determinize to exponentially many states:
 # (a|b)*a(a|b){k} has 2**(k+1).  The packaged datatype file's largest
-# DFA has 117 states before minimization.
+# DFA (long) has 113 states before minimization.
 MAX_DFA_STATES = 4096
 
 
@@ -128,10 +128,10 @@ class _Parser:
             self.error(f"pattern expands to more than {MAX_EXPANSION} atoms")
 
     def expansion(self, node) -> int:
-        """How many atoms ``node`` unrolls to in the NFA: a set or an
-        empty match is one, a \\num range one per state of its digit
-        automaton, and a repetition its operand times its largest count.
-        Memoized, since ``+`` shares its operand between two places."""
+        """How many atoms ``node`` unrolls to, a bound on its positions: a
+        set or an empty match is one, a \\num range one per key its digit
+        automaton may have, and a repetition its operand times its largest
+        count.  Memoized, since ``+`` shares its operand between two places."""
         size = self.sizes.get(id(node))
         if size is None:
             kind = node[0]
@@ -318,83 +318,75 @@ def parse_pattern(src: str):
 
 
 # ---------------------------------------------------------------------------
-# NFA with epsilon transitions
+# position automaton (Glushkov 1961; McNaughton & Yamada 1960)
 
-class _Nfa:
-    def __init__(self):
-        self.eps: list[set[int]] = []
-        self.edges: list[list[tuple[tuple[Interval, ...], int]]] = []
+class _Positions:
+    """The positions of a pattern's AST: each character set it reads,
+    with repetitions unrolled, is one position.  ``sets[p]`` is the set
+    position p reads and ``follow[p]`` the positions that may be read after
+    it; the position ``end`` reads nothing and follows each position the
+    text may stop after.  ``start`` holds the positions that may be read
+    first, and ``end`` too if the pattern matches the empty text."""
 
-    def new_state(self) -> int:
-        self.eps.append(set())
-        self.edges.append([])
-        return len(self.eps) - 1
+    def __init__(self, tree):
+        self.sets: list[tuple[Interval, ...]] = []
+        self.follow: list = []
+        nullable, first, last = self.walk(tree)
+        self.end = self.position(())
+        for p in last:
+            self.follow[p].add(self.end)
+        self.start = frozenset(first | {self.end} if nullable else first)
+        self.follow = [frozenset(f) for f in self.follow]
 
-    def add_edge(self, src: int, cs, dst: int):
-        self.edges[src].append((cs, dst))
+    def position(self, cs) -> int:
+        self.sets.append(cs)
+        self.follow.append(set())
+        return len(self.sets) - 1
 
-    def add_eps(self, src: int, dst: int):
-        self.eps[src].add(dst)
-
-    def fragment(self, node) -> tuple[int, int]:
+    def walk(self, node) -> tuple[bool, set[int], set[int]]:
+        """Whether ``node`` matches the empty text, and the positions it may
+        start and end with; fills the follow sets of its own positions."""
         kind = node[0]
-        if kind == "eps":
-            s = self.new_state()
-            return s, s
         if kind == "set":
-            s, t = self.new_state(), self.new_state()
-            self.add_edge(s, node[1], t)
-            return s, t
+            p = self.position(node[1])
+            return False, {p}, {p}
+        if kind == "eps":
+            return True, set(), set()
         if kind == "cat":
-            first, last = None, None
+            nullable, first, last = True, set(), set()
             for child in node[1]:
-                cs, ct = self.fragment(child)
-                if first is None:
-                    first = cs
-                else:
-                    self.add_eps(last, cs)
-                last = ct
-            return first, last
+                n, f, l = self.walk(child)
+                for p in last:
+                    self.follow[p] |= f
+                if nullable:
+                    first = first | f
+                last = last | l if n else l
+                nullable = nullable and n
+            return nullable, first, last
         if kind == "alt":
-            s, t = self.new_state(), self.new_state()
-            for child in node[1]:
-                cs, ct = self.fragment(child)
-                self.add_eps(s, cs)
-                self.add_eps(ct, t)
-            return s, t
+            parts = [self.walk(child) for child in node[1]]
+            return (any(n for n, _, _ in parts), set().union(*(f for _, f, _ in parts)),
+                    set().union(*(l for _, _, l in parts)))
         if kind == "star":
-            s, t = self.new_state(), self.new_state()
-            cs, ct = self.fragment(node[1])
-            self.add_eps(s, cs)
-            self.add_eps(ct, cs)
-            self.add_eps(s, t)
-            self.add_eps(ct, t)
-            return s, t
+            _, first, last = self.walk(node[1])
+            for p in last:
+                self.follow[p] |= first
+            return True, first, last
         if kind == "rep":
             _, child, lo, hi = node
-            parts = []
-            for _ in range(lo):
-                parts.append(child)
-            if hi is None:
-                parts.append(("star", child))
-            else:
-                for _ in range(hi - lo):
-                    parts.append(("alt", (child, ("eps",))))
-            if not parts:
-                return self.fragment(("eps",))
-            return self.fragment(("cat", tuple(parts)))
+            tail = [("star", child)] if hi is None else [("alt", (child, ("eps",)))] * (hi - lo)
+            return self.walk(("cat", (child,) * lo + tuple(tail)))
         if kind == "num":
-            return self._num_fragment(node[1], node[2])
+            return self.num(node[1], node[2])
         raise AssertionError(f"unknown AST node {kind}")
 
-    def _num_fragment(self, lo: int, hi: int) -> tuple[int, int]:
+    def num(self, lo: int, hi: int) -> tuple[bool, set[int], set[int]]:
         """The digit automaton for decimal strings whose value lies in
-        [lo, hi], leading zeros allowed, walked breadth-first from its start
-        ``"S"``: each state is added as the walk meets it, with its digit
-        edges and, if it accepts, an epsilon edge to the fragment's end.
-        ``"Z"`` has read only zeros, and ``("sig", m, rl, rh)`` m significant
-        digits, whose relations to the first m digits of lo and of hi are
-        ``rl`` and ``rh``."""
+        [lo, hi], leading zeros allowed, walked from its start ``"S"``:
+        ``"Z"`` has read only zeros, and ``("sig", m, rl, rh)`` m
+        significant digits, whose relations to the first m digits of lo and
+        of hi are ``rl`` and ``rh``.  The digits on which a key steps to the
+        same next key are one position."""
         los, his = str(lo), str(hi)
 
         def step(key, digit):
@@ -423,23 +415,25 @@ class _Nfa:
             le_hi = m < len(his) or (m == len(his) and rh in ("lt", "eq"))
             return ge_lo and le_hi
 
-        end = self.new_state()
-        ids = {"S": self.new_state()}
-        work = deque(["S"])
-        while work:
-            key = work.popleft()
-            if accepts(key):
-                self.add_eps(ids[key], end)
+        rows: dict = {"S": {}}  # key -> {next key: the digits stepping there, as codepoints}
+        keys = ["S"]
+        for key in keys:  # grows as the walk meets new keys
             for digit in range(10):
                 nxt = step(key, digit)
-                if nxt is None:
-                    continue
-                if nxt not in ids:
-                    ids[nxt] = self.new_state()
-                    work.append(nxt)
-                cp = ord("0") + digit
-                self.add_edge(ids[key], ((cp, cp),), ids[nxt])
-        return ids["S"], end
+                if nxt is not None:
+                    rows[key].setdefault(nxt, []).append(ord("0") + digit)
+                    if nxt not in rows:
+                        rows[nxt] = {}
+                        keys.append(nxt)
+        # step is monotone in the digit: the digits stepping to one key are a range
+        groups = {key: [(self.position(((cps[0], cps[-1]),)), nxt) for nxt, cps in row.items()]
+                  for key, row in rows.items()}
+        heads = {key: {p for p, _ in group} for key, group in groups.items()}
+        for group in groups.values():
+            for p, nxt in group:
+                self.follow[p] |= heads[nxt]
+        last = {p for group in groups.values() for p, nxt in group if accepts(nxt)}
+        return False, heads["S"], last
 
 
 def _cmp(a: int, b: int) -> str:
@@ -503,49 +497,24 @@ class Dfa:
 
     @classmethod
     def from_pattern(cls, pattern: str) -> "Dfa":
-        nfa = _Nfa()
-        start, accept = nfa.fragment(parse_pattern(pattern))
-        return cls.from_nfa(nfa, start, {accept}).minimized()
+        return cls.from_positions(_Positions(parse_pattern(pattern))).minimized()
 
     @classmethod
-    def from_nfa(cls, nfa: _Nfa, start: int, accepts: set[int]) -> "Dfa":
-        """Subset construction.  A DFA state is the set of NFA states with a
-        character edge, or accepting, in an epsilon closure: the closure of
-        each NFA state is computed once, and closing a union is the union
-        of the closures.  A state's NFA edges whose targets close to the
-        same set merge into one character set first; each such set finds
-        the atoms it covers by bisection over the merged sets' boundaries,
-        so a state costs its atoms plus its intervals, not their product."""
-        closures: dict[int, frozenset[int]] = {}
-
-        def closure(state: int) -> frozenset[int]:
-            hit = closures.get(state)
-            if hit is None:
-                seen = {state}
-                work = [state]
-                while work:
-                    for t in nfa.eps[work.pop()]:
-                        if t not in seen:
-                            seen.add(t)
-                            work.append(t)
-                hit = closures[state] = frozenset(
-                    t for t in seen if nfa.edges[t] or t in accepts)
-            return hit
-
-        start_set = closure(start)
-        index = {start_set: 0}
+    def from_positions(cls, positions: _Positions) -> "Dfa":
+        """Subset construction.  A DFA state is the set of positions that
+        may be read next, holding ``end`` when the text so far is accepted.
+        A state's positions with the same follow set merge into one
+        character set first; each such set finds the atoms it covers by
+        bisection over the merged sets' boundaries, so a state costs its
+        atoms plus its intervals, not their product."""
+        index = {positions.start: 0}
         tables: list[list[tuple[int, int, int]]] = [[]]
-        accepting = set()
-        if start_set & accepts:
-            accepting.add(0)
-        work = deque([start_set])
+        work = deque([positions.start])
         while work:
             cur = work.popleft()
-            cur_id = index[cur]
-            moves: dict[frozenset[int], list[Interval]] = {}  # closed target -> its intervals
-            for s in cur:
-                for cs, dst in nfa.edges[s]:
-                    moves.setdefault(closure(dst), []).extend(cs)
+            moves: dict[frozenset[int], list[Interval]] = {}  # follow set -> its intervals
+            for p in cur:
+                moves.setdefault(positions.follow[p], []).extend(positions.sets[p])
             merged = [(cs_normalize(ivs), tgt) for tgt, ivs in moves.items()]
             bounds = _boundaries(iv for cs, _ in merged for iv in cs)
             covering: list[list[frozenset[int]]] = [[] for _ in range(len(bounds) - 1)]
@@ -564,11 +533,10 @@ class Dfa:
                             f"pattern determinizes to more than {MAX_DFA_STATES} states")
                     index[tgt] = len(tables)
                     tables.append([])
-                    if tgt & accepts:
-                        accepting.add(index[tgt])
                     work.append(tgt)
                 rows.append((bounds[atom], bounds[atom + 1] - 1, index[tgt]))
-            tables[cur_id] = _merge_rows(rows)
+            tables[index[cur]] = _merge_rows(rows)
+        accepting = {i for state, i in index.items() if positions.end in state}
         return cls(len(tables), 0, accepting, tables)
 
     # -- transformations ----------------------------------------------------

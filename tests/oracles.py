@@ -9,12 +9,13 @@ depth/width bounds, the accepted-stream witness is a fixpoint of its own
 over the compiled tables, module minimization is the pairwise scan that
 restarts after each fold, the datatype-set validator checks each text
 against every member datatype instead of the compiled mask, the reference
-predicate of a datatype set is the determinized, minimized union of its
-members' DFAs, DFA pairs are compared by a breadth-first search of their
-product for a witness string, the reference parser makes a new name
-object for every name it meets, as the event parser first did, and the
-reference run names every event's state for every document, as the
-learner did before it kept the runs of the shapes it has walked.
+predicate of a datatype set is the minimized product of its members'
+DFAs, accepting where any member accepts, DFA pairs are compared by a
+breadth-first search of their product for a witness string, the
+reference parser makes a new name object for every name it meets, as the
+event parser first did, and the reference run names every event's state
+for every document, as the learner did before it kept the runs of the
+shapes it has walked.
 """
 
 import re
@@ -26,7 +27,7 @@ from random import Random
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, compile_cxvpa, validate
 from xvpa.datatypes import DEFAULT_PATH
-from xvpa.dfa import Dfa, _boundaries, _Nfa
+from xvpa.dfa import Dfa, _boundaries
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
                          EncodingError, Event, MalformedXmlError, QName)
 from xvpa.learner import call_name, int_name, ret_name
@@ -549,21 +550,28 @@ def _fold(modules: dict, key_m: tuple, key_n: tuple):
 # reference predicates: unions of member DFAs
 
 def union_dfas(dfas) -> Dfa:
-    """Language union as a single minimized DFA."""
-    nfa = _Nfa()
-    start = nfa.new_state()
-    accepts = set()
-    for d in dfas:
-        offset = len(nfa.eps)
-        for _ in range(d.n):
-            nfa.new_state()
-        nfa.add_eps(start, offset + d.start)
-        for s in range(d.n):
-            for lo, hi, dst in d.edges(s):
-                nfa.add_edge(offset + s, ((lo, hi),), offset + dst)
-            if s in d.accepting:
-                accepts.add(offset + s)
-    return Dfa.from_nfa(nfa, start, accepts).minimized()
+    """Language union as a single minimized DFA, by a walk over the
+    product of the members: a state is a tuple of member states (None
+    where a member is dead), its edges are the atomic intervals of its
+    members' edges, and it accepts when any member accepts."""
+    dfas = list(dfas)
+    states = [tuple(d.start for d in dfas)]
+    index = {states[0]: 0}
+    tables = []
+    for comps in states:  # grows as the walk meets new states
+        edges = [(((lo, hi),), dst) for d, c in zip(dfas, comps) if c is not None
+                 for lo, hi, dst in d.edges(c)]
+        rows = []
+        for lo, hi in atomic_intervals(edges):
+            nxt = tuple(None if c is None else d.step(c, lo) for d, c in zip(dfas, comps))
+            if nxt not in index:
+                index[nxt] = len(states)
+                states.append(nxt)
+            rows.append((lo, hi, index[nxt]))
+        tables.append(rows)
+    accepting = {i for i, comps in enumerate(states)
+                 if any(c in d.accepting for d, c in zip(dfas, comps))}
+    return Dfa(len(states), 0, accepting, tables).minimized()
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xvpa.dfa import MAX_CP, MAX_EXPANSION, Dfa, PatternError, _Nfa, parse_pattern, refine
+from xvpa import datatypes
+from xvpa.dfa import (MAX_CP, MAX_DFA_STATES, MAX_EXPANSION, Dfa, PatternError, _Positions,
+                      parse_pattern, refine)
 
 from .oracles import distinguishing_string, sample_string, subset_counterexample, union_dfas
 
@@ -108,6 +110,37 @@ def test_expansion_past_the_bound_is_refused(pattern):
     automaton is built."""
     with pytest.raises(PatternError, match="more than 1000 atoms|integer too large"):
         Dfa.from_pattern(pattern)
+
+
+def unminimized(pattern: str) -> Dfa:
+    """The DFA that subset construction builds from ``pattern``, before
+    minimization: the automaton ``MAX_DFA_STATES`` guards."""
+    return Dfa.from_positions(_Positions(parse_pattern(pattern)))
+
+
+def test_packaged_patterns_determinize_below_the_state_bound(monkeypatch):
+    """The packaged file's 41 patterns determinize to 816 states in all,
+    the largest (long) to 113, far below MAX_DFA_STATES."""
+    with open(datatypes.DEFAULT_PATH, "rb") as fh:
+        raw = fh.read()
+    patterns = []
+    original = Dfa.from_pattern
+    monkeypatch.setattr(datatypes.Dfa, "from_pattern",
+                        lambda pattern: patterns.append(pattern) or original(pattern))
+    system = datatypes._parse_definitions(raw, "", None)
+    sizes = {name: unminimized(pattern).n for name, pattern in zip(system.datatypes, patterns)}
+    assert len(sizes) == len(patterns) == 41
+    assert sum(sizes.values()) == 816
+    assert max(sizes.values()) == sizes["long"] == 113
+
+
+def test_state_bound_admits_4096_states_and_refuses_more():
+    """(a|b)*a(a|b){k} determinizes to 2**(k+1) states: k = 11 reaches
+    MAX_DFA_STATES exactly, and k = 12 is refused."""
+    assert MAX_DFA_STATES == 4096
+    assert unminimized("(a|b)*a(a|b){11}").n == 4096
+    with pytest.raises(PatternError, match="more than 4096 states"):
+        Dfa.from_pattern("(a|b)*a(a|b){12}")
 
 
 def test_expansion_at_the_bound_builds():
@@ -222,14 +255,12 @@ def test_minimized_dfa_is_equivalent_and_minimal(pattern):
     construction, and no two of its states accept the same language.  A
     pattern that expands past ``MAX_EXPANSION`` is refused by both."""
     try:
-        tree = parse_pattern(pattern)
+        parse_pattern(pattern)
     except PatternError:
         with pytest.raises(PatternError):
             Dfa.from_pattern(pattern)
         return
-    nfa = _Nfa()
-    start, accept = nfa.fragment(tree)
-    raw = Dfa.from_nfa(nfa, start, {accept})
+    raw = unminimized(pattern)
     dfa = Dfa.from_pattern(pattern)
     assert distinguishing_string(raw, dfa) is None
     tables = [list(dfa.edges(s)) for s in range(dfa.n)]
