@@ -36,7 +36,7 @@ from types import MappingProxyType
 from . import events
 from .dfa import refine
 from .events import (CHARS, END, START, DocumentEventStream, _attributes, _check_head,
-                     _doctype_error, _expat_parser, _malformed, _qname)
+                     _expat_parser, _malformed, _qname)
 from .weighted import START_STATE, StateName, WeightedVpa
 
 UNEXPECTED_ELEMENT = "unexpected-element"
@@ -458,40 +458,37 @@ def validate(model: Cxvpa, stream: DocumentEventStream) -> Verdict:
     """
     if not isinstance(stream, DocumentEventStream):
         raise TypeError("validate requires a DocumentEventStream")
-    try:
-        return _run(model, zip(stream.indices, stream.kinds, stream.labels))
-    except (AttributeError, TypeError) as exc:
-        raise TypeError("stream labels are not names and texts") from exc
-
-
-def _run(model: Cxvpa, run) -> Verdict:
     calls, returns, texts, accept = model.calls, model.returns, model.texts, model.accept_mask
     q = 0
     stack = []
     index = -1
-    for index, kind, label in run:
-        if kind == CHARS:
-            hit = texts[q]
-            if hit is None or not accept(label, hit[0]) & hit[0]:
-                return Verdict(False, DATATYPE_MISMATCH, index)
-            q = hit[1]
-        elif kind == START:
-            target = calls[q].get(label._rendered)
-            if target is None:
+    run = zip(stream.indices, stream.kinds, stream.labels)
+    try:
+        for index, kind, label in run:
+            if kind == CHARS:
+                hit = texts[q]
+                if hit is None or not accept(label, hit[0]) & hit[0]:
+                    return Verdict(False, DATATYPE_MISMATCH, index)
+                q = hit[1]
+            elif kind == START:
+                target = calls[q].get(label._rendered)
+                if target is None:
+                    return Verdict(False, UNEXPECTED_ELEMENT, index)
+                stack.append(q)
+                q = target
+            elif kind == END:
+                hit = returns[stack.pop()].get(label._rendered) if stack else None
+                if hit is None or q not in hit[1]:
+                    return Verdict(False, UNEXPECTED_END, index)
+                q = hit[0]
+                if not stack:
+                    break  # the root's return
+            else:
                 return Verdict(False, UNEXPECTED_ELEMENT, index)
-            stack.append(q)
-            q = target
-        elif kind == END:
-            hit = returns[stack.pop()].get(label._rendered) if stack else None
-            if hit is None or q not in hit[1]:
-                return Verdict(False, UNEXPECTED_END, index)
-            q = hit[0]
-            if not stack:
-                break  # the root's return
         else:
-            return Verdict(False, UNEXPECTED_ELEMENT, index)
-    else:
-        return Verdict(False, PREMATURE_EOF, index)
+            return Verdict(False, PREMATURE_EOF, index)
+    except (AttributeError, TypeError) as exc:
+        raise TypeError("stream labels are not names and texts") from exc
     for index, _kind, _label in run:
         return Verdict(False, TRAILING_CONTENT, index)
     return ACCEPT
@@ -505,15 +502,16 @@ class Validator:
     """Push-mode validation of one document, fused with its parse.
 
     ``feed(chunk)`` parses the next bytes and ``close()`` ends the input.
-    Expat callbacks drive ``validate``'s tables and transition rule: no
-    Event and no stream is built, names come from the shared tables of
-    ``parse_document`` (bound once per document) as the same QNames, and
-    attributes are read as the sorted ``start(@name), characters(value),
-    end(@name)`` triples it emits, which the event index counts.  Text is
-    buffered only until its run ends, so a whitespace-only run is still
-    dropped.  The checks of ``parse_document`` hold however the input is
-    chunked: UTF-8 only (the first four bytes are held back until all
-    four are seen), the declared encoding, and the DOCTYPE refusal.
+    Expat callbacks, installed by the setup ``parse_document`` uses, drive
+    ``validate``'s tables and rule: no Event and no stream is built, names
+    come from the shared tables of ``parse_document`` (bound once per
+    document) as the same QNames, and attributes are read as the sorted
+    ``start(@name), characters(value), end(@name)`` triples it emits, which
+    the event index counts.  Text is buffered only until its run ends, so a
+    whitespace-only run is still dropped.  The checks of ``parse_document``
+    hold however the input is chunked: UTF-8 only (the first four bytes are
+    held back until all four are seen), the declared encoding, and the
+    DOCTYPE refusal.
 
     The first rejection ends the document: reading stops there, and
     ``feed`` and ``close`` return that verdict (false) from then on.  Until
@@ -533,7 +531,6 @@ class Validator:
         index = 0  # of the next event
         buf: list[str] = []
         elements, attributes = events._shared
-        parser = _expat_parser()
 
         def flush_text():
             nonlocal q, index
@@ -581,14 +578,7 @@ class Validator:
             q = hit[0]
             index += 1
 
-        def on_doctype(*_args):
-            raise _doctype_error(parser)
-
-        parser.StartElementHandler = on_start
-        parser.EndElementHandler = on_end
-        parser.CharacterDataHandler = buf.append
-        parser.StartDoctypeDeclHandler = on_doctype
-        self._parser = parser
+        self._parser = _expat_parser(on_start, on_end, buf)
         self._head = b""  # the first bytes, until four are seen
         self._verdict: Verdict | None = None
 

@@ -23,9 +23,10 @@ attribute names in two bounded process-wide tables, so every start and
 end event of a name holds the same QName, and a name seen before builds
 none.  A QName renders its label (``{ns}local``, ``@`` for attributes)
 once, when it is made, so the learner and the validator read it without
-formatting.  The push route (``automata.Validator``) reads names through
-the same tables and orders attributes with the same helper, so this
-module alone turns expat names into labels.
+formatting.  The push route (``automata.Validator``) takes its expat
+parser, with its handlers and DOCTYPE refusal, from the same setup, reads
+names through the same tables and orders attributes with the same helper,
+so this module alone wires expat and turns expat names into labels.
 
 Streams are immutable and safe to share across threads; distinct documents
 may be parsed concurrently.
@@ -296,7 +297,6 @@ def parse_document(data: bytes) -> DocumentEventStream:
     buf: list[str] = []
     # bound once: a detach partway through leaves this parse its tables
     elements, attributes = _shared
-    parser = _expat_parser()
 
     def flush_text():
         run = "".join(buf)
@@ -321,22 +321,15 @@ def parse_document(data: bytes) -> DocumentEventStream:
         kinds.append(END)
         labels.append(elements[name])
 
-    def on_doctype(*_args):
-        raise _doctype_error(parser)
-
-    parser.StartElementHandler = on_start
-    parser.EndElementHandler = on_end
-    parser.CharacterDataHandler = buf.append
-    parser.StartDoctypeDeclHandler = on_doctype
-
+    parser = _expat_parser(on_start, on_end, buf)
     try:
         parser.Parse(bytes(data), True)
     except xml.parsers.expat.ExpatError as exc:
         raise _malformed(exc) from None
     finally:
-        # the handlers hold the parser and the parser holds the handlers:
+        # the DOCTYPE handler holds the parser, which holds the handlers:
         # without this, the names and texts live until the cyclic collector runs
-        parser = None
+        parser.StartDoctypeDeclHandler = None
     return DocumentEventStream(tuple(kinds), tuple(labels))
 
 
@@ -346,30 +339,34 @@ def _check_head(head: bytes) -> None:
         raise EncodingError("only UTF-8 documents are accepted")
 
 
-def _expat_parser():
-    """A namespace-aware expat parser that buffers text, reports attributes
-    in document order and refuses a declared encoding other than UTF-8.
-    The caller sets the element, text and DOCTYPE handlers."""
+def _expat_parser(on_start, on_end, buf: list):
+    """A namespace-aware expat parser that buffers text into ``buf``, calls
+    ``on_start`` (attributes in document order) and ``on_end``, and refuses
+    a declared encoding other than UTF-8 and, at its position, any inline
+    DOCTYPE.  That handler holds the parser: clear it when the parse ends."""
     # newline as separator: a namespace URI can never contain a literal
     # newline (attribute-value normalization replaces it), spaces it can
     parser = xml.parsers.expat.ParserCreate(namespace_separator="\n")
     parser.buffer_text = True
     parser.ordered_attributes = True
     parser.XmlDeclHandler = _check_declaration
+
+    def on_doctype(*_args):
+        raise DoctypeRejectedError(
+            "inline DOCTYPE declarations are rejected",
+            parser.ErrorLineNumber or parser.CurrentLineNumber,
+            parser.ErrorColumnNumber or parser.CurrentColumnNumber)
+
+    parser.StartElementHandler = on_start
+    parser.EndElementHandler = on_end
+    parser.CharacterDataHandler = buf.append
+    parser.StartDoctypeDeclHandler = on_doctype
     return parser
 
 
 def _check_declaration(version, encoding, _standalone):
     if encoding is not None and encoding.lower() not in ("utf-8",):
         raise EncodingError(f"declared encoding {encoding!r} is not supported")
-
-
-def _doctype_error(parser) -> DoctypeRejectedError:
-    """The error for an inline DOCTYPE, at the parser's position."""
-    return DoctypeRejectedError(
-        "inline DOCTYPE declarations are rejected",
-        parser.ErrorLineNumber or parser.CurrentLineNumber,
-        parser.ErrorColumnNumber or parser.CurrentColumnNumber)
 
 
 def _malformed(exc: xml.parsers.expat.ExpatError) -> MalformedXmlError:

@@ -2,14 +2,14 @@
 
 States are named from stream prefixes so that equally named states merge;
 the naming schemes bound the left-sibling memory by ``k`` and the typing
-context by ``l``, which fixes the hypothesis space.  One walk names the
-states of a document's run and counts the keys it takes in each counter
-table.  The walk happens once per document shape (its kinds and the names
-of its non-text events): each learner keeps, in a bounded memo, the run of
-every shape it has learned twice, and a document of a kept shape infers
-and counts only its texts.  Learning adds those counts, creating states
-and transitions on first contact.  Mind changes (counters flipping from
-zero to one) are recorded per document as a convergence heuristic.
+context by ``l``, which fixes the hypothesis space.  A walk names the
+states of a document's structure and counts the keys they take in each
+counter table, once per shape (its kinds and the names of its non-text
+events): each learner keeps, in a bounded memo, the run of every shape it
+has learned twice.  One loop infers and counts the texts of walked and kept
+runs.  Learning adds those counts, creating states and transitions on first
+contact.  Mind changes (counters flipping from zero to one) are recorded
+per document as a convergence heuristic.
 
 Unlearning takes the same run as learning: it checks and then subtracts
 exactly those counts, deleting only the touched keys that reach zero, so
@@ -220,17 +220,19 @@ class Learner:
         text's source and target, follow from the document's shape: its
         kinds and the names of its non-text events.  A shape that ``learn``
         walks a second time (``admit``) is kept in the memo; ``unlearn``
-        neither counts nor keeps a shape.  A document of a kept shape
-        infers and counts only its texts.
+        neither counts nor keeps a shape.  A document of a kept shape is not
+        walked; walked or kept, its texts are inferred and counted here.
         """
         shape = (stream.kinds, tuple(map(getattr, stream.labels, repeat("_rendered"), repeat(None))))
         packed = self._memo.get(shape)
         if packed is None:
-            calls, ints, rets, states, finals, texts = self._walk(stream)
+            *tables, texts = self._walk(stream)
             if admit:
-                self._admit(shape, (calls, rets, states, finals), texts)
-            return calls.items(), ints.items(), rets.items(), states.items(), finals.items()
-        *tables, texts = packed
+                self._admit(shape, tables, texts)
+            calls, rets, states, finals = (table.items() for table in tables)
+        else:
+            *tables, texts = packed
+            calls, rets, states, finals = (zip(t[::4], zip(t[1::4], t[2::4], t[3::4])) for t in tables)
         infer = self.dts.infer
         labels = stream.labels
         ints: dict = {}
@@ -238,21 +240,19 @@ class Learner:
         for index, source, target in zip(texts, texts, texts):
             for dt in sorted(infer(labels[index])):
                 ints.setdefault((source, dt), [0, target, index])[0] += 1
-        calls, rets, states, finals = (zip(t[::4], zip(t[1::4], t[2::4], t[3::4])) for t in tables)
         return calls, ints.items(), rets, states, finals
 
     def _walk(self, stream: DocumentEventStream):
-        """Name a document's run event by event: ``_run``'s tables as dicts
-        from a key to ``[count, target, first index]``, and its texts as a
-        flat list of ``index, source, target``.
+        """Name a document's structure event by event: ``_run``'s call,
+        return, state and final tables as dicts from a key to ``[count,
+        target, first index]``, and its texts, not inferred, as a flat list
+        of ``index, source, target``.
 
         The walk zips the stream's index, kind and label sequences, so it
         builds no Event.
         """
         scheme = self.scheme
-        infer = self.dts.infer
         calls: dict = {}
-        ints: dict = {}
         rets: dict = {}
         states: dict = {}
         texts: list = []
@@ -265,8 +265,6 @@ class Learner:
             if kind == CHARS:
                 q2 = int_name(scheme, q)
                 texts += index, q, q2
-                for dt in sorted(infer(label)):
-                    ints.setdefault((q, dt), [0, q2, index])[0] += 1
             else:
                 element = label._rendered
                 if kind == START:
@@ -279,7 +277,7 @@ class Learner:
                     rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
             states.setdefault(q2, [0, None, index])[0] += 1
             q = q2
-        return calls, ints, rets, states, {q: [1, None, index]}, texts
+        return calls, rets, states, {q: [1, None, index]}, texts
 
     def _admit(self, shape, tables, texts) -> None:
         """Keep a learned shape in the memo on its second sighting, unless
@@ -351,8 +349,11 @@ class Learner:
             build_xvpa(candidate, self.dts, False)
         except (EmptyLanguageError, AutomatonStructureError):
             return False  # revert: nothing was mutated
+        # a root's return is taken from any exit of its module
         reach = _matched_reach(candidate.calls, candidate.ints, candidate.rets)
-        if reach[START_STATE].isdisjoint(candidate.finals):
+        exits = {x for x, _c, _popped in candidate.rets}
+        if all(reach[e].isdisjoint(exits) for (q, _c), (e, _w) in candidate.calls.items()
+               if q == START_STATE):
             return False
         self.vpa = candidate
         self.sanitized = True

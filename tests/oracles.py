@@ -373,13 +373,15 @@ def accepted_witness(model, dts, rng: Random | None = None):
     """A stream that ``validate`` accepts on ``model``, or None when it
     accepts none.
 
-    A fixpoint over the compiled tables: ``found[e][(q, text)]`` is a run
-    from entry ``e`` to ``q`` at the same stack height, where ``text``
-    says that the run ends in a text, so that no second text follows it.
-    A call from ``q`` on ``c`` into entry ``f`` extends a run by any run of
-    ``f`` that ends in an exit taking the return for ``(q, c)``.  Every
-    ``(entry, state, text)`` is visited, so a stream is found whenever
-    one exists.  Texts are sampled from the reference predicates.
+    A fixpoint over the compiled tables, seeded with every root's entry:
+    ``found[e][(q, text)]`` is a run from entry ``e`` to ``q`` at the same
+    stack height, where ``text`` says that the run ends in a text, so that
+    no second text follows it.  A call from ``q`` on ``c`` into entry ``f``
+    extends a run by any run of ``f`` that ends in an exit taking the
+    return for ``(q, c)``.  Every ``(entry, state, text)`` is visited, so a
+    stream is found whenever one exists: a run of some root's entry that
+    ends in an exit taking that root's return.  Texts are sampled from the
+    reference predicates.
     """
     rng = rng or Random(0)
     texts = {}
@@ -394,9 +396,8 @@ def accepted_witness(model, dts, rng: Random | None = None):
     calls_of = {}
     for (q, c), entry in call_map.items():
         calls_of.setdefault(q, []).append((c, entry))
-    [(root, entry0)] = calls_of.pop(START_STATE)
-    finals = ret_map[(START_STATE, root)][1]
-    found = {entry0: {(entry0, False): []}}
+    roots = calls_of.pop(START_STATE)
+    found = {entry: {(entry, False): []} for _root, entry in roots}
     changed = True
     while changed:
         changed = False
@@ -417,9 +418,11 @@ def accepted_witness(model, dts, rng: Random | None = None):
                     if key not in found.setdefault(f, {}):
                         found[f][key] = events
                         changed = True
-    for (q, _text), run in found[entry0].items():
-        if q in finals:
-            return ev.stream_from_events([ev.start(root), *run, ev.end(root)], reindex=True)
+    for root, entry in roots:
+        finals = ret_map[(START_STATE, root)][1]
+        for (q, _text), run in found[entry].items():
+            if q in finals:
+                return ev.stream_from_events([ev.start(root), *run, ev.end(root)], reindex=True)
     return None
 
 

@@ -291,6 +291,19 @@ def test_sanitize_not_applicable_when_result_accepts_nothing(dts):
     assert not learner.sanitized
 
 
+def test_sanitize_takes_a_roots_return_from_any_exit(dts):
+    """No return that pops the start state survives the decrement in
+    ``c2``'s module, but the compiled model takes a root's return from any
+    exit of the root's module, and ``c2``'s entry is one (it returns from
+    the inner ``c2``): the model accepts ``<c2/>``, so sanitize applies."""
+    learner = Learner(dts, A11)
+    for raw in (b"<c1><a/>5</c1>", b"<c1><b/>5</c1>", b"<c2><c2/></c2>", b"<c2><c2/><x/></c2>"):
+        learner.learn(doc(raw))
+    assert sanitize_checked(dts, learner) is True
+    model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    assert validate(model, doc(b"<c2/>")).accepted
+
+
 def sanitize_checked(dts, learner) -> bool:
     """Sanitize, and check both outcomes: an applied result generates a
     model that accepts some document; a refused one changes nothing."""
@@ -349,9 +362,10 @@ _SMALL_TREES = st.recursive(
     st.tuples(st.sampled_from("abc"), st.sampled_from(["", "5", "x y"])),
     lambda kids: st.tuples(st.sampled_from("abc"), st.lists(kids, min_size=1, max_size=3)),
     max_leaves=8)
-_SMALL_DOCUMENTS = st.lists(_SMALL_TREES, max_size=3).map(lambda body: ev.stream_from_events(
-    [ev.start("r")] + [e for kid in body for e in _tree_events(kid)] + [ev.end("r")],
-    reindex=True))
+_SMALL_DOCUMENTS = st.tuples(st.sampled_from("ra"), st.lists(_SMALL_TREES, max_size=3)).map(
+    lambda drawn: ev.stream_from_events(
+        [ev.start(drawn[0])] + [e for kid in drawn[1] for e in _tree_events(kid)]
+        + [ev.end(drawn[0])], reindex=True))
 
 
 @given(st.sampled_from([A11, A12, NamingScheme(ANCESTOR_SIBLING, 1, 2),
