@@ -74,7 +74,7 @@ def _gc_paused(fn):
 
 
 class EmptyLanguageError(ValueError):
-    """The snapshot has no reachable final state: nothing to generate."""
+    """The snapshot has no root element: nothing to generate."""
 
 
 class AutomatonStructureError(ValueError):
@@ -209,7 +209,7 @@ def build_xvpa(snapshot: WeightedVpa, dts, minimize_modules: bool = True) -> Dxv
         else:
             mod.calls[(q, c)] = dst[0]
         entry_elements[dst[0]].add(c)
-    if not roots or not snapshot.finals:
+    if not roots:  # the compiled model ends a root at any exit of its module
         raise EmptyLanguageError("snapshot accepts no document")
     choices: dict[StateName, tuple] = {}
     for (src, dt), (dst, _w) in snapshot.ints.items():

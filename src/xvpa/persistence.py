@@ -42,16 +42,6 @@ class StateFileError(ValueError):
     """Unreadable, corrupt, or incompatible state file."""
 
 
-def _encode_token(token: str) -> str:
-    return quote(token, safe="")
-
-
-def _encode_context(ctx, mode: str) -> str:
-    if mode == ANCESTOR:
-        return ",".join(_encode_token(t) for t in ctx)
-    return "#".join(",".join(_encode_token(t) for t in seg) for seg in ctx)
-
-
 def _decode_tokens(text: str) -> tuple:
     """The comma-separated tokens of ``text``, unescaped."""
     tokens = text.split(",")
@@ -66,11 +56,6 @@ def _decode_context(text: str, mode: str):
     return tuple(map(_decode_tokens, text.split("#")))
 
 
-def encode_state(state, mode: str) -> str:
-    ctx, sibs = state
-    return _encode_context(ctx, mode) + "|" + ",".join(_encode_token(t) for t in sibs)
-
-
 def decode_state(text: str, mode: str):
     ctx_text, _, sib_text = text.partition("|")
     return (_decode_context(ctx_text, mode), _decode_tokens(sib_text) if sib_text else ())
@@ -79,7 +64,12 @@ def decode_state(text: str, mode: str):
 def dump_state(learner: Learner) -> str:
     """Canonical text form of a learner (header plus sorted entry lines)."""
     mode = learner.scheme.mode
-    enc = lambda q: encode_state(q, mode)
+    tokens: dict[str, str] = {}  # a token, percent-encoded: tok(t) or etok(t)
+    tok, etok = tokens.get, lambda t: tokens.setdefault(t, quote(t, safe=""))
+    seg = lambda s: ",".join([tok(t) or etok(t) for t in s])
+    names: dict[tuple, str] = {}  # a state's encoding: get(q) or enc(q)
+    get, enc = names.get, lambda q: names.setdefault(q, (
+        seg(q[0]) if mode == ANCESTOR else "#".join(map(seg, q[0]))) + "|" + seg(q[1]))
     lines = [
         f"{FORMAT_NAME} {FORMAT_VERSION}",
         f"mode {mode}",
@@ -92,17 +82,17 @@ def dump_state(learner: Learner) -> str:
     ]
     v = learner.vpa
     body = []
-    body.extend(f"state {enc(q)} {w}" for q, w in v.states.items())
-    body.extend(f"final {enc(q)} {w}" for q, w in v.finals.items())
+    body.extend(f"state {get(q) or enc(q)} {w}" for q, w in v.states.items())
+    body.extend(f"final {get(q) or enc(q)} {w}" for q, w in v.finals.items())
     body.extend(
-        f"call {enc(src)} {_encode_token(label)} {enc(dst)} {w}"
-        for (src, label), (dst, w) in v.calls.items())
+        f"call {get(src) or enc(src)} {tok(c) or etok(c)} {get(dst) or enc(dst)} {w}"
+        for (src, c), (dst, w) in v.calls.items())
     body.extend(
-        f"int {enc(src)} {dt} {enc(dst)} {w}"
+        f"int {get(src) or enc(src)} {dt} {get(dst) or enc(dst)} {w}"
         for (src, dt), (dst, w) in v.ints.items())
     body.extend(
-        f"ret {enc(src)} {_encode_token(label)} {enc(popped)} {enc(dst)} {w}"
-        for (src, label, popped), (dst, w) in v.rets.items())
+        f"ret {get(src) or enc(src)} {tok(c) or etok(c)} {get(p) or enc(p)} {get(dst) or enc(dst)} {w}"
+        for (src, c, p), (dst, w) in v.rets.items())
     return "\n".join(lines + sorted(body)) + "\n"
 
 

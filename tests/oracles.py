@@ -15,7 +15,9 @@ breadth-first search of their product for a witness string, the
 reference parser makes a new name object for every name it meets, as the
 event parser first did, and the reference run names every event's state
 for every document, as the learner did before it kept the runs of the
-shapes it has walked.
+shapes it has walked, and the reference state-file writer encodes every
+state name at every line that refers to it, as ``dump_state`` did before
+it encoded each distinct name once.
 """
 
 import re
@@ -23,6 +25,7 @@ import xml.parsers.expat
 from collections import deque
 from functools import cache, lru_cache
 from random import Random
+from urllib.parse import quote
 
 from xvpa import events as ev
 from xvpa.automata import Cxvpa, Dxvpa, Module, Verdict, compile_cxvpa, validate
@@ -30,7 +33,8 @@ from xvpa.datatypes import DEFAULT_PATH
 from xvpa.dfa import Dfa, _boundaries
 from xvpa.events import (CHARS, END, START, DoctypeRejectedError, DocumentEventStream,
                          EncodingError, Event, MalformedXmlError, QName)
-from xvpa.learner import call_name, int_name, ret_name
+from xvpa.learner import ANCESTOR, call_name, int_name, ret_name
+from xvpa.persistence import FORMAT_NAME, FORMAT_VERSION
 from xvpa.weighted import START_STATE
 
 
@@ -790,3 +794,30 @@ def _reference_events(data: bytes, out: list) -> None:
         # the handlers hold the parser and the parser holds the handlers:
         # without this, the events live until the cyclic collector runs
         parser = None
+
+
+def reference_dump(learner) -> str:
+    """A learner's state file, each state name encoded at every line that
+    refers to it and each token at every occurrence."""
+    mode = learner.scheme.mode
+    token = lambda t: quote(t, safe="")
+    seg = lambda s: ",".join(map(token, s))
+
+    def enc(q):
+        ctx = seg(q[0]) if mode == ANCESTOR else "#".join(map(seg, q[0]))
+        return ctx + "|" + seg(q[1])
+
+    v = learner.vpa
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"mode {mode}",
+             f"k {learner.scheme.k}", f"l {learner.scheme.l}",
+             f"datatypes {learner.dts_hash}", f"sanitized {1 if learner.sanitized else 0}",
+             f"documents {learner.documents_learned}",
+             "mindchanges " + (learner.mind_change_text() or "-")]
+    body = [f"state {enc(q)} {w}" for q, w in v.states.items()]
+    body += [f"final {enc(q)} {w}" for q, w in v.finals.items()]
+    body += [f"call {enc(src)} {token(c)} {enc(dst)} {w}"
+             for (src, c), (dst, w) in v.calls.items()]
+    body += [f"int {enc(src)} {dt} {enc(dst)} {w}" for (src, dt), (dst, w) in v.ints.items()]
+    body += [f"ret {enc(src)} {token(c)} {enc(p)} {enc(dst)} {w}"
+             for (src, c, p), (dst, w) in v.rets.items()]
+    return "\n".join(lines + sorted(body)) + "\n"

@@ -304,6 +304,21 @@ def test_sanitize_takes_a_roots_return_from_any_exit(dts):
     assert validate(model, doc(b"<c2/>")).accepted
 
 
+def test_sanitize_needs_no_final_state_left(dts):
+    """The decrement leaves no final state, since each ``c2`` document
+    ends in a different one, but ``c2``'s entry is still an exit of the
+    root's module: the model builds, accepts ``<c2/>`` and ends a document
+    nowhere else."""
+    learner = Learner(dts, A11)
+    for raw in (b"<c2><c2/></c2>", b"<c2><c2/><x/></c2>"):
+        learner.learn(doc(raw))
+    assert sanitize_checked(dts, learner) is True and not learner.vpa.finals
+    model = compile_cxvpa(build_xvpa(learner.snapshot(), dts))
+    assert validate(model, doc(b"<c2/>")).accepted
+    verdict = validate(model, doc(b"<c2><c2/></c2>"))
+    assert (verdict.accepted, verdict.reason, verdict.event_index) == (False, "unexpected-end", 3)
+
+
 def sanitize_checked(dts, learner) -> bool:
     """Sanitize, and check both outcomes: an applied result generates a
     model that accepts some document; a refused one changes nothing."""

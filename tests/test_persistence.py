@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xvpa import events as ev
+from xvpa import persistence
 from xvpa.harness import cardealer_grammar, generate
-from xvpa.learner import ANCESTOR_SIBLING, Learner, NamingScheme
+from xvpa.learner import ANCESTOR, ANCESTOR_SIBLING, Learner, NamingScheme
 from xvpa.persistence import (StateFileError, StateLock, dump_state, load_state,
                               parse_state, save_state)
+from xvpa.weighted import WeightedVpa
+
+from .oracles import reference_dump
 
 A12 = NamingScheme("ancestor", 1, 2)
 
@@ -38,6 +42,60 @@ def test_round_trip_for_ancestor_sibling_names(dts):
     learner = trained_learner(dts, NamingScheme(ANCESTOR_SIBLING, 2, 2), n=6)
     text = dump_state(learner)
     assert dump_state(parse_state(text, dts)) == text
+
+
+# tokens that need escaping in a state file, and two that do not
+_TOKENS = st.sampled_from(["a", "b", ",", "#", "|", "%", " ", "$", "@a", "{urn:x}y", "é", "a/b"])
+_SIBLINGS = st.lists(_TOKENS, max_size=2).map(tuple)
+
+
+@st.composite
+def _tables(draw, mode, datatypes):
+    """Tables over a few state names, each with a ``state`` line, so every
+    transition repeats names that another line already refers to."""
+    token_lists = st.lists(_TOKENS, max_size=3) if mode == ANCESTOR else st.lists(
+        st.lists(_TOKENS, min_size=1, max_size=3).map(tuple), max_size=3)
+    names = draw(st.lists(st.tuples(token_lists.map(tuple), _SIBLINGS),
+                          min_size=1, max_size=6, unique=True))
+    name, count = st.sampled_from(names), st.integers(1, 10**20)
+    states = {q: draw(count) for q in names}
+    finals = draw(st.dictionaries(name, count))
+    calls = draw(st.dictionaries(st.tuples(name, _TOKENS), st.tuples(name, count), min_size=1))
+    ints = {(src, dt): (dst, draw(count)) for src, dst in draw(st.dictionaries(name, name)).items()
+            for dt in draw(st.sets(st.sampled_from(datatypes), min_size=1, max_size=3))}
+    rets = draw(st.dictionaries(st.tuples(name, _TOKENS, name), st.tuples(name, count)))
+    return WeightedVpa(states, finals, calls, ints, rets)
+
+
+@pytest.mark.parametrize("mode", [ANCESTOR, ANCESTOR_SIBLING])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_dump_matches_the_reference_writer(dts, mode, data):
+    """Encoding each distinct name once writes the file that encoding every
+    reference wrote, and loading it gives back the same tables."""
+    learner = Learner(dts, NamingScheme(mode, 2, 2))
+    learner.vpa = data.draw(_tables(mode, sorted(dts.datatypes)))
+    text = dump_state(learner)
+    assert text == reference_dump(learner)
+    assert parse_state(text, dts).vpa == learner.vpa
+
+
+@pytest.mark.parametrize("scheme", [A12, NamingScheme(ANCESTOR_SIBLING, 2, 2)])
+def test_dump_encodes_each_distinct_token_once(dts, scheme, monkeypatch):
+    learner = trained_learner(dts, scheme, n=6)
+    v = learner.vpa
+    names = {*v.states, *v.finals, *(q for key, (dst, _w) in v.calls.items() for q in (key[0], dst)),
+             *(q for key, (dst, _w) in v.ints.items() for q in (key[0], dst)),
+             *(q for key, (dst, _w) in v.rets.items() for q in (key[0], key[2], dst))}
+    segments = [ctx for ctx, _sibs in names] if scheme.mode == ANCESTOR else [
+        seg for ctx, _sibs in names for seg in ctx]
+    tokens = {*(t for seg in segments for t in seg), *(t for _ctx, sibs in names for t in sibs),
+              *(key[1] for key in v.calls), *(key[1] for key in v.rets)}
+    calls = []
+    quote = persistence.quote
+    monkeypatch.setattr(persistence, "quote", lambda t, **kw: calls.append(t) or quote(t, **kw))
+    assert dump_state(learner) == reference_dump(learner)
+    assert sorted(calls) == sorted(tokens)
 
 
 def test_save_load_save_byte_identical(dts, tmp_path):
