@@ -16,7 +16,9 @@ when something reads it.
 
 State names serialize with percent-encoded tokens; ``,`` joins tokens,
 ``#`` joins ancestor-sibling segments, ``|`` separates the typing context
-from the left-sibling string.
+from the left-sibling string.  A dump encodes each distinct state name,
+and each distinct token, once, however many lines refer to it; a load
+decodes each distinct name once.
 
 Writes go through a temp file and an atomic rename; mutating commands take
 an advisory lock next to the state file.
