@@ -6,16 +6,16 @@ context by ``l``, which fixes the hypothesis space.  A walk names the
 states of a document's structure and counts the keys they take in each
 counter table, once per shape (its kinds and the names of its non-text
 events): each learner keeps, in a bounded memo, the run of every shape it
-has learned twice.  One loop infers and counts the texts of walked and kept
-runs.  Learning adds those counts, creating states and transitions on first
-contact.  Mind changes (counters flipping from zero to one) are recorded
-per document as a convergence heuristic.
+has learned twice.  One loop infers the texts of walked and kept runs, one
+key per text and datatype.  Learning adds the counts, creating states and
+transitions on first contact.  Mind changes (counters flipping from zero to
+one) are recorded per document as a convergence heuristic.
 
-Unlearning takes the same run as learning: it checks and then subtracts
-exactly those counts, deleting only the touched keys that reach zero, so
-its cost follows the document, not the size of the model.  Sanitization
-uniformly decrements all transition counters to shake out rare, possibly
-poisoned structure, and keeps the modules that runs still enter.
+Unlearning takes the same run: it writes as it checks, restores on failure,
+and deletes only the touched keys that reach zero, so its cost follows the
+document, not the size of the model.  Sanitization uniformly decrements all
+transition counters to shake out rare, possibly poisoned structure, and
+keeps the modules that runs still enter.
 
 A learner instance admits one mutator at a time.  Snapshots taken between
 mutations are immutable; validators built from them never block learning.
@@ -121,6 +121,7 @@ class Learner:
         self._memo_events = 0
         self._seen: set[int] = set()
         self._interned: dict = {}
+        self._sorted: dict = {}  # each inferred datatype set, sorted once
 
     @property
     def documents_learned(self) -> int:
@@ -149,7 +150,7 @@ class Learner:
         self._check_input(stream)
         changes = 0
         for table, taken in zip(self._tables(), self._run(stream, admit=True)):
-            for key, (count, target, _index) in taken:
+            for key, count, target, _index in taken:
                 old = table.get(key)
                 if old is None:
                     table[key] = count if target is None else (target, count)
@@ -166,62 +167,77 @@ class Learner:
     def unlearn(self, stream: DocumentEventStream) -> None:
         """Exactly reverse one previously learned document.
 
-        The document's run is the one learning takes.  Only when every
-        transition it takes exists and no counter would underflow are the
-        decrements applied, so a failed unlearn leaves the state untouched;
-        only the keys the run takes are visited, so the cost follows the
-        document, not the size of the automaton.
+        The document's run is the one learning takes.  Each decrement is
+        written as it is checked; a key at zero is deleted once the whole run
+        has passed.  At the first missing key or underflow every written
+        value is restored in place, so the tables and their key order are
+        as they were, and ``_refuse`` raises.  Only the run's keys are
+        visited, so the cost follows the document, not the automaton.
         """
         if self.sanitized:
             raise SanitizedStateError("unlearn is unsound after sanitize")
         self._check_input(stream)
-        missing = []
-        underflow = None
-        left = []
-        for kind, table, taken in zip(("call", "text transition", "return", None, None),
-                                      self._tables(), self._run(stream, admit=False)):
-            for key, (count, target, index) in taken:
+        written = []  # (table, key, value before), to restore on failure
+        zeroed = []
+        for table, taken in zip(self._tables(), self._run(stream, admit=False)):
+            for key, count, target, _index in taken:
                 old = table.get(key)
                 have = 0 if old is None else old if target is None else old[1]
-                if kind and not have:
-                    missing.append((index, f"no {kind} on {key[1]}"))
-                elif have < count:
-                    underflow = key
-                else:
-                    left.append((table, key, have - count, None if target is None else old[0]))
-        if missing:
-            raise MissingTransitionError(*min(missing))
-        if underflow is not None:
-            raise CounterUnderflowError(f"counter for {underflow!r} would underflow")
-
-        # commit; keys that reach zero are deleted
-        for table, key, count, target in left:
-            if not count:
-                del table[key]
-            else:
-                table[key] = count if target is None else (target, count)
+                if have < count:
+                    for t, k, v in reversed(written):
+                        t[k] = v
+                    self._refuse(stream)
+                written.append((table, key, old))
+                table[key] = have - count if target is None else (old[0], have - count)
+                if have == count:
+                    zeroed.append((table, key))
+        for table, key in zeroed:
+            del table[key]
         if not self._entries and self._series:  # split off the last entries once
             self._entries = self._series.rsplit(",", 1024)
             self._series = self._entries.pop(0) if len(self._entries) > 1024 else ""
         if self._entries:
             self._entries.pop()
 
+    def _refuse(self, stream: DocumentEventStream):
+        """Raise why ``stream``'s run, counted per key, cannot be unlearned:
+        its earliest missing transition, else its last underflowing key."""
+        missing = []
+        underflow = None
+        for kind, table, taken in zip(("call", "text transition", "return", None, None),
+                                      self._tables(), self._run(stream, admit=False)):
+            run: dict = {}
+            for key, count, target, index in taken:
+                run.setdefault(key, [0, target, index])[0] += count
+            for key, (count, target, index) in run.items():
+                old = table.get(key)
+                have = 0 if old is None else old if target is None else old[1]
+                if kind and not have:
+                    missing.append((index, f"no {kind} on {key[1]}"))
+                elif have < count:
+                    underflow = key
+        if missing:
+            raise MissingTransitionError(*min(missing))
+        raise CounterUnderflowError(f"counter for {underflow!r} would underflow")
+
     def _run(self, stream: DocumentEventStream, admit: bool):
         """The keys a document's run takes in each counter table.
 
         Returns the call, text, return, state and final tables, in the order
-        of ``_tables``, each as ``(key, (count, target state, index of the
-        first event that takes it))`` pairs in the order the walk first
+        of ``_tables``, each as ``(key, count, target state, index of the
+        first event that takes it)`` 4-tuples in the order the walk first
         takes the keys; the state and final tables have no target (None).
-        Text keys are ``(source, datatype)``.  Targets are named, never
-        looked up, so the run does not depend on what the automaton holds.
+        Text keys are ``(source, datatype)``, one with count 1 per text and
+        datatype.  Targets are named, never looked up, so the run does not
+        depend on what the automaton holds.
 
         Only the text keys depend on the texts.  Every other key, and each
         text's source and target, follow from the document's shape: its
         kinds and the names of its non-text events.  A shape that ``learn``
         walks a second time (``admit``) is kept in the memo; ``unlearn``
         neither counts nor keeps a shape.  A document of a kept shape is not
-        walked; walked or kept, its texts are inferred and counted here.
+        walked.  Naming and inference, which can raise, end before this
+        returns, so no caller has written anything when they raise.
         """
         shape = (stream.kinds, tuple(map(getattr, stream.labels, repeat("_rendered"), repeat(None))))
         packed = self._memo.get(shape)
@@ -229,28 +245,27 @@ class Learner:
             *tables, texts = self._walk(stream)
             if admit:
                 self._admit(shape, tables, texts)
-            calls, rets, states, finals = (table.items() for table in tables)
+            calls, rets, states, finals = (table.values() for table in tables)
         else:
             *tables, texts = packed
-            calls, rets, states, finals = (zip(t[::4], zip(t[1::4], t[2::4], t[3::4])) for t in tables)
+            calls, rets, states, finals = (zip(*[iter(flat)] * 4) for flat in tables)
         infer = self.dts.infer
+        order = self._sorted
         labels = stream.labels
-        ints: dict = {}
+        ints = []
         texts = iter(texts)
         for index, source, target in zip(texts, texts, texts):
-            for dt in sorted(infer(labels[index])):
-                ints.setdefault((source, dt), [0, target, index])[0] += 1
-        return calls, ints.items(), rets, states, finals
+            types = infer(labels[index])
+            for dt in order.get(types) or order.setdefault(types, sorted(types)):
+                ints.append(((source, dt), 1, target, index))
+        return calls, ints, rets, states, finals
 
     def _walk(self, stream: DocumentEventStream):
-        """Name a document's structure event by event: ``_run``'s call,
-        return, state and final tables as dicts from a key to ``[count,
-        target, first index]``, and its texts, not inferred, as a flat list
-        of ``index, source, target``.
-
-        The walk zips the stream's index, kind and label sequences, so it
-        builds no Event.
-        """
+        """Name a document's structure event by event, zipping the stream's
+        sequences so that no Event is built: ``_run``'s call, return, state
+        and final tables as dicts from a key to ``[key, count, target, first
+        index]``, and its texts, not inferred, as a flat ``index, source,
+        target`` list."""
         scheme = self.scheme
         calls: dict = {}
         rets: dict = {}
@@ -269,15 +284,15 @@ class Learner:
                 element = label._rendered
                 if kind == START:
                     q2 = call_name(scheme, q, element)
-                    calls.setdefault((q, element), [0, q2, index])[0] += 1
+                    calls.setdefault(key := (q, element), [key, 0, q2, index])[1] += 1
                     stack.append(q)
                 else:
                     popped = stack.pop()
                     q2 = ret_name(scheme, q, popped, element)
-                    rets.setdefault((q, element, popped), [0, q2, index])[0] += 1
-            states.setdefault(q2, [0, None, index])[0] += 1
+                    rets.setdefault(key := (q, element, popped), [key, 0, q2, index])[1] += 1
+            states.setdefault(q2, [q2, 0, None, index])[1] += 1
             q = q2
-        return calls, rets, states, {q: [1, None, index]}, texts
+        return calls, rets, states, {q: [q, 1, None, index]}, texts
 
     def _admit(self, shape, tables, texts) -> None:
         """Keep a learned shape in the memo on its second sighting, unless
@@ -304,7 +319,7 @@ class Learner:
         packed = []
         for table in tables:
             flat = []
-            for key, (count, target, index) in table.items():
+            for key, count, target, index in table.values():
                 flat += intern(key, key), count, intern(target, target), index
             packed.append(tuple(flat))
         flat = []

@@ -199,6 +199,33 @@ def test_unlearn_past_a_counter_raises_underflow(dts):
     assert dump_state(learner) == before
 
 
+def test_failed_unlearn_restores_the_keys_it_zeroed_in_place(dts):
+    """The run zeroes the calls on r and x before it finds no call on y:
+    the error names event 4, and every table holds its values in its key
+    order as before."""
+    learner = Learner(dts, A11)
+    learner.learn(doc(b"<r><x>5</x></r>"))
+    before = tables(learner)
+    with pytest.raises(MissingTransitionError) as failure:
+        learner.unlearn(doc(b"<r><x>5</x><y/></r>"))
+    assert (failure.value.index, str(failure.value)) == (4, "run leaves the automaton at event 4 (no call on y)")
+    assert tables(learner) == before
+
+
+def test_unlearn_counts_a_text_key_over_the_whole_run(dts):
+    """Under ancestor 1/1 both texts take the unsignedByte key of ``a``,
+    learned once: the run counted per key underflows it.  A check per
+    text would find the key gone at the second text (event 5) and report
+    a missing transition instead."""
+    learner = Learner(dts, A11)
+    learner.learn(doc(b"<r><a>5</a><a>x</a></r>"))
+    before = tables(learner)
+    with pytest.raises(CounterUnderflowError) as failure:
+        learner.unlearn(doc(b"<r><a>5</a><a>6</a></r>"))
+    assert str(failure.value) == "counter for ((('a',), ()), 'unsignedByte') would underflow"
+    assert tables(learner) == before
+
+
 def test_unlearn_counts_repeated_traversals(dts):
     learner = Learner(dts, A11)
     d = doc(b"<r><x>5</x><x>5</x></r>")
@@ -502,12 +529,22 @@ class ReferenceLearner(Learner):
     event for every document."""
 
     def _run(self, stream, admit):
-        return [taken.items() for taken in reference_run(self, stream)]
+        return [[(key, *value) for key, value in taken.items()] for taken in reference_run(self, stream)]
 
 
 def run_lists(run):
-    """A run as lists of ``(key, (count, target, first index))``, in order."""
-    return [[(key, tuple(value)) for key, value in taken] for taken in run]
+    """A run counted per key: lists of ``(key, (count, target, first
+    index))``, in the order the run first takes the keys.  A key that the
+    run takes more than once has one target."""
+    lists = []
+    for taken in run:
+        counted: dict = {}
+        for key, count, target, index in taken:
+            value = counted.setdefault(key, [0, target, index])
+            assert value[1] == target
+            value[0] += count
+        lists.append([(key, tuple(value)) for key, value in counted.items()])
+    return lists
 
 
 def tables(learner):

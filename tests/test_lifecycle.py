@@ -92,7 +92,8 @@ class Lifecycle(RuleBasedStateMachine):
         variant = serialize_xml(DocumentEventStream(stream.kinds, labels)).encode()
         kinds, stream = stream.kinds, parse_document(variant)
         assert (stream.kinds, stream.labels) == (kinds, labels)
-        want = run_lists(taken.items() for taken in reference_run(self.learner, stream))
+        want = run_lists([(key, *value) for key, value in taken.items()]
+                         for taken in reference_run(self.learner, stream))
         assert run_lists(self.learner._run(stream, admit=True)) == want
         before = dump_state(self.learner)
         changes = self.learner.learn(stream)
